@@ -133,6 +133,18 @@ def build_family(cfg: ExperimentConfig):
     raise ConfigurationError(f"unknown family kind at family.kind: {kind!r}")
 
 
+def q_route(problem: ProblemDistribution) -> int:
+    """Orlicz exponent q of the squared data norms.
+
+    Bounded x with zero noise gives sub-Gaussian squared norms (q = 2);
+    Gaussian data gives sub-exponential ones (q = 1).
+    """
+    if isinstance(problem.prior, BoundedSpec) and \
+            np.all(problem.noise.covariance_eigenvalues == 0):
+        return 2
+    return 1
+
+
 def derived_seed(master: int, *indices: int) -> int:
     """Stable 63-bit child seed for (master, indices)."""
     ss = np.random.SeedSequence(entropy=int(master) & (2**64 - 1),
@@ -279,16 +291,15 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
         ses.append(se)
         ms.append(m)
 
-    q_route = 2 if isinstance(cfg.problem.prior, BoundedSpec) and \
-        np.all(cfg.problem.noise.covariance_eigenvalues == 0) else 1
+    q = q_route(cfg.problem)
     alpha = getattr(family, "alpha", 1.0)
     if pclass.kind == "euclidean_ball":
         predicted = bounds_mod.predicted_exponent(
-            "euclidean_ball", alpha=alpha, q=q_route, s_or_d=pclass.dim,
+            "euclidean_ball", alpha=alpha, q=q, s_or_d=pclass.dim,
             method="chaining").exponent
     else:
         predicted = bounds_mod.predicted_exponent(
-            "entropy_decay", alpha=alpha, q=q_route,
+            "entropy_decay", alpha=alpha, q=q,
             s_or_d=pclass.smoothness, method="chaining").exponent
 
     means = np.array(means)
@@ -383,10 +394,7 @@ def run_verification_suite(cfg: ExperimentConfig, n_samples: int = 100_000,
     record("family_invariants", True)
 
     dist = cfg.problem
-    q = 2 if isinstance(dist.prior, BoundedSpec) and \
-        np.all(dist.noise.covariance_eigenvalues == 0) else 1
-    # bounded x with bounded (zero) noise -> sub-Gaussian squared norms;
-    # Gaussian data -> sub-exponential squared norms
+    q = q_route(dist)
     report["q_route"] = q
 
     rng = substream(cfg.master_seed, 501)

@@ -15,6 +15,7 @@ stability/boundedness certificate computed on probe sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,25 +158,37 @@ def _spectral_clip(W: np.ndarray, limit: float) -> np.ndarray:
 def reconstruct_tikhonov(params: TikhonovParams, A: ForwardOperator,
                          noise: GaussianSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer (A* Se^{-1} A + 2 B*B)^{-1}(A* Se^{-1} y + 2 B*B h)."""
-    sol = _tikhonov_solve(params.h, params.B, A, noise,
+    sol = _tikhonov_solve(params.h, params.B, *_normal_constants(A, noise),
                           np.atleast_2d(np.asarray(y, float)))[0]
     return sol[0] if np.asarray(y).ndim == 1 else sol
 
 
-def _tikhonov_solve(h, B, A: ForwardOperator, noise: GaussianSpec, Y: np.ndarray):
-    """Batched Tikhonov solve; returns (X, factor pieces for reuse)."""
-    if Y.shape[-1] != A.n_y:
-        raise DimensionMismatchError("data length != operator output dim")
+def _normal_constants(A: ForwardOperator, noise: GaussianSpec):
+    """Theta-independent pieces of the normal equations: P = A* Se^{-1}
+    and K = P A, so that M = K + 2 B*B and rhs = Y P^T + 2 B*B h."""
+    if noise.dim != A.n_y:
+        raise DimensionMismatchError("noise dimension != operator output dim")
+    if np.any(noise.covariance_eigenvalues <= 0):
+        raise ConfigurationError(
+            "the Tikhonov data term needs an invertible noise covariance; "
+            "problem.noise.cov_eigenvalues has a zero entry")
     Am = A.as_matrix()
-    Se_inv = np.linalg.inv(noise.covariance_matrix())
+    P = Am.T @ np.linalg.inv(noise.covariance_matrix())
+    return P, P @ Am
+
+
+def _tikhonov_solve(h, B, P, K, Y: np.ndarray):
+    """Batched Tikhonov solve; returns (X, factor pieces for reuse)."""
+    if Y.shape[-1] != P.shape[1]:
+        raise DimensionMismatchError("data length != operator output dim")
     BtB = B.T @ B
-    M = Am.T @ Se_inv @ Am + 2.0 * BtB
+    M = K + 2.0 * BtB
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e13:
         raise ConfigurationError(
             f"singular normal matrix (cond={cond:.3g}); "
             "B*B kernel overlaps ker A")
-    rhs = Y @ (Am.T @ Se_inv).T + 2.0 * (BtB @ h)
+    rhs = Y @ P.T + 2.0 * (BtB @ h)
     X = np.linalg.solve(M, rhs.T).T
     resid = np.max(np.abs(X @ M.T - rhs)) if X.size else 0.0
     scale = max(1.0, np.max(np.abs(rhs))) if rhs.size else 1.0
@@ -314,6 +327,7 @@ class TikhonovFamily:
         self.structure = structure
         n = op.n_x
         self.dim = {"scale": 1, "full": n + n * n, "diagonal": 2 * n}[structure]
+        self._P, self._K = _normal_constants(op, noise)
 
     def unpack(self, theta) -> TikhonovParams:
         theta = np.asarray(theta, dtype=float)
@@ -337,22 +351,26 @@ class TikhonovFamily:
 
     def reconstruct_batch(self, theta, Y, tol=None):
         p = self.unpack(theta)
-        return _tikhonov_solve(p.h, p.B, self.op, self.noise,
+        return _tikhonov_solve(p.h, p.B, self._P, self._K,
                                np.asarray(Y, float))[0]
 
-    def risk_gradient(self, theta, X, Y):
+    def risk_gradient(self, theta, X, Y, R=None):
         """Analytic gradient of the empirical quadratic risk at theta.
 
-        Differentiates R = M^{-1} rhs through the normal equations; the
-        adjoint solve shares the factorization with the forward solve.
+        Differentiates R = M^{-1} rhs through the normal equations.  ``R``
+        is the reconstruction ``reconstruct_batch(theta, Y)`` when the
+        caller already has it; then only the n x n matrix M is rebuilt.
         """
         p = self.unpack(theta)
-        R, (M, _) = _tikhonov_solve(p.h, p.B, self.op, self.noise,
-                                    np.asarray(Y, float))
+        BtB = p.B.T @ p.B
+        if R is None:
+            R, (M, _) = _tikhonov_solve(p.h, p.B, self._P, self._K,
+                                        np.asarray(Y, float))
+        else:
+            M = self._K + 2.0 * BtB
         E = R - np.asarray(X, float)              # residuals, (m, n)
         U = np.linalg.solve(M, E.T).T             # adjoint states
         m = E.shape[0]
-        BtB = p.B.T @ p.B
         grad_h = 2.0 * (BtB @ U.mean(axis=0))
         HmR = p.h[None, :] - R                    # (m, n)
         grad_B = 2.0 / m * ((p.B @ HmR.T) @ U + (p.B @ U.T) @ HmR)
@@ -384,6 +402,8 @@ class ElasticNetFamily:
     def unpack(self, theta) -> ElasticNetParams:
         theta = np.asarray(theta, dtype=float)
         n = self.op.n_x
+        if theta.size != self.dim:
+            raise DimensionMismatchError("theta length mismatch")
         if self.structure == "scale":
             h, B = np.zeros(n), theta[0] * np.eye(n)
         elif self.structure == "diagonal":
@@ -543,7 +563,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
     if getattr(family, "kind", "") == "elastic_net":
         # energy bound from evaluating the objective at the minimizer and 0
         eta = family.eta
-        worst = 0.0
+        worst = math.inf
         for theta, _ in probe_pairs:
             p = family.unpack(theta)
             m_g = float(np.linalg.norm(p.h) ** (2 * family.alpha))
@@ -551,7 +571,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
                 x = family.reconstruct(theta, y, tol=tol)
                 slack = (np.linalg.norm(y)**2 / (2 * eta) + m_g
                          - np.linalg.norm(x)**2)
-                worst = min(worst, slack) if worst else slack
+                worst = min(worst, slack)
         extras["energy_bound_slack"] = worst
     return StabilityCertificate(
         family=getattr(family, "kind", type(family).__name__), alpha=alpha,

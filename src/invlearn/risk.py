@@ -26,9 +26,13 @@ def loss(x, y, theta, family) -> float:
     return 0.5 * float(e @ e)
 
 
-def _batch_losses(family, theta, X, Y) -> np.ndarray:
-    R = family.reconstruct_batch(theta, Y)
+def _losses(R, X) -> np.ndarray:
+    """Per-row quadratic losses 1/2 ||r_j - x_j||^2 of reconstructions R."""
     return 0.5 * np.sum((R - X) ** 2, axis=1)
+
+
+def _batch_losses(family, theta, X, Y) -> np.ndarray:
+    return _losses(family.reconstruct_batch(theta, Y), X)
 
 
 def empirical_risk(ts: TrainingSet, theta, family) -> float:
@@ -80,12 +84,24 @@ class ErmResult:
 
 
 def _risk_and_grad_factory(family, pclass, X, Y, opts):
+    # single-entry memo of the latest reconstruction: the gradient is always
+    # taken at the point whose risk was just evaluated, so it reuses that
+    # solve; local to one ERM run, hence never shared between threads
+    last = {}
+
+    def reconstruction(theta):
+        key = theta.tobytes()
+        if last.get("key") != key:
+            last.clear()  # release the old batch before solving the new one
+            last.update(key=key, R=family.reconstruct_batch(theta, Y))
+        return last["R"]
+
     def risk(theta):
-        return float(_batch_losses(family, theta, X, Y).mean())
+        return float(_losses(reconstruction(theta), X).mean())
 
     if hasattr(family, "risk_gradient"):
         def grad(theta):
-            return family.risk_gradient(theta, X, Y)
+            return family.risk_gradient(theta, X, Y, R=reconstruction(theta))
     else:
         step = opts.fd_step_rel * pclass.diameter
 
@@ -114,13 +130,14 @@ def _projected_gradient(theta0, risk, grad, pclass, opts):
         while True:
             cand = pclass.project(theta - step * g)
             move = cand - theta
-            if risk(cand) <= f + float(g @ move) + \
+            f_cand = risk(cand)
+            if f_cand <= f + float(g @ move) + \
                     0.5 / step * float(move @ move) or step < 1e-14:
                 break
             step *= 0.5
         if np.array_equal(cand, theta):
             break
-        theta, f = cand, risk(cand)
+        theta, f = cand, f_cand
     return theta, f, residual
 
 

@@ -13,8 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import binom
+from scipy.special import bdtr, logsumexp
 
 from .errors import ConfigurationError, DimensionMismatchError
 from .operators import ForwardOperator, GaussianSpec
@@ -244,11 +243,30 @@ def tail_check(samples, K: float, q: int, n_grid: int = 12,
     n = w.size
     survival = np.array([(w > t).sum() for t in t_grid], dtype=float)
     p_bound = np.minimum(1.0, 2.0 * np.exp(-(t_grid / K) ** q))
-    allowed = binom.ppf(confidence, n, p_bound)
+    allowed = _binom_ppf(confidence, n, p_bound)
     point_pass = survival <= allowed
     return TailCheckReport(passed=bool(point_pass.all()), t_grid=t_grid,
                            survival=survival / n, bound=p_bound,
                            point_pass=point_pass)
+
+
+def _binom_ppf(q: float, n: int, p: np.ndarray) -> np.ndarray:
+    """Smallest integer k with P(Bin(n, p) <= k) >= q, elementwise over p.
+
+    Integer bisection on the binomial CDF; equals ``scipy.stats.binom.ppf``
+    for 0 < q < 1 without importing ``scipy.stats``, except where q equals a
+    CDF value exactly and the two CDF implementations round apart.
+    """
+    p = np.asarray(p, dtype=float)
+    lo = np.full(p.shape, -1, dtype=np.int64)  # CDF(lo) < q (CDF(-1) = 0)
+    hi = np.full(p.shape, n, dtype=np.int64)   # CDF(hi) >= q (CDF(n) = 1)
+    while np.any(hi - lo > 1):
+        active = hi - lo > 1
+        mid = (lo + hi) // 2
+        ok = active & (bdtr(np.maximum(mid, 0), n, p) >= q)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(active & ~ok, mid, lo)
+    return hi.astype(float)
 
 
 @dataclass(frozen=True)

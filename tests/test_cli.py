@@ -84,6 +84,18 @@ def test_rates_threads_byte_identical(tmp_path, capsys):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+def test_rates_singular_noise_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    cfg.write_text(json.dumps(raw))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "rates"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "problem.noise.cov_eigenvalues" in err
+
+
 def test_verify_scalar_gaussian_passes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["--config", str(cfg), "verify"])

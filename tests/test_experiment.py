@@ -9,7 +9,7 @@ from invlearn import ExperimentConfig, run_rate_experiment, run_verification_sui
 from invlearn.bounds import BoundInputs, CoveringModel
 from invlearn.errors import ConfigurationError
 from invlearn.experiment import (bound_domination_check, canonical_json,
-                                 derived_seed, fnv1a64)
+                                 derived_seed, fnv1a64, q_route)
 
 
 def scalar_config(**overrides):
@@ -155,6 +155,31 @@ def test_verification_suite_bounded_route():
                                     n_samples=50_000)
     assert report["q_route"] == 2
     assert report["passed"], report
+
+
+def test_verification_suite_tikhonov_zero_noise_fails_family_check():
+    cfg = scalar_config()
+    cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    report = run_verification_suite(ExperimentConfig.from_dict(cfg),
+                                    n_samples=10_000)
+    assert not report["passed"]
+    check = report["checks"]["family_invariants"]
+    assert not check["passed"]
+    assert "problem.noise.cov_eigenvalues" in check["error"]
+
+
+def test_q_route_needs_bounded_prior_and_zero_noise():
+    def problem(prior, noise_var):
+        cfg = scalar_config()
+        cfg["problem"]["prior"] = prior
+        cfg["problem"]["noise"]["cov_eigenvalues"] = [noise_var]
+        return ExperimentConfig.from_dict(cfg).problem
+
+    ball = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
+    gauss = {"type": "gaussian", "mean": [0.0], "cov_eigenvalues": [1.0]}
+    assert q_route(problem(ball, 0.0)) == 2
+    assert q_route(problem(ball, 1.0)) == 1
+    assert q_route(problem(gauss, 0.0)) == 1
 
 
 def test_verification_suite_elastic_net_penalty_checks():

@@ -12,7 +12,8 @@ from invlearn import (ElasticNetFamily, ElasticNetParams, FixedPointFamily,
                       certify_stability, check_g_hypotheses,
                       reconstruct_elastic_net, reconstruct_fixed_point,
                       reconstruct_tikhonov)
-from invlearn.errors import ConfigurationError, ContractivityError
+from invlearn.errors import (ConfigurationError, ContractivityError,
+                             DimensionMismatchError)
 
 
 # -- ParamClass ------------------------------------------------------------
@@ -92,6 +93,21 @@ def test_tikhonov_singular_normal_matrix():
     params = TikhonovParams(h=np.zeros(2), B=np.zeros((2, 2)))
     with pytest.raises(ConfigurationError):
         reconstruct_tikhonov(params, A, noise, np.array([1.0, 1.0]))
+
+
+def test_tikhonov_singular_noise_covariance_rejected():
+    # the data term weighs residuals by Se^{-1}: a zero noise eigenvalue must
+    # fail as a config error naming the key, not as a numpy LinAlgError
+    A = ForwardOperator.identity(2)
+    noise = GaussianSpec(mean=np.zeros(2),
+                         covariance_eigenvalues=np.array([1.0, 0.0]))
+    with pytest.raises(ConfigurationError,
+                       match=r"problem\.noise\.cov_eigenvalues"):
+        TikhonovFamily(A, noise, structure="scale")
+    params = TikhonovParams(h=np.zeros(2), B=np.eye(2))
+    with pytest.raises(ConfigurationError,
+                       match=r"problem\.noise\.cov_eigenvalues"):
+        reconstruct_tikhonov(params, A, noise, np.ones(2))
 
 
 def test_tikhonov_family_batch_matches_single():
@@ -190,6 +206,14 @@ def test_elastic_net_holder_alpha_below_one_runs():
     assert np.all(np.isfinite(x))
     # strong convexity keeps the minimizer inside the data ball
     assert np.linalg.norm(x) <= np.linalg.norm(y)
+
+
+def test_elastic_net_unpack_rejects_wrong_length():
+    fam = ElasticNetFamily(ForwardOperator.identity(2), structure="diagonal")
+    with pytest.raises(DimensionMismatchError):
+        fam.unpack(np.zeros(fam.dim + 1))
+    with pytest.raises(DimensionMismatchError):
+        fam.unpack(np.zeros(fam.dim - 1))
 
 
 def test_elastic_net_param_validation():
@@ -353,6 +377,33 @@ def test_certify_stability_elastic_net_energy_bound():
     pairs = [(pc.sample(rng), pc.sample(rng)) for _ in range(4)]
     cert = certify_stability(fam, pc, ys, pairs, tol=1e-10)
     assert cert.extras["energy_bound_slack"] >= 0
+
+
+def test_certify_stability_zero_energy_slack_is_kept():
+    # x = y on the first probe makes the slack ||y||^2/(2 eta) - ||x||^2
+    # exactly 0; later probes have positive slack, and the minimum is 0
+    class StubEnergyFamily:
+        kind = "elastic_net"
+        alpha = 1.0
+        eta = 0.5
+
+        def metric(self, a, b):
+            return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+        def unpack(self, theta):
+            return ElasticNetParams(h=np.zeros(2), B=np.eye(2), alpha=1.0,
+                                    eta=0.5)
+
+        def reconstruct(self, theta, y, tol=None):
+            y = np.asarray(y, float)
+            return y if y[0] > 0 else 0.5 * y
+
+    ys = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]),
+          np.array([-2.0, 1.0])]
+    pairs = [(np.array([0.1, 0.0]), np.array([0.0, 0.2]))]
+    pc = ParamClass(kind="euclidean_ball", dim=2, radius=1.0)
+    cert = certify_stability(StubEnergyFamily(), pc, ys, pairs)
+    assert cert.extras["energy_bound_slack"] == 0.0
 
 
 def test_certify_stability_empty_probes_rejected():

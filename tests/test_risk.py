@@ -8,7 +8,9 @@ from invlearn import (ErmOptions, ForwardOperator, GaussianSpec, ParamClass,
                       decompose, draw_training_set, empirical_risk, erm_solve,
                       expected_loss_mc, loss, mmse_affine,
                       optimal_target_proxy, representativeness)
+from invlearn import hypotheses
 from invlearn.errors import ConfigurationError
+from invlearn.risk import _risk_and_grad_factory
 from invlearn.stochastics import TrainingSet
 
 
@@ -165,6 +167,59 @@ def test_erm_permutation_invariant():
     r1 = erm_solve(pc, fam, ts, ErmOptions(seed=0))
     r2 = erm_solve(pc, fam, ts2, ErmOptions(seed=0))
     assert np.allclose(r1.theta, r2.theta, atol=1e-10)
+
+
+def vector_setup(structure):
+    rng = np.random.default_rng(12)
+    A = ForwardOperator.from_matrix(rng.standard_normal((2, 2)))
+    noise = GaussianSpec.iso(2, 0.5)
+    dist = ProblemDistribution(prior=GaussianSpec.iso(2, 1.0), noise=noise,
+                               forward=A)
+    fam = TikhonovFamily(A, noise, structure=structure)
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=2.0)
+    return dist, fam, pc
+
+
+@pytest.mark.parametrize("structure", ["scale", "diagonal", "full"])
+def test_erm_risk_and_grad_match_reference(structure):
+    # the memoized ERM objective is the reference risk and gradient, bit for
+    # bit, whatever order the thetas are visited in
+    dist, fam, pc = vector_setup(structure)
+    ts = draw_training_set(dist, 40, seed=13)
+    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y, ErmOptions())
+    rng = np.random.default_rng(14)
+    t1, t2 = pc.sample(rng), pc.sample(rng)
+    for theta in (t1, t1, t2, t1, t2, t2):
+        assert risk(theta) == empirical_risk(ts, theta, fam)
+        assert np.array_equal(grad(theta), fam.risk_gradient(theta, ts.x, ts.y))
+    assert np.array_equal(grad(t1), fam.risk_gradient(t1, ts.x, ts.y))
+
+
+def test_erm_reconstructs_each_theta_once(monkeypatch):
+    # one solve per distinct theta: the line search's accepted risk is kept,
+    # and the gradient reuses the reconstruction the risk just computed
+    dist, fam, pc = vector_setup("diagonal")
+    ts = draw_training_set(dist, 60, seed=15)
+    thetas = []
+    solves = []
+    reconstruct_batch = fam.reconstruct_batch
+    tikhonov_solve = hypotheses._tikhonov_solve
+
+    def counting_reconstruct_batch(theta, Y, tol=None):
+        thetas.append(np.asarray(theta).tobytes())
+        return reconstruct_batch(theta, Y, tol)
+
+    def counting_solve(*args):
+        solves.append(1)
+        return tikhonov_solve(*args)
+
+    monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
+    monkeypatch.setattr(hypotheses, "_tikhonov_solve", counting_solve)
+    res = erm_solve(pc, fam, ts, ErmOptions(seed=0, n_starts=3))
+    assert res.converged
+    assert len(thetas) > 30
+    assert len(thetas) == len(set(thetas))
+    assert len(solves) == len(thetas)
 
 
 # -- optimal_target_proxy --------------------------------------------------

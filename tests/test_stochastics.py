@@ -10,6 +10,7 @@ from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       empirical_average_contraction, orlicz_norm, substream,
                       tail_check)
 from invlearn.errors import ConfigurationError
+from invlearn.stochastics import _binom_ppf
 
 
 def scalar_problem(noise_var=1.0, delta=None):
@@ -170,6 +171,19 @@ def test_tail_gaussian_with_tiny_k_fails():
     rng = substream(202, 0)
     w = rng.standard_normal(200_000)
     assert not tail_check(w, K=0.1, q=2).passed
+
+
+def test_binom_ppf_matches_scipy_stats():
+    # the confidence levels a tail check uses; at a q that equals a CDF value
+    # exactly (e.g. q = 0.5, n = 7, p = 0.5) the two CDF implementations may
+    # round to opposite sides of q and give answers one apart
+    from scipy.stats import binom
+    p = np.concatenate([[0.0, 1.0], np.logspace(-90, 0, 61),
+                        np.linspace(0.0, 1.0, 41)])
+    for n in (1, 2, 7, 100, 1_001, 50_000, 1_000_000):
+        for q in (0.9, 0.95, 0.99, 0.999):
+            mine = _binom_ppf(q, n, p)
+            assert np.array_equal(mine, binom.ppf(q, n, p)), (n, q)
 
 
 def test_tail_check_input_validation():
