@@ -90,8 +90,7 @@ def cmd_verify(args) -> int:
 
 def cmd_rates(args) -> int:
     cfg = _experiment_config(args)
-    fit = run_rate_experiment(cfg, out_dir=_out_dir(args),
-                              threads=args.threads)
+    fit = run_rate_experiment(cfg, out_dir=_out_dir(args))
     print(json.dumps(fit.summary(), indent=2, sort_keys=True))
     return 0
 
@@ -104,7 +103,10 @@ def cmd_bounds(args) -> int:
     model = spec.get("model", {"kind": "euclidean_ball",
                                "d": raw.get("param_class", {}).get("dim", 1),
                                "D": 1.0})
-    cov = bounds_mod.CoveringModel(**model)
+    try:
+        cov = bounds_mod.CoveringModel(**model)
+    except (TypeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"invalid bounds.model: {exc}") from exc
     out = []
     for m in raw["m_grid"]:
         inputs = bounds_mod.BoundInputs(
@@ -141,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override master_seed from the config")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent trials")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw a training set, write CSV")

@@ -8,10 +8,10 @@ the mean excess, to be compared with the predicted exponent.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,7 @@ from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           substream, tail_check)
 
 SLOPE_BAND = 0.15  # acceptance band around the predicted exponent
+MAX_FAILURE_FRACTION = 0.05  # failed trials above this invalidate a rate run
 
 
 def fnv1a64(text: str) -> int:
@@ -43,11 +44,22 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigurationError(f"missing required config key: {path}.{key}"
-                                 .lstrip("."))
-    return cfg[key]
+_REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
+                  "trials_per_m", "proxy_m", "n_mc", "master_seed")
+# ``bounds`` is read by ``invlearn bounds`` from the same file
+_OPTIONAL_KEYS = ("tolerances", "erm", "bounds")
+
+
+def _known_keys(cfg, allowed, prefix: str = "") -> dict:
+    """``cfg`` itself, after checking that it is an object whose keys are
+    all in ``allowed``; errors name the dotted config path."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(
+            f"config {prefix.rstrip('.') or 'root'} must be a JSON object")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"unknown config key: {prefix}{unknown[0]}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,8 @@ class ExperimentConfig:
             raise ConfigurationError("trials_per_m must be >= 1")
         if self.proxy_m < 100 * max(mg):
             raise ConfigurationError("proxy_m must be >= 100 * max(m_grid)")
+        if self.n_mc < 100:
+            raise ConfigurationError("n_mc must be >= 100")
 
     @property
     def digest(self) -> int:
@@ -96,18 +110,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        problem = ProblemDistribution.from_dict(_require(d, "problem", ""))
-        tol = d.get("tolerances", {})
-        erm = d.get("erm", {})
+        _known_keys(d, _REQUIRED_KEYS + _OPTIONAL_KEYS)
+        missing = [key for key in _REQUIRED_KEYS if key not in d]
+        if missing:
+            raise ConfigurationError(
+                f"missing required config key: {missing[0]}")
+        tol = _known_keys(d.get("tolerances", {}), ("erm_tol", "recon_tol"),
+                          "tolerances.")
+        erm = _known_keys(d.get("erm", {}), ("n_starts", "max_iter"), "erm.")
         return cls(
-            problem=problem,
-            family_spec=dict(_require(d, "family", "")),
-            param_class=ParamClass.from_dict(_require(d, "param_class", "")),
-            m_grid=tuple(_require(d, "m_grid", "")),
-            trials_per_m=int(_require(d, "trials_per_m", "")),
-            proxy_m=int(_require(d, "proxy_m", "")),
-            n_mc=int(_require(d, "n_mc", "")),
-            master_seed=int(_require(d, "master_seed", "")),
+            problem=ProblemDistribution.from_dict(d["problem"]),
+            family_spec=dict(d["family"]),
+            param_class=ParamClass.from_dict(d["param_class"]),
+            m_grid=tuple(d["m_grid"]),
+            trials_per_m=int(d["trials_per_m"]),
+            proxy_m=int(d["proxy_m"]),
+            n_mc=int(d["n_mc"]),
+            master_seed=int(d["master_seed"]),
             erm_tol=float(tol.get("erm_tol", 1e-8)),
             recon_tol=float(tol.get("recon_tol", 1e-10)),
             n_starts=int(erm.get("n_starts", 8)),
@@ -219,13 +238,11 @@ def _trimmed_mean(values: np.ndarray, frac: float = 0.02):
     return float(core.mean()), float(core.std(ddof=1) / np.sqrt(core.size))
 
 
-def run_rate_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
-                        max_failure_fraction: float = 0.05) -> RateFit:
+def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     """The central experiment: mean excess loss versus m, with a rate fit.
 
-    Fully deterministic given the config; trials are independent tasks
-    keyed by (m, trial) and aggregated by index, so thread count never
-    changes the output.
+    Fully deterministic given the config: each trial draws from seeds keyed
+    by (m, trial).
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
@@ -243,7 +260,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
     per_star = _batch_losses(family, theta_star, x_eval, y_eval)
     loss_star = float(per_star.mean())
 
-    def run_trial(i_m, m, t):
+    def run_trial(m, t):
         seed = derived_seed(cfg.master_seed, m, t)
         ts = draw_training_set(cfg.problem, m, seed)
         t_opts = ErmOptions(tol=cfg.erm_tol, n_starts=cfg.n_starts,
@@ -265,23 +282,18 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1,
             seed=seed,
             failed=not res.converged)
 
-    tasks = [(i_m, m, t) for i_m, m in enumerate(cfg.m_grid)
-             for t in range(cfg.trials_per_m)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda a: run_trial(*a), tasks))
-    else:
-        records = [run_trial(*a) for a in tasks]
+    records = [run_trial(m, t) for m in cfg.m_grid
+               for t in range(cfg.trials_per_m)]
 
     n_failed = sum(r.failed for r in records)
-    if n_failed > max_failure_fraction * len(records):
+    if n_failed > MAX_FAILURE_FRACTION * len(records):
         raise ConvergenceError(
             f"experiment invalid: {n_failed}/{len(records)} trials failed "
-            f"(cap {max_failure_fraction:.0%})")
+            f"(cap {MAX_FAILURE_FRACTION:.0%})")
 
     per_m = []
     means, ses, ms = [], [], []
-    for i_m, m in enumerate(cfg.m_grid):
+    for m in cfg.m_grid:
         vals = np.array([r.sample_error for r in records
                          if r.m == m and not r.failed])
         mean, se = _trimmed_mean(vals)
@@ -354,10 +366,8 @@ def bound_domination_check(fit: RateFit, inputs: bounds_mod.BoundInputs,
     m0 = per_m[0]["m"]
 
     def bound_at(m):
-        scaled = bounds_mod.BoundInputs(
-            K=inputs.K, M_ell=inputs.M_ell, q=inputs.q, alpha=inputs.alpha,
-            m=m, D=inputs.D, C=inputs.C, C1=inputs.C1, C2=inputs.C2)
-        return bounds_mod.chaining_bound(scaled, cov, r)
+        return bounds_mod.chaining_bound(dataclasses.replace(inputs, m=m),
+                                         cov, r)
 
     calib = per_m[0]["mean"] / bound_at(m0)
     ratios = [(p["m"], p["mean"] / (calib * bound_at(p["m"])))

@@ -159,7 +159,7 @@ def reconstruct_tikhonov(params: TikhonovParams, A: ForwardOperator,
                          noise: GaussianSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer (A* Se^{-1} A + 2 B*B)^{-1}(A* Se^{-1} y + 2 B*B h)."""
     sol = _tikhonov_solve(params.h, params.B, *_normal_constants(A, noise),
-                          np.atleast_2d(np.asarray(y, float)))[0]
+                          np.atleast_2d(np.asarray(y, float)))
     return sol[0] if np.asarray(y).ndim == 1 else sol
 
 
@@ -177,25 +177,31 @@ def _normal_constants(A: ForwardOperator, noise: GaussianSpec):
     return P, P @ Am
 
 
-def _tikhonov_solve(h, B, P, K, Y: np.ndarray):
-    """Batched Tikhonov solve; returns (X, factor pieces for reuse)."""
+def _tikhonov_solve(h, B, P, K, Y: np.ndarray) -> np.ndarray:
+    """Batched Tikhonov solve: rows X with X (K + 2 B*B)^T = Y P^T + 2 B*B h."""
     if Y.shape[-1] != P.shape[1]:
         raise DimensionMismatchError("data length != operator output dim")
     BtB = B.T @ B
-    M = K + 2.0 * BtB
+    return _solve_normal(K + 2.0 * BtB, Y @ P.T + 2.0 * (BtB @ h))
+
+
+def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Rows X with X M^T = rhs for the normal matrix M of an affine family.
+
+    Rejects a numerically singular M and checks the residual of the solve.
+    """
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e13:
         raise ConfigurationError(
             f"singular normal matrix (cond={cond:.3g}); "
-            "B*B kernel overlaps ker A")
-    rhs = Y @ P.T + 2.0 * (BtB @ h)
+            "the penalty does not control ker A")
     X = np.linalg.solve(M, rhs.T).T
     resid = np.max(np.abs(X @ M.T - rhs)) if X.size else 0.0
     scale = max(1.0, np.max(np.abs(rhs))) if rhs.size else 1.0
     if resid > 1e-8 * scale:
         raise ConvergenceError("normal equation residual too large",
                                residual=resid)
-    return X, (M, rhs)
+    return X
 
 
 def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
@@ -305,8 +311,8 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 # Family objects: flat-parameter interface used by ERM and experiments
 # ---------------------------------------------------------------------------
 
-class TikhonovFamily:
-    """Flat-parameter wrapper around the generalized Tikhonov reconstructor.
+class _HBFamily:
+    """Flat-parameter (h, B) interface shared by Tikhonov and Elastic-Net.
 
     ``structure`` controls the parametrization:
 
@@ -315,44 +321,54 @@ class TikhonovFamily:
     * "diagonal": theta = concat(h, diag(B)).
     """
 
-    kind = "tikhonov"
-    alpha = 1.0  # the reconstruction map is Lipschitz in theta on the class
-
-    def __init__(self, op: ForwardOperator, noise: GaussianSpec,
-                 structure: str = "full"):
+    def __init__(self, op: ForwardOperator, structure: str):
         if structure not in ("scale", "full", "diagonal"):
             raise ConfigurationError(f"unknown structure {structure!r}")
         self.op = op
-        self.noise = noise
         self.structure = structure
         n = op.n_x
         self.dim = {"scale": 1, "full": n + n * n, "diagonal": 2 * n}[structure]
-        self._P, self._K = _normal_constants(op, noise)
 
-    def unpack(self, theta) -> TikhonovParams:
+    def _h_B(self, theta):
         theta = np.asarray(theta, dtype=float)
         n = self.op.n_x
         if theta.size != self.dim:
             raise DimensionMismatchError("theta length mismatch")
         if self.structure == "scale":
-            return TikhonovParams(h=np.zeros(n), B=theta[0] * np.eye(n))
+            return np.zeros(n), theta[0] * np.eye(n)
         if self.structure == "diagonal":
-            return TikhonovParams(h=theta[:n], B=np.diag(theta[n:]))
-        return TikhonovParams(h=theta[:n], B=theta[n:].reshape(n, n))
+            return theta[:n], np.diag(theta[n:])
+        return theta[:n], theta[n:].reshape(n, n)
 
     def metric(self, theta1, theta2) -> float:
         """d((h,B),(h',B')) = ||h-h'|| + ||B-B'||_op."""
-        p1, p2 = self.unpack(theta1), self.unpack(theta2)
-        return float(np.linalg.norm(p1.h - p2.h)
-                     + np.linalg.norm(p1.B - p2.B, 2))
+        (h1, B1), (h2, B2) = self._h_B(theta1), self._h_B(theta2)
+        return float(np.linalg.norm(h1 - h2) + np.linalg.norm(B1 - B2, 2))
 
-    def reconstruct(self, theta, y, tol=None):
-        return reconstruct_tikhonov(self.unpack(theta), self.op, self.noise, y)
+    def reconstruct(self, theta, y, tol=1e-8):
+        """R_theta(y) for one data vector, as a one-row ``reconstruct_batch``."""
+        Y = np.asarray(y, dtype=float).reshape(1, -1)
+        return self.reconstruct_batch(theta, Y, tol=tol)[0]
+
+
+class TikhonovFamily(_HBFamily):
+    """Flat-parameter wrapper around the generalized Tikhonov reconstructor."""
+
+    kind = "tikhonov"
+    alpha = 1.0  # the reconstruction map is Lipschitz in theta on the class
+
+    def __init__(self, op: ForwardOperator, noise: GaussianSpec,
+                 structure: str = "full"):
+        super().__init__(op, structure)
+        self.noise = noise
+        self._P, self._K = _normal_constants(op, noise)
+
+    def unpack(self, theta) -> TikhonovParams:
+        return TikhonovParams(*self._h_B(theta))
 
     def reconstruct_batch(self, theta, Y, tol=None):
-        p = self.unpack(theta)
-        return _tikhonov_solve(p.h, p.B, self._P, self._K,
-                               np.asarray(Y, float))[0]
+        h, B = self._h_B(theta)
+        return _tikhonov_solve(h, B, self._P, self._K, np.asarray(Y, float))
 
     def risk_gradient(self, theta, X, Y, R=None):
         """Analytic gradient of the empirical quadratic risk at theta.
@@ -361,20 +377,17 @@ class TikhonovFamily:
         is the reconstruction ``reconstruct_batch(theta, Y)`` when the
         caller already has it; then only the n x n matrix M is rebuilt.
         """
-        p = self.unpack(theta)
-        BtB = p.B.T @ p.B
         if R is None:
-            R, (M, _) = _tikhonov_solve(p.h, p.B, self._P, self._K,
-                                        np.asarray(Y, float))
-        else:
-            M = self._K + 2.0 * BtB
+            R = self.reconstruct_batch(theta, Y)
+        h, B = self._h_B(theta)
+        BtB = B.T @ B
+        M = self._K + 2.0 * BtB
         E = R - np.asarray(X, float)              # residuals, (m, n)
         U = np.linalg.solve(M, E.T).T             # adjoint states
         m = E.shape[0]
         grad_h = 2.0 * (BtB @ U.mean(axis=0))
-        HmR = p.h[None, :] - R                    # (m, n)
-        grad_B = 2.0 / m * ((p.B @ HmR.T) @ U + (p.B @ U.T) @ HmR)
-        n = self.op.n_x
+        HmR = h[None, :] - R                      # (m, n)
+        grad_B = 2.0 / m * ((B @ HmR.T) @ U + (B @ U.T) @ HmR)
         if self.structure == "scale":
             # B = b I: chain rule collapses grad_B onto its trace
             return np.array([np.trace(grad_B)])
@@ -383,52 +396,32 @@ class TikhonovFamily:
         return np.concatenate([grad_h, grad_B.ravel()])
 
 
-class ElasticNetFamily:
-    """Flat-parameter wrapper: theta = concat(h, vec(B)), fixed alpha, eta."""
+class ElasticNetFamily(_HBFamily):
+    """Flat-parameter wrapper around the Elastic-Net reconstructor, with
+    fixed alpha and eta."""
 
     kind = "elastic_net"
 
     def __init__(self, op: ForwardOperator, alpha: float = 1.0,
                  eta: float = 0.5, structure: str = "full"):
-        if structure not in ("full", "diagonal", "scale"):
-            raise ConfigurationError(f"unknown structure {structure!r}")
-        self.op = op
+        super().__init__(op, structure)
         self.alpha = float(alpha)
         self.eta = float(eta)
-        self.structure = structure
-        n = op.n_x
-        self.dim = {"scale": 1, "full": n + n * n, "diagonal": 2 * n}[structure]
+        self._Am = op.as_matrix()
 
     def unpack(self, theta) -> ElasticNetParams:
-        theta = np.asarray(theta, dtype=float)
-        n = self.op.n_x
-        if theta.size != self.dim:
-            raise DimensionMismatchError("theta length mismatch")
-        if self.structure == "scale":
-            h, B = np.zeros(n), theta[0] * np.eye(n)
-        elif self.structure == "diagonal":
-            h, B = theta[:n], np.diag(theta[n:])
-        else:
-            h, B = theta[:n], theta[n:].reshape(n, n)
+        h, B = self._h_B(theta)
         return ElasticNetParams(h=h, B=B, alpha=self.alpha, eta=self.eta)
-
-    def metric(self, theta1, theta2) -> float:
-        p1, p2 = self.unpack(theta1), self.unpack(theta2)
-        return float(np.linalg.norm(p1.h - p2.h)
-                     + np.linalg.norm(p1.B - p2.B, 2))
-
-    def reconstruct(self, theta, y, tol=1e-8):
-        return reconstruct_elastic_net(self.unpack(theta), self.op, y, tol=tol)
 
     def reconstruct_batch(self, theta, Y, tol=1e-8):
         Y = np.asarray(Y, dtype=float)
         p = self.unpack(theta)
         if self.alpha == 1.0:
-            # smooth quadratic case: solve the linear optimality system once
-            Am = self.op.as_matrix()
-            M = Am.T @ Am + 2.0 * p.B.T @ p.B + 2.0 * self.eta * np.eye(self.op.n_x)
-            rhs = Y @ Am + 2.0 * (p.B.T @ p.h)
-            return np.linalg.solve(M, rhs.T).T
+            # smooth quadratic case: the optimality condition is linear
+            Am = self._Am
+            M = (Am.T @ Am + 2.0 * p.B.T @ p.B
+                 + 2.0 * self.eta * np.eye(self.op.n_x))
+            return _solve_normal(M, Y @ Am + 2.0 * (p.B.T @ p.h))
         return np.stack([reconstruct_elastic_net(p, self.op, y, tol=tol)
                          for y in Y])
 
@@ -544,8 +537,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
     if not probe_ys or not probe_pairs:
         raise ConfigurationError("probe sets must be non-empty")
     alpha = getattr(family, "alpha", 1.0)
-    y_norms, ratios = [], []
-    bound_y_norms, norms = [], []
+    y_norms, ratios, norms = [], [], []
     for theta, theta2 in probe_pairs:
         d = family.metric(theta, theta2)
         if d <= 0:
@@ -555,10 +547,9 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
             r2 = family.reconstruct(theta2, y, tol=tol)
             y_norms.append(np.linalg.norm(y))
             ratios.append(np.linalg.norm(r1 - r2) / d**alpha)
-            bound_y_norms.append(np.linalg.norm(y))
             norms.append(np.linalg.norm(r1))
     L_R, Lp_R = _fit_affine_envelope(y_norms, ratios)
-    M_R, Mp_R = _fit_affine_envelope(bound_y_norms, norms)
+    M_R, Mp_R = _fit_affine_envelope(y_norms, norms)
     extras = {}
     if getattr(family, "kind", "") == "elastic_net":
         # energy bound from evaluating the objective at the minimizer and 0

@@ -38,7 +38,6 @@ class ForwardOperator:
     singular_values: np.ndarray
     left_basis: np.ndarray | None = None
     right_basis: np.ndarray | None = None
-    decay_exponent: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
@@ -79,9 +78,7 @@ class ForwardOperator:
     def power_decay(cls, n: int, p: float) -> "ForwardOperator":
         """Diagonal operator with sigma_k = k^{-p}."""
         k = np.arange(1, n + 1, dtype=float)
-        op = cls.diagonal(k ** (-p))
-        object.__setattr__(op, "decay_exponent", float(p))
-        return op
+        return cls.diagonal(k ** (-p))
 
     @classmethod
     def from_matrix(cls, M) -> "ForwardOperator":

@@ -18,6 +18,8 @@ from .errors import ConfigurationError, ConvergenceError
 from .operators import GaussianSpec, mmse_affine
 from .stochastics import ProblemDistribution, TrainingSet, substream
 
+FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
+
 
 def loss(x, y, theta, family) -> float:
     """Quadratic loss 1/2 ||R_theta(y) - x||^2 for a single pair."""
@@ -72,7 +74,6 @@ class ErmOptions:
     max_iter: int = 500
     n_starts: int = 8
     seed: int = 0
-    fd_step_rel: float = 1e-5  # central-difference step, relative to diameter
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ class ErmResult:
     converged: bool
 
 
-def _risk_and_grad_factory(family, pclass, X, Y, opts):
+def _risk_and_grad_factory(family, pclass, X, Y):
     # single-entry memo of the latest reconstruction: the gradient is always
     # taken at the point whose risk was just evaluated, so it reuses that
-    # solve; local to one ERM run, hence never shared between threads
+    # solve; local to one ERM run
     last = {}
 
     def reconstruction(theta):
@@ -103,7 +104,7 @@ def _risk_and_grad_factory(family, pclass, X, Y, opts):
         def grad(theta):
             return family.risk_gradient(theta, X, Y, R=reconstruction(theta))
     else:
-        step = opts.fd_step_rel * pclass.diameter
+        step = FD_STEP_REL * pclass.diameter
 
         def grad(theta):
             g = np.empty(theta.size)
@@ -152,7 +153,7 @@ def erm_solve(pclass, family, ts: TrainingSet,
     """
     if ts.m < 1:
         raise ConfigurationError("empty training set")
-    risk, grad = _risk_and_grad_factory(family, pclass, ts.x, ts.y, opts)
+    risk, grad = _risk_and_grad_factory(family, pclass, ts.x, ts.y)
     starts = [pclass.center]
     rng = substream(opts.seed, 101)
     starts += [pclass.sample(rng) for _ in range(max(0, opts.n_starts - 1))]
@@ -178,19 +179,16 @@ class TargetPair:
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
                          proxy_m: int, seed: int,
                          opts: ErmOptions = ErmOptions(),
-                         n_check_mc: int = 100_000,
-                         stability_check: bool = True) -> np.ndarray:
+                         n_check_mc: int = 100_000) -> np.ndarray:
     """ERM on a proxy sample standing in for the exact expected-loss argmin.
 
-    With ``stability_check`` on, the fit is repeated from a second seed and
-    the two candidates must agree in expected loss within the Monte Carlo
-    half-width; otherwise the proxy is declared unstable.
+    The fit is repeated from a second seed, and the two candidates must
+    agree in expected loss within the Monte Carlo half-width; otherwise the
+    proxy is declared unstable.
     """
     from .stochastics import draw_training_set
     ts = draw_training_set(dist, proxy_m, seed)
     res = erm_solve(pclass, family, ts, opts)
-    if not stability_check:
-        return res.theta
     ts2 = draw_training_set(dist, proxy_m, seed + 1)
     res2 = erm_solve(pclass, family, ts2, opts)
     la = expected_loss_mc(dist, res.theta, family, n_check_mc, seed + 2)

@@ -2,8 +2,8 @@
 
 The joint law couples a prior on the unknown x, a zero-mean noise law, and
 a linear forward map: y = A x + eps.  All randomness flows through a
-documented split function ``substream(seed, *indices)`` so that trials
-parallelize deterministically.
+documented split function ``substream(seed, *indices)``, so that every
+trial draws the same numbers however the trials are ordered.
 """
 
 from __future__ import annotations

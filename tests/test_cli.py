@@ -73,13 +73,12 @@ def test_rates_seed_override_changes_digest(tmp_path, capsys):
     assert csv_a != csv_b
 
 
-def test_rates_threads_byte_identical(tmp_path, capsys):
+def test_rates_replay_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    a = tmp_path / "t1"
-    b = tmp_path / "t4"
+    a = tmp_path / "run1"
+    b = tmp_path / "run2"
     assert main(["--config", str(cfg), "--out", str(a), "rates"]) == 0
-    assert main(["--config", str(cfg), "--out", str(b), "--threads", "4",
-                 "rates"]) == 0
+    assert main(["--config", str(cfg), "--out", str(b), "rates"]) == 0
     assert (a / "rates.csv").read_bytes() == (b / "rates.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
@@ -124,6 +123,19 @@ def test_bounds_emits_curves(tmp_path, capsys):
     # bound value decreases with m
     vals = [entry["min_value"] for entry in out]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_bounds_invalid_model_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps({
+        "m_grid": [16, 32],
+        "bounds": {"model": {"kind": "euclidean_ball", "d": 3,
+                             "radius": 1.0}}}))
+    rc = main(["--config", str(path), "bounds"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bounds.model" in err
 
 
 def test_malformed_config_reports_location(tmp_path, capsys):

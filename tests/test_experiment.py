@@ -48,6 +48,28 @@ def test_config_round_trip_and_validation():
                                     if k != "m_grid"})
 
 
+def test_config_unknown_key_names_its_path():
+    # a misspelt key must not silently leave its setting at the default
+    for raw, path in (
+            (scalar_config(tolerance={"erm_tol": 1e-6}), "tolerance"),
+            (scalar_config(tolerances={"erm_tol": 1e-6, "erm_tl": 1e-9}),
+             "tolerances.erm_tl"),
+            (scalar_config(erm={"n_start": 2}), "erm.n_start")):
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown config key: {path}$"):
+            ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigurationError, match="tolerances"):
+        ExperimentConfig.from_dict(scalar_config(tolerances=[1e-6]))
+    # the bounds section is read from the same file by `invlearn bounds`
+    ExperimentConfig.from_dict(scalar_config(bounds={"K": 2.0}))
+
+
+def test_config_rejects_small_n_mc():
+    with pytest.raises(ConfigurationError, match="n_mc"):
+        ExperimentConfig.from_dict(scalar_config(n_mc=1))
+    assert ExperimentConfig.from_dict(scalar_config(n_mc=100)).n_mc == 100
+
+
 def test_config_digest_is_fnv1a_of_canonical_text():
     raw = scalar_config()
     cfg = ExperimentConfig.from_dict(raw)
@@ -94,12 +116,6 @@ def test_rate_experiment_artifacts(small_fit, tmp_path):
 def test_rate_experiment_replay_byte_identical(small_fit):
     again = run_rate_experiment(ExperimentConfig.from_dict(scalar_config()))
     assert again.csv_text() == small_fit.csv_text()
-
-
-def test_rate_experiment_threads_do_not_change_output(small_fit):
-    cfg = ExperimentConfig.from_dict(scalar_config())
-    threaded = run_rate_experiment(cfg, threads=4)
-    assert threaded.csv_text() == small_fit.csv_text()
 
 
 def test_rate_experiment_mean_nonincreasing_up_to_noise(small_fit):

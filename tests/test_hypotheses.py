@@ -118,8 +118,10 @@ def test_tikhonov_family_batch_matches_single():
     theta = rng.standard_normal(fam.dim) * 0.3
     Y = rng.standard_normal((5, 3))
     batch = fam.reconstruct_batch(theta, Y)
+    params = fam.unpack(theta)
     for j in range(5):
-        assert np.allclose(batch[j], fam.reconstruct(theta, Y[j]), atol=1e-10)
+        single = reconstruct_tikhonov(params, A, noise, Y[j])
+        assert np.allclose(batch[j], single, atol=1e-10)
 
 
 def test_tikhonov_risk_gradient_matches_finite_differences():
@@ -214,6 +216,33 @@ def test_elastic_net_unpack_rejects_wrong_length():
         fam.unpack(np.zeros(fam.dim + 1))
     with pytest.raises(DimensionMismatchError):
         fam.unpack(np.zeros(fam.dim - 1))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("structure", ["scale", "diagonal", "full"])
+def test_elastic_net_family_batch_matches_reference(structure, alpha):
+    # alpha = 1 solves the linear optimality system, the reference iterates
+    # to tol 1e-12; alpha < 1 runs the reference solver itself on each row
+    rng = np.random.default_rng(13)
+    A = ForwardOperator.from_matrix(rng.standard_normal((3, 3)))
+    fam = ElasticNetFamily(A, alpha=alpha, eta=0.5, structure=structure)
+    theta = rng.standard_normal(fam.dim) * 0.4
+    Y = rng.standard_normal((4, 3))
+    batch = fam.reconstruct_batch(theta, Y, tol=1e-12)
+    for j in range(4):
+        ref = reconstruct_elastic_net(fam.unpack(theta), A, Y[j], tol=1e-12)
+        if alpha == 1.0:
+            assert np.allclose(batch[j], ref, rtol=0, atol=1e-9)
+        else:
+            assert np.array_equal(batch[j], ref)
+
+
+def test_elastic_net_family_rejects_singular_normal_matrix():
+    # alpha = 1 shares the Tikhonov solve and its conditioning check
+    fam = ElasticNetFamily(ForwardOperator.identity(2), alpha=1.0, eta=0.5,
+                           structure="diagonal")
+    with pytest.raises(ConfigurationError, match="singular normal matrix"):
+        fam.reconstruct_batch(np.array([0.0, 0.0, 1e8, 0.0]), np.ones((1, 2)))
 
 
 def test_elastic_net_param_validation():

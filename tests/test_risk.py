@@ -186,7 +186,7 @@ def test_erm_risk_and_grad_match_reference(structure):
     # bit, whatever order the thetas are visited in
     dist, fam, pc = vector_setup(structure)
     ts = draw_training_set(dist, 40, seed=13)
-    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y, ErmOptions())
+    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
     rng = np.random.default_rng(14)
     t1, t2 = pc.sample(rng), pc.sample(rng)
     for theta in (t1, t1, t2, t1, t2, t2):
