@@ -48,6 +48,10 @@ _REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
                   "trials_per_m", "proxy_m", "n_mc", "master_seed")
 # ``bounds`` is read by ``invlearn bounds`` from the same file
 _OPTIONAL_KEYS = ("tolerances", "erm", "bounds")
+_FAMILY_KEYS = {"tikhonov": ("kind", "structure"),
+                "elastic_net": ("kind", "alpha", "eta", "structure"),
+                "fixed_point": ("kind", "contraction_budget")}
+_PARAM_CLASS_KEYS = ("kind", "dim", "radius", "smoothness")
 
 
 def _known_keys(cfg, allowed, prefix: str = "") -> dict:
@@ -118,9 +122,14 @@ class ExperimentConfig:
         tol = _known_keys(d.get("tolerances", {}), ("erm_tol", "recon_tol"),
                           "tolerances.")
         erm = _known_keys(d.get("erm", {}), ("n_starts", "max_iter"), "erm.")
+        family = d["family"]
+        if isinstance(family, dict) and family.get("kind") in _FAMILY_KEYS:
+            # an unknown kind is reported by ``build_family``
+            _known_keys(family, _FAMILY_KEYS[family["kind"]], "family.")
+        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.")
         return cls(
             problem=ProblemDistribution.from_dict(d["problem"]),
-            family_spec=dict(d["family"]),
+            family_spec=dict(family),
             param_class=ParamClass.from_dict(d["param_class"]),
             m_grid=tuple(d["m_grid"]),
             trials_per_m=int(d["trials_per_m"]),
@@ -304,7 +313,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         ms.append(m)
 
     q = q_route(cfg.problem)
-    alpha = getattr(family, "alpha", 1.0)
+    alpha = family.alpha
     if pclass.kind == "euclidean_ball":
         predicted = bounds_mod.predicted_exponent(
             "euclidean_ball", alpha=alpha, q=q, s_or_d=pclass.dim,
@@ -437,7 +446,7 @@ def run_verification_suite(cfg: ExperimentConfig, n_samples: int = 100_000,
     except Exception as exc:  # evaluation failures propagate into the report
         record("stability_certificate", False, error=str(exc))
 
-    if getattr(family, "kind", "") == "elastic_net":
+    if family.kind == "elastic_net":
         theta0 = pclass.sample(substream(cfg.master_seed, 503))
         p = family.unpack(theta0)
         g_rep = check_g_hypotheses(p.B, p.h, family.alpha, probe_ys)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -129,9 +130,13 @@ class ElasticNetParams:
     eta: float
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
+        self.check_penalty(self.alpha, self.eta)
+
+    @staticmethod
+    def check_penalty(alpha: float, eta: float) -> None:
+        if not (0 < alpha <= 1):
             raise ConfigurationError("alpha must lie in (0, 1]")
-        if self.eta <= 0:
+        if eta <= 0:
             raise ConfigurationError("eta must be positive")
 
 
@@ -204,13 +209,26 @@ def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return X
 
 
+def _rows(M, X):
+    """Rows M x_k for the rows x_k of X.  Unlike BLAS ``X @ M.T``, a row's
+    result does not depend on the other rows of X."""
+    return np.einsum("ij,kj->ki", M, X)
+
+
+def _row_dot(U, V):
+    return np.einsum("ki,ki->k", U, V)
+
+
 def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
                             y: np.ndarray, tol: float = 1e-8,
                             max_iter: int = 20_000) -> np.ndarray:
     """First-order minimizer of the strongly convex Elastic-Net objective.
 
-    Accelerated gradient descent with backtracking, run until the gradient
-    norm (of the smoothed objective for alpha < 1) drops below ``tol``.
+    Accelerated gradient descent with backtracking and adaptive restart, run
+    until the gradient norm (of the smoothed objective for alpha < 1) drops
+    below ``tol``.  ``y`` may be a (k, n_y) batch: each row keeps its own
+    step, momentum and restarts and is frozen once it reaches ``tol``, so it
+    equals its one-row solve bit for bit.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
@@ -222,53 +240,54 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     alpha, eta = params.alpha, params.eta
     mu2 = HOLDER_SMOOTHING**2
 
-    def grad(x):
-        res = Am @ x - y
-        v = B @ x - h
-        s2 = float(v @ v) + mu2
-        g_pen = 2.0 * alpha * s2 ** (alpha - 1.0) * (B.T @ v)
-        return Am.T @ res + g_pen + 2.0 * eta * x
+    def f_grad(X, Y):
+        """Objective and gradient at the rows of X."""
+        R = _rows(Am, X) - Y
+        V = _rows(B, X) - h
+        s2 = _row_dot(V, V) + mu2
+        f = (0.5 * _row_dot(R, R) + s2**alpha - mu2**alpha
+             + eta * _row_dot(X, X))
+        g_pen = (2.0 * alpha * s2 ** (alpha - 1.0))[:, None] * _rows(B.T, V)
+        return f, _rows(Am.T, R) + g_pen + 2.0 * eta * X
 
-    def objective(x):
-        res = Am @ x - y
-        v = B @ x - h
-        s2 = float(v @ v) + mu2
-        return (0.5 * float(res @ res) + s2**alpha - mu2**alpha
-                + eta * float(x @ x))
-
-    x = np.zeros(A.n_x)
-    z = x.copy()
-    t_mom = 1.0
-    step = 1.0 / (np.linalg.norm(Am, 2) ** 2 + 2 * np.linalg.norm(B, 2) ** 2
-                  + 2 * eta + 1e-12)
-    f_x = objective(x)
-    for _ in range(max_iter):
-        g = grad(z)
-        gnorm = np.linalg.norm(grad(x))
-        if gnorm <= tol:
-            return x
+    Y = np.atleast_2d(y)
+    out = np.empty((Y.shape[0], A.n_x))
+    live = np.arange(Y.shape[0])  # rows of ``out`` still iterating
+    x = z = np.zeros_like(out)
+    t_mom = np.ones(live.size)
+    lip = np.linalg.norm(Am, 2) ** 2 + 2 * np.linalg.norm(B, 2) ** 2 + 2 * eta
+    step = np.full(live.size, 1.0 / (lip + 1e-12))
+    for it in range(max_iter + 1):
+        f_x, g = f_grad(x, Y)
+        gnorm = np.sqrt(_row_dot(g, g))
+        if np.any(done := gnorm <= tol):
+            out[live[done]] = x[done]
+            live, Y, x, z, t_mom, step, f_x = (
+                a[~done] for a in (live, Y, x, z, t_mom, step, f_x))
+        if not live.size:
+            return out[0] if y.ndim == 1 else out
+        if it == max_iter:
+            raise ConvergenceError("elastic-net solver did not reach tolerance",
+                                   residual=float(gnorm.max()),
+                                   iterations=max_iter)
+        f_z, g = f_grad(z, Y)
+        gg = _row_dot(g, g)
         # backtracking from the momentum point; the relative slack keeps the
         # accept test meaningful once decreases fall below float resolution
-        f_z = objective(z)
-        slack = 1e-12 * (abs(f_z) + 1.0)
-        while True:
-            x_new = z - step * g
-            f_new = objective(x_new)
-            if f_new <= f_z - 0.5 * step * float(g @ g) + slack or step < 1e-16:
-                break
-            step *= 0.5
+        slack = 1e-12 * (np.abs(f_z) + 1.0)
+        x_new = z - step[:, None] * g
+        f_new = f_grad(x_new, Y)[0]
+        while np.any(back := ~(f_new <= f_z - 0.5 * step * gg + slack)
+                     & (step >= 1e-16)):
+            step[back] *= 0.5
+            x_new[back] = z[back] - step[back, None] * g[back]
+            f_new[back] = f_grad(x_new[back], Y[back])[0]
         t_new = 0.5 * (1 + np.sqrt(1 + 4 * t_mom**2))
-        if f_new > f_x + slack:  # restart acceleration when it overshoots
-            z = x
-            t_mom = 1.0
-            continue
-        z = x_new + ((t_mom - 1) / t_new) * (x_new - x)
-        x, f_x, t_mom = x_new, f_new, t_new
-    gnorm = float(np.linalg.norm(grad(x)))
-    if gnorm > tol:
-        raise ConvergenceError("elastic-net solver did not reach tolerance",
-                               residual=gnorm, iterations=max_iter)
-    return x
+        restart = f_new > f_x + slack  # where acceleration overshoots
+        z = np.where(restart[:, None], x,
+                     x_new + ((t_mom - 1) / t_new)[:, None] * (x_new - x))
+        x = np.where(restart[:, None], x, x_new)
+        t_mom = np.where(restart, 1.0, t_new)
 
 
 def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
@@ -276,42 +295,50 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
                             max_iter: int = 100_000) -> np.ndarray:
     """Picard iteration for p = tanh(W_eff p + b) + A* y from p0 = 0.
 
-    ``W_eff`` is W spectrally clipped to the contraction budget, so the map
-    is a certified contraction; the returned point has a posteriori
-    fixed-point gap at most ``tol``.
+    ``W_eff`` is W spectrally clipped to the contraction budget L_z, so the
+    map is a certified contraction.  The rows of a (k, n_y) batch ``y``
+    iterate until every row's step is at most ``tol (1 - L_z)``, which
+    bounds each row's a posteriori fixed-point gap by ``tol``.  A row whose
+    step grows past L_z times its previous one raises ``ContractivityError``
+    unless that one was below the stopping step (float-level motion).
     """
     y = np.asarray(y, dtype=float)
     L_z = params.contraction_budget
     W_eff = _spectral_clip(params.W, L_z)
-    base = A.adjoint_apply(y)
-
-    def phi(z):
-        return np.tanh(W_eff @ z + params.b) + base
-
-    p = np.zeros(A.n_x)
-    prev_step = None
+    base = A.adjoint_apply(np.atleast_2d(y))
+    stop = tol * (1 - L_z)
+    P, prev = np.zeros_like(base), None
     for _ in range(max_iter):
-        p_next = phi(p)
-        step = float(np.linalg.norm(p_next - p))
-        if prev_step is not None and prev_step > 1e-14:
-            ratio = step / prev_step
-            if ratio > L_z + 1e-6:
+        P_next = np.tanh(P @ W_eff.T + params.b) + base
+        steps = np.linalg.norm(P_next - P, axis=1)
+        if prev is not None:
+            bad = (steps > (L_z + 1e-6) * prev) & (prev > max(stop, 1e-14))
+            if np.any(bad):
+                ratio = np.max(steps[bad] / prev[bad])
                 raise ContractivityError(
                     f"observed contraction ratio {ratio:.6f} exceeds "
                     f"certified budget {L_z}")
-        if step <= tol * (1 - L_z):
-            return p_next
-        prev_step = step
-        p = p_next
+        if np.max(steps, initial=0.0) <= stop:
+            return P_next[0] if y.ndim == 1 else P_next
+        P, prev = P_next, steps
     raise ConvergenceError("fixed-point iteration did not converge",
-                           residual=prev_step, iterations=max_iter)
+                           residual=float(np.max(prev)), iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------
 # Family objects: flat-parameter interface used by ERM and experiments
 # ---------------------------------------------------------------------------
 
-class _HBFamily:
+class _Family:
+    """Shared by every family: R_theta(y) for one y is a one-row batch."""
+
+    def reconstruct(self, theta, y, **solver):
+        """R_theta(y); ``solver`` (``tol``) goes to ``reconstruct_batch``."""
+        Y = np.asarray(y, dtype=float).reshape(1, -1)
+        return self.reconstruct_batch(theta, Y, **solver)[0]
+
+
+class _HBFamily(_Family):
     """Flat-parameter (h, B) interface shared by Tikhonov and Elastic-Net.
 
     ``structure`` controls the parametrization:
@@ -344,11 +371,6 @@ class _HBFamily:
         """d((h,B),(h',B')) = ||h-h'|| + ||B-B'||_op."""
         (h1, B1), (h2, B2) = self._h_B(theta1), self._h_B(theta2)
         return float(np.linalg.norm(h1 - h2) + np.linalg.norm(B1 - B2, 2))
-
-    def reconstruct(self, theta, y, tol=1e-8):
-        """R_theta(y) for one data vector, as a one-row ``reconstruct_batch``."""
-        Y = np.asarray(y, dtype=float).reshape(1, -1)
-        return self.reconstruct_batch(theta, Y, tol=tol)[0]
 
 
 class TikhonovFamily(_HBFamily):
@@ -405,6 +427,7 @@ class ElasticNetFamily(_HBFamily):
     def __init__(self, op: ForwardOperator, alpha: float = 1.0,
                  eta: float = 0.5, structure: str = "full"):
         super().__init__(op, structure)
+        ElasticNetParams.check_penalty(alpha, eta)
         self.alpha = float(alpha)
         self.eta = float(eta)
         self._Am = op.as_matrix()
@@ -422,11 +445,10 @@ class ElasticNetFamily(_HBFamily):
             M = (Am.T @ Am + 2.0 * p.B.T @ p.B
                  + 2.0 * self.eta * np.eye(self.op.n_x))
             return _solve_normal(M, Y @ Am + 2.0 * (p.B.T @ p.h))
-        return np.stack([reconstruct_elastic_net(p, self.op, y, tol=tol)
-                         for y in Y])
+        return reconstruct_elastic_net(p, self.op, Y, tol=tol)
 
 
-class FixedPointFamily:
+class FixedPointFamily(_Family):
     """theta = concat(vec(W), b) for p = tanh(clip(W) p + b) + A* y."""
 
     kind = "fixed_point"
@@ -452,23 +474,8 @@ class FixedPointFamily:
         return float(np.linalg.norm(np.asarray(theta1, float)
                                     - np.asarray(theta2, float)))
 
-    def reconstruct(self, theta, y, tol=1e-10):
-        return reconstruct_fixed_point(self.unpack(theta), self.op, y, tol=tol)
-
     def reconstruct_batch(self, theta, Y, tol=1e-10):
-        Y = np.asarray(Y, dtype=float)
-        p = self.unpack(theta)
-        W_eff = _spectral_clip(p.W, self.L_z)
-        base = self.op.adjoint_apply(Y)
-        P = np.zeros_like(base)
-        for _ in range(100_000):
-            P_next = np.tanh(P @ W_eff.T + p.b) + base
-            gap = np.max(np.linalg.norm(P_next - P, axis=1))
-            if gap <= tol * (1 - self.L_z):
-                return P_next
-            P = P_next
-        raise ConvergenceError("batched fixed-point iteration did not converge",
-                               residual=gap)
+        return reconstruct_fixed_point(self.unpack(theta), self.op, Y, tol=tol)
 
     def lipschitz_theta_bound(self, probe_ys) -> float:
         """Analytic Lipschitz-in-theta constant over the probe data.
@@ -536,39 +543,33 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
     """
     if not probe_ys or not probe_pairs:
         raise ConfigurationError("probe sets must be non-empty")
-    alpha = getattr(family, "alpha", 1.0)
-    y_norms, ratios, norms = [], [], []
+    Y = np.asarray(probe_ys, dtype=float)
+    y_norms = np.linalg.norm(Y, axis=1)
+    energy = family.kind == "elastic_net"
+    ys, ratios, norms, worst = [], [], [], math.inf
     for theta, theta2 in probe_pairs:
+        R1 = family.reconstruct_batch(theta, Y, tol=tol)  # once per theta
+        if energy:
+            # energy bound from evaluating the objective at the minimizer and 0
+            m_g = float(np.linalg.norm(family.unpack(theta).h)
+                        ** (2 * family.alpha))
+            slack = (y_norms**2 / (2 * family.eta) + m_g
+                     - np.linalg.norm(R1, axis=1)**2)
+            worst = min(worst, float(np.min(slack)))
         d = family.metric(theta, theta2)
         if d <= 0:
             continue
-        for y in probe_ys:
-            r1 = family.reconstruct(theta, y, tol=tol)
-            r2 = family.reconstruct(theta2, y, tol=tol)
-            y_norms.append(np.linalg.norm(y))
-            ratios.append(np.linalg.norm(r1 - r2) / d**alpha)
-            norms.append(np.linalg.norm(r1))
-    L_R, Lp_R = _fit_affine_envelope(y_norms, ratios)
-    M_R, Mp_R = _fit_affine_envelope(y_norms, norms)
-    extras = {}
-    if getattr(family, "kind", "") == "elastic_net":
-        # energy bound from evaluating the objective at the minimizer and 0
-        eta = family.eta
-        worst = math.inf
-        for theta, _ in probe_pairs:
-            p = family.unpack(theta)
-            m_g = float(np.linalg.norm(p.h) ** (2 * family.alpha))
-            for y in probe_ys:
-                x = family.reconstruct(theta, y, tol=tol)
-                slack = (np.linalg.norm(y)**2 / (2 * eta) + m_g
-                         - np.linalg.norm(x)**2)
-                worst = min(worst, slack)
-        extras["energy_bound_slack"] = worst
+        R2 = family.reconstruct_batch(theta2, Y, tol=tol)
+        ys.extend(y_norms)
+        ratios.extend(np.linalg.norm(R1 - R2, axis=1) / d**family.alpha)
+        norms.extend(np.linalg.norm(R1, axis=1))
+    L_R, Lp_R = _fit_affine_envelope(ys, ratios)
+    M_R, Mp_R = _fit_affine_envelope(ys, norms)
     return StabilityCertificate(
-        family=getattr(family, "kind", type(family).__name__), alpha=alpha,
+        family=family.kind, alpha=family.alpha,
         L_R=L_R, Lp_R=Lp_R, M_R=M_R, Mp_R=Mp_R,
         r0=pclass.diameter, n_probes=len(probe_ys) * len(probe_pairs),
-        extras=extras)
+        extras={"energy_bound_slack": worst} if energy else {})
 
 
 @dataclass(frozen=True)
@@ -627,14 +628,10 @@ def check_g_hypotheses(B, h, alpha: float, probe_ys,
 
     convex_ok = None
     if alpha == 1.0:
-        convex_ok = True
-        for i in range(len(probe_ys)):
-            for j in range(i + 1, len(probe_ys)):
-                a = np.asarray(probe_ys[i], float)
-                b = np.asarray(probe_ys[j], float)
-                mid = g(B, h, 0.5 * (a + b))
-                if mid > 0.5 * (g(B, h, a) + g(B, h, b)) + 1e-10:
-                    convex_ok = False
+        ys = [np.asarray(y, float) for y in probe_ys]
+        convex_ok = not any(
+            g(B, h, 0.5 * (a + b)) > 0.5 * (g(B, h, a) + g(B, h, b)) + 1e-10
+            for a, b in combinations(ys, 2))
     return GHypothesesReport(alpha=alpha, nonnegative=nonneg,
                              value_at_zero=g0, M_g=g0,
                              holder_constant=c_g,

@@ -156,6 +156,15 @@ def test_missing_config_key_reports_path(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+def test_misspelt_family_key_reports_path(tmp_path, capsys):
+    cfg = write_config(tmp_path, family={"kind": "tikhonov",
+                                         "structur": "diagonal"})
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+               "rates"])
+    assert rc == 2
+    assert "family.structur" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -64,6 +64,29 @@ def test_config_unknown_key_names_its_path():
     ExperimentConfig.from_dict(scalar_config(bounds={"K": 2.0}))
 
 
+@pytest.mark.parametrize("family, path", [
+    ({"kind": "tikhonov", "structur": "diagonal"}, "family.structur"),
+    ({"kind": "elastic_net", "alpha": 0.5, "eps": 0.5}, "family.eps"),
+    ({"kind": "fixed_point", "contraction_budget": 0.5, "structure": "full"},
+     "family.structure")])
+def test_config_unknown_family_key_names_its_path(family, path):
+    # the family's own keys are checked against its kind
+    with pytest.raises(ConfigurationError,
+                       match=rf"unknown config key: {path}$"):
+        ExperimentConfig.from_dict(scalar_config(family=family))
+
+
+def test_config_unknown_param_class_key_names_its_path():
+    pc = {"kind": "euclidean_ball", "dim": 1, "raduis": 0.5}
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown config key: param_class.raduis$"):
+        ExperimentConfig.from_dict(scalar_config(param_class=pc))
+    sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+               "smoothness": 1.0}
+    cfg = ExperimentConfig.from_dict(scalar_config(param_class=sobolev))
+    assert cfg.param_class.smoothness == 1.0
+
+
 def test_config_rejects_small_n_mc():
     with pytest.raises(ConfigurationError, match="n_mc"):
         ExperimentConfig.from_dict(scalar_config(n_mc=1))
@@ -213,3 +236,13 @@ def test_verification_suite_invalid_contraction_budget():
     report = run_verification_suite(ExperimentConfig.from_dict(cfg))
     assert not report["passed"]
     assert not report["checks"]["family_invariants"]["passed"]
+
+
+def test_verification_suite_invalid_elastic_net_penalty():
+    # an alpha outside (0, 1] is a family error, reported, not raised
+    cfg = scalar_config(family={"kind": "elastic_net", "alpha": 1.5,
+                                "eta": 0.5, "structure": "scale"})
+    report = run_verification_suite(ExperimentConfig.from_dict(cfg))
+    assert not report["passed"]
+    check = report["checks"]["family_invariants"]
+    assert not check["passed"] and "alpha" in check["error"]

@@ -13,7 +13,7 @@ from invlearn import (ElasticNetFamily, ElasticNetParams, FixedPointFamily,
                       reconstruct_elastic_net, reconstruct_fixed_point,
                       reconstruct_tikhonov)
 from invlearn.errors import (ConfigurationError, ContractivityError,
-                             DimensionMismatchError)
+                             ConvergenceError, DimensionMismatchError)
 
 
 # -- ParamClass ------------------------------------------------------------
@@ -237,6 +237,69 @@ def test_elastic_net_family_batch_matches_reference(structure, alpha):
             assert np.array_equal(batch[j], ref)
 
 
+def _elastic_net_gradient(params, A, x, y):
+    """Gradient of the smoothed Elastic-Net objective, one row at a time."""
+    from invlearn.hypotheses import HOLDER_SMOOTHING
+    Am = A.as_matrix()
+    v = params.B @ x - params.h
+    s2 = v @ v + HOLDER_SMOOTHING**2
+    return (Am.T @ (Am @ x - y) + 2.0 * params.eta * x
+            + 2.0 * params.alpha * s2 ** (params.alpha - 1.0)
+            * (params.B.T @ v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       k=st.integers(1, 6))
+def test_elastic_net_batch_rows_equal_one_row_solves(seed, structure, k):
+    # every row keeps its own step, momentum and stop: a batch row is its
+    # one-row solve bit for bit, whatever the other rows are
+    rng = np.random.default_rng(seed)
+    A = ForwardOperator.from_matrix(rng.standard_normal((3, 3)))
+    fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure=structure)
+    theta = rng.standard_normal(fam.dim) * 0.5
+    Y = rng.standard_normal((k, 3)) * rng.choice([0.1, 1.0, 5.0], size=(k, 1))
+    p, tol, max_iter = fam.unpack(theta), 1e-9, 2_000
+    try:
+        batch = reconstruct_elastic_net(p, A, Y, tol=tol, max_iter=max_iter)
+    except ConvergenceError:
+        # a batch fails exactly when one of its rows fails on its own (rows
+        # whose minimizer sits at the kink B x = h converge slowly)
+        with pytest.raises(ConvergenceError):
+            for y in Y:
+                reconstruct_elastic_net(p, A, y, tol=tol, max_iter=max_iter)
+        return
+    assert batch.shape == (k, 3)
+    for j in range(k):
+        single = reconstruct_elastic_net(p, A, Y[j], tol=tol,
+                                         max_iter=max_iter)
+        assert np.array_equal(batch[j], single)
+        g = _elastic_net_gradient(p, A, batch[j], Y[j])
+        assert np.linalg.norm(g) <= tol + 1e-12
+
+
+def test_elastic_net_batch_raises_when_a_row_misses_tolerance():
+    A = ForwardOperator.from_matrix(np.array([[1.0, 0.3], [0.0, 0.5]]))
+    params = ElasticNetParams(h=np.array([0.2, -0.1]), B=np.eye(2),
+                              alpha=0.5, eta=0.5)
+    Y = np.array([[1.0, -2.0], [0.5, 0.5], [3.0, 1.0]])
+    with pytest.raises(ConvergenceError) as exc:
+        reconstruct_elastic_net(params, A, Y, tol=1e-10, max_iter=3)
+    assert exc.value.residual > 1e-10
+    assert exc.value.iterations == 3
+
+
+def test_elastic_net_family_rejects_invalid_penalty():
+    A = ForwardOperator.identity(2)
+    with pytest.raises(ConfigurationError, match="alpha"):
+        ElasticNetFamily(A, alpha=1.5)
+    with pytest.raises(ConfigurationError, match="alpha"):
+        ElasticNetFamily(A, alpha=0.0)
+    with pytest.raises(ConfigurationError, match="eta"):
+        ElasticNetFamily(A, eta=0.0)
+
+
 def test_elastic_net_family_rejects_singular_normal_matrix():
     # alpha = 1 shares the Tikhonov solve and its conditioning check
     fam = ElasticNetFamily(ForwardOperator.identity(2), alpha=1.0, eta=0.5,
@@ -319,6 +382,59 @@ def test_fixed_point_family_batch_matches_single():
                            atol=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+       budget=st.sampled_from([0.3, 0.5, 0.9]))
+def test_fixed_point_batch_rows_are_fixed_points(seed, k, budget):
+    from invlearn.hypotheses import _spectral_clip
+    rng = np.random.default_rng(seed)
+    A = ForwardOperator.from_matrix(rng.standard_normal((2, 2)))
+    fam = FixedPointFamily(A, contraction_budget=budget)
+    theta = rng.standard_normal(fam.dim)
+    Y = rng.standard_normal((k, 2))
+    tol = 1e-10
+    batch = fam.reconstruct_batch(theta, Y, tol=tol)
+    p = fam.unpack(theta)
+    W_eff = _spectral_clip(p.W, budget)
+    for j in range(k):
+        gap = np.linalg.norm(np.tanh(W_eff @ batch[j] + p.b)
+                             + A.adjoint_apply(Y[j]) - batch[j])
+        assert gap <= tol
+        single = fam.reconstruct(theta, Y[j], tol=tol)
+        assert np.linalg.norm(batch[j] - single) <= 2 * tol
+
+
+def test_fixed_point_batch_with_converged_rows_does_not_raise():
+    # the y = 0 row converges early and then moves at float resolution
+    # while the slow row finishes; its step ratios are noise, not a
+    # violated contraction
+    A = ForwardOperator.identity(1)
+    params = FixedPointParams(W=np.array([[0.9]]), b=np.array([0.3]),
+                              contraction_budget=0.9)
+    Y = np.array([[0.0], [-1.0]])
+    out = reconstruct_fixed_point(params, A, Y, tol=1e-12)
+    for j in range(2):
+        gap = abs(np.tanh(0.9 * out[j, 0] + 0.3) + Y[j, 0] - out[j, 0])
+        assert gap <= 1e-12
+
+
+def test_fixed_point_batch_contractivity_error_from_one_row(monkeypatch):
+    # only the y = 5 row violates the budget; the y = 0 row sits at its
+    # fixed point from the first step
+    import invlearn.hypotheses as hyp
+    monkeypatch.setattr(hyp, "_spectral_clip", lambda W, limit: W)
+    A = ForwardOperator.identity(1)
+    params = FixedPointParams(W=np.array([[0.9]]), b=np.zeros(1),
+                              contraction_budget=0.05)
+    with pytest.raises(ContractivityError):
+        hyp.reconstruct_fixed_point(params, A, np.array([[0.0], [5.0]]),
+                                    tol=1e-12)
+    fam = FixedPointFamily(A, contraction_budget=0.05)
+    with pytest.raises(ContractivityError):
+        fam.reconstruct_batch(np.array([0.9, 0.0]), np.array([[0.0], [5.0]]),
+                              tol=1e-12)
+
+
 def test_fixed_point_lipschitz_transfer_probes():
     A = ForwardOperator.identity(2)
     fam = FixedPointFamily(A, contraction_budget=0.5)
@@ -385,8 +501,8 @@ def test_certify_stability_constant_family():
         def metric(self, a, b):
             return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
-        def reconstruct(self, theta, y, tol=None):
-            return np.zeros(2)
+        def reconstruct_batch(self, theta, Y, tol=None):
+            return np.zeros((len(Y), 2))
 
     pc = ParamClass(kind="euclidean_ball", dim=2, radius=1.0)
     rng = np.random.default_rng(10)
@@ -423,9 +539,9 @@ def test_certify_stability_zero_energy_slack_is_kept():
             return ElasticNetParams(h=np.zeros(2), B=np.eye(2), alpha=1.0,
                                     eta=0.5)
 
-        def reconstruct(self, theta, y, tol=None):
-            y = np.asarray(y, float)
-            return y if y[0] > 0 else 0.5 * y
+        def reconstruct_batch(self, theta, Y, tol=None):
+            Y = np.asarray(Y, float)
+            return np.where(Y[:, :1] > 0, Y, 0.5 * Y)
 
     ys = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]),
           np.array([-2.0, 1.0])]
