@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
+
+COVERING_GRID = 200  # log-grid points over which covering_bound is minimized
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +55,18 @@ def greedy_cover(points, r: float) -> int:
     n = pts.shape[0]
     if n == 0:
         raise ConfigurationError("point set must be non-empty")
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     # covers[i, j]: ball at point i covers point j (tolerance absorbs
-    # floating-point noise for points exactly on the ball boundary)
-    covers = d2 <= (r * r) * (1 + 1e-9)
+    # floating-point noise for points exactly on the ball boundary); the
+    # matrix is symmetric, so row j lists the balls that cover point j
+    covers = cdist(pts, pts, "sqeuclidean") <= (r * r) * (1 + 1e-9)
+    gains = covers.sum(axis=1)  # still-uncovered points in each ball
     uncovered = np.ones(n, dtype=bool)
     count = 0
     while uncovered.any():
-        gains = covers[:, uncovered].sum(axis=1)
         center = int(np.argmax(gains))
-        uncovered &= ~covers[center]
+        newly = covers[center] & uncovered
+        uncovered &= ~newly
+        gains -= covers[newly].sum(axis=0)
         count += 1
     return count
 
@@ -131,11 +136,11 @@ class BoundCurve:
                 "min_value": self.min_value}
 
 
-def covering_bound(inputs: BoundInputs, cov: CoveringModel, r: float,
-                   n_grid: int = 200) -> BoundCurve:
+def covering_bound(inputs: BoundInputs, cov: CoveringModel,
+                   r: float) -> BoundCurve:
     """Two-term covering bound C K/sqrt(m) (log N(r))^{1/q} + 2 M_ell r^alpha.
 
-    Also minimizes the bound over a log grid of ``n_grid`` points in
+    Also minimizes the bound over a log grid of ``COVERING_GRID`` points in
     [1e-6 D, D].
     """
     if r <= 0:
@@ -146,7 +151,7 @@ def covering_bound(inputs: BoundInputs, cov: CoveringModel, r: float,
         return (inputs.C * inputs.K / math.sqrt(inputs.m) * entropy
                 + 2.0 * inputs.M_ell * rr ** inputs.alpha)
 
-    grid = np.geomspace(1e-6 * inputs.D, inputs.D, n_grid)
+    grid = np.geomspace(1e-6 * inputs.D, inputs.D, COVERING_GRID)
     values = np.array([value_at(rr) for rr in grid])
     k = int(np.argmin(values))
     return BoundCurve(value=value_at(r), r_grid=grid, values=values,
@@ -261,30 +266,9 @@ def predicted_exponent(class_kind: str, alpha: float, q: int, s_or_d,
 # Concentration tails for finite classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HoeffdingResult:
-    tail: float        # standard placement: 2 exp(-2 m rho^2 / K^2)
-    alt_tail: float    # variant with m inside the denominator, for comparison
-
-
-def hoeffding_tail(rho: float, m: int, K: float) -> HoeffdingResult:
-    """Two-sided Hoeffding tail for an m-average of K-bounded variables.
-
-    Implemented in the standard textbook placement 2 exp(-2 m rho^2 / K^2).
-    The ``alt_tail`` field evaluates the variant with m dividing the
-    exponent, which circulates in some displays; both are reported so
-    downstream summaries can print the discrepancy rather than hide it.
-    """
+def hoeffding_tail(rho: float, m: int, K: float) -> float:
+    """Two-sided Hoeffding tail 2 exp(-2 m rho^2 / K^2) for an m-average of
+    K-bounded variables."""
     if rho <= 0 or m < 1 or K <= 0:
         raise ConfigurationError("rho > 0, m >= 1, K > 0 required")
-    return HoeffdingResult(
-        tail=2.0 * math.exp(-2.0 * m * rho**2 / K**2),
-        alt_tail=2.0 * math.exp(-2.0 * rho**2 / (m * K**2)))
-
-
-def finite_class_sample_size(rho: float, n_class: int, eta: float,
-                             c: float = 1.0) -> float:
-    """PAC sample-size formula m >= c log(|Theta|/eta) / rho^2."""
-    if rho <= 0 or n_class < 1 or not (0 < eta < 1):
-        raise ConfigurationError("invalid PAC inputs")
-    return c * math.log(n_class / eta) / rho**2
+    return 2.0 * math.exp(-2.0 * m * rho**2 / K**2)

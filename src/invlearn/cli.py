@@ -11,13 +11,11 @@ import json
 import pathlib
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, InvlearnError
-from .experiment import (ExperimentConfig, run_rate_experiment,
-                         run_verification_suite)
-from .risk import ErmOptions, empirical_risk, erm_solve, expected_loss_mc
+from .experiment import (ExperimentConfig, read_bounds, read_m_grid,
+                         run_rate_experiment, run_verification_suite)
+from .risk import ErmOptions, erm_solve, expected_loss_mc
 from .stochastics import draw_training_set
 
 
@@ -99,7 +97,8 @@ def cmd_bounds(args) -> int:
     raw = _load_config(args.config)
     if "m_grid" not in raw:
         raise ConfigurationError("m_grid required")
-    spec = raw.get("bounds", {})
+    m_grid = read_m_grid(raw["m_grid"])
+    spec = read_bounds(raw)
     model = spec.get("model", {"kind": "euclidean_ball",
                                "d": raw.get("param_class", {}).get("dim", 1),
                                "D": 1.0})
@@ -108,7 +107,7 @@ def cmd_bounds(args) -> int:
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"invalid bounds.model: {exc}") from exc
     out = []
-    for m in raw["m_grid"]:
+    for m in m_grid:
         inputs = bounds_mod.BoundInputs(
             K=spec.get("K", 1.0), M_ell=spec.get("M_ell", 1.0),
             q=spec.get("q", 1), alpha=spec.get("alpha", 1.0), m=int(m),

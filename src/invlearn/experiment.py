@@ -20,8 +20,7 @@ from . import bounds as bounds_mod
 from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses)
-from .operators import GaussianSpec
-from .risk import (ErmOptions, empirical_risk, erm_solve, expected_loss_mc,
+from .risk import (ErmOptions, erm_solve, expected_loss_mc,
                    optimal_target_proxy, _batch_losses)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
@@ -29,6 +28,8 @@ from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
 
 SLOPE_BAND = 0.15  # acceptance band around the predicted exponent
 MAX_FAILURE_FRACTION = 0.05  # failed trials above this invalidate a rate run
+PROBE_PAIRS = 8  # random theta pairs of the verification suite's certificate
+PROBE_YS = 8     # data vectors the certificate is evaluated on
 
 
 def fnv1a64(text: str) -> int:
@@ -52,18 +53,61 @@ _FAMILY_KEYS = {"tikhonov": ("kind", "structure"),
                 "elastic_net": ("kind", "alpha", "eta", "structure"),
                 "fixed_point": ("kind", "contraction_budget")}
 _PARAM_CLASS_KEYS = ("kind", "dim", "radius", "smoothness")
+_BOUNDS_KEYS = ("model", "K", "M_ell", "q", "alpha", "D", "C", "C1", "C2")
+_GAUSSIAN_KEYS = ("type", "mean", "cov_eigenvalues", "cov_basis")
+# per law type: (allowed keys, required keys)
+_LAW_KEYS = {"gaussian": (_GAUSSIAN_KEYS, ("mean", "cov_eigenvalues")),
+             "uniform_ball": (("type", "dim", "radius"), ("dim", "radius"))}
 
 
-def _known_keys(cfg, allowed, prefix: str = "") -> dict:
+def _known_keys(cfg, allowed, prefix: str = "", required=()) -> dict:
     """``cfg`` itself, after checking that it is an object whose keys are
-    all in ``allowed``; errors name the dotted config path."""
+    all in ``allowed`` (any key if None) and include ``required``; errors
+    name the dotted config path."""
     if not isinstance(cfg, dict):
         raise ConfigurationError(
             f"config {prefix.rstrip('.') or 'root'} must be a JSON object")
-    unknown = sorted(set(cfg) - set(allowed))
+    unknown = sorted(set(cfg) - set(allowed)) if allowed is not None else []
     if unknown:
         raise ConfigurationError(f"unknown config key: {prefix}{unknown[0]}")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ConfigurationError(
+            f"missing required config key: {prefix}{missing[0]}")
     return cfg
+
+
+def _check_problem(problem) -> None:
+    _known_keys(problem, ("forward", "prior", "noise", "delta"), "problem.",
+                ("forward", "prior", "noise"))
+    forward = _known_keys(problem["forward"],
+                          ("n_x", "n_y", "singular_values", "basis"),
+                          "problem.forward.", ("n_x", "n_y", "singular_values"))
+    if forward.get("basis", "identity") != "identity":
+        _known_keys(forward["basis"], ("left", "right"),
+                    "problem.forward.basis.")
+    for name, kinds in (("prior", ("gaussian", "uniform_ball")),
+                        ("noise", ("gaussian",))):
+        law = _known_keys(problem[name], None, f"problem.{name}.")
+        kind = law.get("type", "gaussian")
+        if kind not in kinds:
+            raise ConfigurationError(
+                f"unsupported law at problem.{name}.type: {kind!r}")
+        allowed, required = _LAW_KEYS[kind]
+        _known_keys(law, allowed, f"problem.{name}.", required)
+
+
+def read_m_grid(value) -> tuple:
+    """The ``m_grid`` config value, checked to be a JSON list of integers."""
+    if not isinstance(value, list) or not all(
+            isinstance(m, int) and not isinstance(m, bool) for m in value):
+        raise ConfigurationError("config m_grid must be a list of integers")
+    return tuple(value)
+
+
+def read_bounds(raw: dict) -> dict:
+    """The optional ``bounds`` object of a config, with its keys checked."""
+    return _known_keys(raw.get("bounds", {}), _BOUNDS_KEYS, "bounds.")
 
 
 @dataclass(frozen=True)
@@ -114,24 +158,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _known_keys(d, _REQUIRED_KEYS + _OPTIONAL_KEYS)
-        missing = [key for key in _REQUIRED_KEYS if key not in d]
-        if missing:
-            raise ConfigurationError(
-                f"missing required config key: {missing[0]}")
+        _known_keys(d, _REQUIRED_KEYS + _OPTIONAL_KEYS, required=_REQUIRED_KEYS)
         tol = _known_keys(d.get("tolerances", {}), ("erm_tol", "recon_tol"),
                           "tolerances.")
         erm = _known_keys(d.get("erm", {}), ("n_starts", "max_iter"), "erm.")
-        family = d["family"]
-        if isinstance(family, dict) and family.get("kind") in _FAMILY_KEYS:
+        read_bounds(d)
+        _check_problem(d["problem"])
+        family = _known_keys(d["family"], None, "family.")
+        kind = family.get("kind")
+        if isinstance(kind, str) and kind in _FAMILY_KEYS:
             # an unknown kind is reported by ``build_family``
-            _known_keys(family, _FAMILY_KEYS[family["kind"]], "family.")
-        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.")
+            _known_keys(family, _FAMILY_KEYS[kind], "family.")
+        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
+                    ("kind", "dim"))
         return cls(
             problem=ProblemDistribution.from_dict(d["problem"]),
             family_spec=dict(family),
             param_class=ParamClass.from_dict(d["param_class"]),
-            m_grid=tuple(d["m_grid"]),
+            m_grid=read_m_grid(d["m_grid"]),
             trials_per_m=int(d["trials_per_m"]),
             proxy_m=int(d["proxy_m"]),
             n_mc=int(d["n_mc"]),
@@ -237,16 +281,6 @@ class RateFit:
             json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
-def _trimmed_mean(values: np.ndarray, frac: float = 0.02):
-    """Mean after dropping the top/bottom ``frac`` of trials (outlier guard)."""
-    v = np.sort(values)
-    k = int(math.floor(frac * v.size))
-    if 2 * k >= v.size:
-        k = 0
-    core = v[k:v.size - k] if k else v
-    return float(core.mean()), float(core.std(ddof=1) / np.sqrt(core.size))
-
-
 def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     """The central experiment: mean excess loss versus m, with a rate fit.
 
@@ -305,9 +339,9 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     for m in cfg.m_grid:
         vals = np.array([r.sample_error for r in records
                          if r.m == m and not r.failed])
-        mean, se = _trimmed_mean(vals)
-        per_m.append({"m": m, "mean": mean, "stderr": se, "n": int(vals.size),
-                      "untrimmed_mean": float(vals.mean())})
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1) / np.sqrt(vals.size))
+        per_m.append({"m": m, "mean": mean, "stderr": se, "n": int(vals.size)})
         means.append(mean)
         ses.append(se)
         ms.append(m)
@@ -388,8 +422,8 @@ def bound_domination_check(fit: RateFit, inputs: bounds_mod.BoundInputs,
 # Verification suite
 # ---------------------------------------------------------------------------
 
-def run_verification_suite(cfg: ExperimentConfig, n_samples: int = 100_000,
-                           n_probe_pairs: int = 8, n_probe_ys: int = 8) -> dict:
+def run_verification_suite(cfg: ExperimentConfig,
+                           n_samples: int = 100_000) -> dict:
     """Empirical checklist behind the sample-error theory.
 
     Verifies: (a) the squared norms of x and y are q-Orlicz with finite
@@ -422,21 +456,20 @@ def run_verification_suite(cfg: ExperimentConfig, n_samples: int = 100_000,
                     ("y_sq_norm", np.sum(y**2, axis=1))):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = orlicz_norm(v, q, n_boot=0)
-        tails = tail_check(v, est.norm_estimate * 1.05, q)
-        record(f"orlicz_{name}", np.isfinite(est.norm_estimate)
-               and est.norm_estimate > 0 and tails.passed,
-               q=q, norm=est.norm_estimate)
+            norm = orlicz_norm(v, q)
+        tails = tail_check(v, norm * 1.05, q)
+        record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
+               and tails.passed, q=q, norm=norm)
 
     pclass = cfg.param_class
     rng_p = substream(cfg.master_seed, 502)
     pairs = []
-    for _ in range(n_probe_pairs):
+    for _ in range(PROBE_PAIRS):
         a = pclass.sample(rng_p)
         b = pclass.sample(rng_p)
         if np.any(a != b):
             pairs.append((a, b))
-    probe_ys = list(dist.sample(rng_p, n_probe_ys)[1])
+    probe_ys = list(dist.sample(rng_p, PROBE_YS)[1])
     try:
         cert = certify_stability(family, pclass, probe_ys, pairs,
                                  tol=cfg.recon_tol)

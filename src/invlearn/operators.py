@@ -10,13 +10,11 @@ reconstruction in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-
-ORTHO_TOL = 1e-10
 
 
 def _check_orthonormal(M: np.ndarray, name: str) -> None:

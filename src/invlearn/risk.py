@@ -1,31 +1,23 @@
-"""Quadratic loss stack, empirical risk minimization, and error splitting.
+"""Quadratic loss stack and empirical risk minimization.
 
 The expected loss of a parametric reconstructor is estimated by Monte
 Carlo; the empirical target comes from projected gradient descent with
 multi-start; the optimal target is proxied by ERM on a much larger sample
-with a cross-seed stability gate.  All four error components (optimization,
-sample, approximation, irreducible) are evaluated on a shared Monte Carlo
-sample so that their differences cancel common noise.
+with a cross-seed stability gate.  The sample error L(theta_hat) -
+L(theta_star) itself is measured by the rate experiment, on one shared
+Monte Carlo sample so that the difference cancels common noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .operators import GaussianSpec, mmse_affine
 from .stochastics import ProblemDistribution, TrainingSet, substream
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
-
-
-def loss(x, y, theta, family) -> float:
-    """Quadratic loss 1/2 ||R_theta(y) - x||^2 for a single pair."""
-    r = family.reconstruct(theta, np.asarray(y, float))
-    e = r - np.asarray(x, float)
-    return 0.5 * float(e @ e)
 
 
 def _losses(R, X) -> np.ndarray:
@@ -168,14 +160,6 @@ def erm_solve(pclass, family, ts: TrainingSet,
                      residual=residual, converged=residual <= opts.tol)
 
 
-@dataclass(frozen=True)
-class TargetPair:
-    theta_hat: np.ndarray
-    theta_star: np.ndarray
-    erm_residual: float
-    proxy_sample_size: int
-
-
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
                          proxy_m: int, seed: int,
                          opts: ErmOptions = ErmOptions(),
@@ -198,90 +182,3 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
             "optimal-target proxy unstable across seeds: "
             f"|{la.estimate:.6g} - {lb.estimate:.6g}| > {la.halfwidth:.3g}")
     return res.theta
-
-
-# ---------------------------------------------------------------------------
-# Error decomposition and representativeness
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    optimization: float
-    sample: float
-    approximation: float
-    irreducible: float
-    total: float
-    halfwidths: dict = field(default_factory=dict)
-    flags: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"optimization": self.optimization, "sample": self.sample,
-                "approximation": self.approximation,
-                "irreducible": self.irreducible, "total": self.total,
-                "halfwidths": dict(self.halfwidths), "flags": list(self.flags)}
-
-
-def decompose(theta_tilde, targets: TargetPair, dist: ProblemDistribution,
-              family, pclass, n_mc: int, seed: int) -> ErrorDecomposition:
-    """Four-way error split evaluated on one shared Monte Carlo sample.
-
-    Common random numbers make the differences far less noisy than the
-    individual loss levels.  The irreducible term is exact (closed form)
-    for Gaussian priors, otherwise reported as the lower bound 0.
-    """
-    rng = substream(seed, 1)
-    x, y = dist.sample(rng, n_mc)
-
-    def level(theta):
-        return _batch_losses(family, theta, x, y)
-
-    per_tilde = level(theta_tilde)
-    per_hat = level(targets.theta_hat)
-    per_star = level(targets.theta_star)
-
-    flags = []
-    if isinstance(dist.prior, GaussianSpec):
-        bayes = mmse_affine(dist.forward, dist.prior, dist.noise)
-        irreducible = bayes.irreducible_error
-        per_bayes = 0.5 * np.sum((bayes(y) - x) ** 2, axis=1)
-    else:
-        irreducible = 0.0
-        per_bayes = np.zeros(n_mc)
-        flags.append("irreducible not computed (non-Gaussian prior); 0 is a lower bound")
-
-    def diff(a, b):
-        d = a - b
-        return float(d.mean()), 1.96 * float(d.std(ddof=1)) / np.sqrt(n_mc)
-
-    opt, hw_opt = diff(per_tilde, per_hat)
-    samp, hw_samp = diff(per_hat, per_star)
-    approx, hw_approx = diff(per_star, per_bayes)
-    if flags:
-        approx = float(per_star.mean())  # vs the 0 lower bound
-        hw_approx = 1.96 * float(per_star.std(ddof=1)) / np.sqrt(n_mc)
-    total = opt + samp + approx + irreducible
-    return ErrorDecomposition(
-        optimization=opt, sample=samp, approximation=approx,
-        irreducible=irreducible, total=total,
-        halfwidths={"optimization": hw_opt, "sample": hw_samp,
-                    "approximation": hw_approx,
-                    "total": 1.96 * float(per_tilde.std(ddof=1)) / np.sqrt(n_mc)},
-        flags=tuple(flags))
-
-
-def representativeness(ts: TrainingSet, pclass, family, grid,
-                       dist: ProblemDistribution, n_mc: int,
-                       seed: int) -> float:
-    """max over the grid of |empirical risk - MC expected loss|.
-
-    A grid lower bound for the supremum over the whole class.
-    """
-    worst = 0.0
-    for theta in grid:
-        theta = np.asarray(theta, float)
-        if not pclass.contains(theta):
-            raise ConfigurationError("grid point outside the parameter class")
-        l_hat = empirical_risk(ts, theta, family)
-        l_mc = expected_loss_mc(dist, theta, family, n_mc, seed).estimate
-        worst = max(worst, abs(l_hat - l_mc))
-    return worst

@@ -18,6 +18,10 @@ from scipy.special import bdtr, logsumexp
 from .errors import ConfigurationError, DimensionMismatchError
 from .operators import ForwardOperator, GaussianSpec
 
+ORLICZ_REL_TOL = 1e-4   # relative bracket width at which the bisection stops
+TAIL_GRID = 12          # thresholds checked by tail_check
+TAIL_CONFIDENCE = 0.99  # binomial quantile allowed at each threshold
+
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Deterministic, disjoint random stream keyed by (seed, indices).
@@ -149,21 +153,12 @@ def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingS
 # Orlicz-norm estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrliczEstimate:
-    q: int
-    norm_estimate: float
-    mc_samples: int
-    confidence_halfwidth: float
-
-
-def orlicz_norm(samples, q: int, rel_tol: float = 1e-4,
-                n_boot: int = 32, boot_seed: int = 0) -> OrliczEstimate:
+def orlicz_norm(samples, q: int) -> float:
     """Variational psi_q norm estimate: inf{t>0 : mean exp(|W|^q/t^q) <= 2}.
 
     Bisection on t against the sample exponential moment (computed in log
-    space), bracket [1e-8, 1e3 * max|W|], relative tolerance ``rel_tol``.
-    The half-width comes from a nonparametric bootstrap.
+    space), bracket [1e-8, 1e3 * max|W|], relative tolerance
+    ``ORLICZ_REL_TOL``.
     """
     w = np.asarray(samples, dtype=float).ravel()
     if q not in (1, 2):
@@ -177,40 +172,24 @@ def orlicz_norm(samples, q: int, rel_tol: float = 1e-4,
                       stacklevel=2)
     wq = np.abs(w) ** q
     if np.all(wq == 0):
-        return OrliczEstimate(q=q, norm_estimate=0.0, mc_samples=w.size,
-                              confidence_halfwidth=0.0)
+        return 0.0
+    log2n = np.log(2.0) + np.log(w.size)
 
-    def point_estimate(wq_arr):
-        n = wq_arr.size
-        log2n = np.log(2.0) + np.log(n)
+    def feasible(t):
+        return logsumexp(wq / t**q) - log2n <= 0
 
-        def feasible(t):
-            return logsumexp(wq_arr / t**q) - log2n <= 0
-
-        lo, hi = 1e-8, 1e3 * float(np.max(np.abs(w)))
-        if feasible(lo):
-            return lo
-        if not feasible(hi):
-            return hi
-        while hi / lo > 1 + rel_tol:
-            mid = np.sqrt(lo * hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
+    lo, hi = 1e-8, 1e3 * float(np.max(np.abs(w)))
+    if feasible(lo):
+        return lo
+    if not feasible(hi):
         return hi
-
-    est = point_estimate(wq)
-    half = 0.0
-    if n_boot > 0:
-        rng = substream(boot_seed, 77)
-        boots = np.empty(n_boot)
-        for b in range(n_boot):
-            idx = rng.integers(0, w.size, w.size)
-            boots[b] = point_estimate(wq[idx])
-        half = 1.96 * float(np.std(boots, ddof=1))
-    return OrliczEstimate(q=q, norm_estimate=float(est), mc_samples=w.size,
-                          confidence_halfwidth=half)
+    while hi / lo > 1 + ORLICZ_REL_TOL:
+        mid = np.sqrt(lo * hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 @dataclass(frozen=True)
@@ -222,13 +201,12 @@ class TailCheckReport:
     point_pass: np.ndarray
 
 
-def tail_check(samples, K: float, q: int, n_grid: int = 12,
-               confidence: float = 0.99) -> TailCheckReport:
+def tail_check(samples, K: float, q: int) -> TailCheckReport:
     """Check the empirical survival function against 2 exp(-t^q/K^q).
 
-    The grid of thresholds covers the 50th-99.9th percentiles of |W|.  At
-    each point the observed exceedance count is allowed up to the
-    ``confidence`` binomial quantile under the claimed tail probability
+    The ``TAIL_GRID`` thresholds cover the 50th-99.9th percentiles of |W|.
+    At each point the observed exceedance count is allowed up to the
+    ``TAIL_CONFIDENCE`` binomial quantile under the claimed tail probability
     (one-sided tolerance).
     """
     w = np.abs(np.asarray(samples, dtype=float).ravel())
@@ -238,12 +216,12 @@ def tail_check(samples, K: float, q: int, n_grid: int = 12,
         raise ConfigurationError("K must be positive")
     if q not in (1, 2):
         raise ConfigurationError("q must be 1 or 2")
-    pct = np.linspace(50.0, 99.9, n_grid)
+    pct = np.linspace(50.0, 99.9, TAIL_GRID)
     t_grid = np.percentile(w, pct)
     n = w.size
     survival = np.array([(w > t).sum() for t in t_grid], dtype=float)
     p_bound = np.minimum(1.0, 2.0 * np.exp(-(t_grid / K) ** q))
-    allowed = _binom_ppf(confidence, n, p_bound)
+    allowed = _binom_ppf(TAIL_CONFIDENCE, n, p_bound)
     point_pass = survival <= allowed
     return TailCheckReport(passed=bool(point_pass.all()), t_grid=t_grid,
                            survival=survival / n, bound=p_bound,
@@ -304,7 +282,7 @@ def empirical_average_contraction(sampler, q: int, m_grid, trials: int,
         averages = draws.mean(axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            k_hat[i] = orlicz_norm(averages, q, n_boot=0).norm_estimate
+            k_hat[i] = orlicz_norm(averages, q)
     if np.all(k_hat == 0):
         slope = 0.0
     else:

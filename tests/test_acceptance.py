@@ -107,19 +107,19 @@ def test_criterion_2_finite_dim_rate_exponent(rate_fit):
 
 def test_criterion_3_orlicz_estimator():
     rng = substream(303, 0)
-    gauss = orlicz_norm(rng.standard_normal(10**6), q=2, n_boot=0)
+    gauss = orlicz_norm(rng.standard_normal(10**6), q=2)
     target = math.sqrt(8.0 / 3.0)
-    gauss_rel = abs(gauss.norm_estimate - target) / target
+    gauss_rel = abs(gauss - target) / target
 
     c = 2.0
-    const = orlicz_norm(np.full(10**5, c), q=2, n_boot=0)
+    const = orlicz_norm(np.full(10**5, c), q=2)
     const_target = c / math.sqrt(math.log(2.0))
-    const_rel = abs(const.norm_estimate - const_target) / const_target
+    const_rel = abs(const - const_target) / const_target
 
     ok = gauss_rel <= 0.05 and const_rel <= 0.02
-    report(3, ok, f"gaussian psi_2 {gauss.norm_estimate:.4f} vs "
+    report(3, ok, f"gaussian psi_2 {gauss:.4f} vs "
                   f"{target:.4f} ({gauss_rel:.2%}); constant "
-                  f"{const.norm_estimate:.4f} vs {const_target:.4f} "
+                  f"{const:.4f} vs {const_target:.4f} "
                   f"({const_rel:.2%})")
 
 

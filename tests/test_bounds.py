@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlearn import (BoundInputs, CoveringModel, chaining_bound,
                       covering_ball, covering_bound, covering_sobolev_log,
-                      finite_class_sample_size, greedy_cover, hoeffding_tail,
-                      predicted_exponent)
+                      greedy_cover, hoeffding_tail, predicted_exponent)
 from invlearn.bounds import entropy_integral
 from invlearn.errors import ConfigurationError
 
@@ -61,6 +62,46 @@ def test_greedy_cover_within_formula_bound_low_dim():
         grid = grid[np.linalg.norm(grid, axis=1) <= D]
         for r in (D, D / 2, D / 4, D / 8):
             assert greedy_cover(grid, r) <= math.ceil(covering_ball(d, D, r))
+
+
+def greedy_cover_reference(points, r):
+    """The plain greedy loop, the reference for ``greedy_cover``: every step
+    recounts the uncovered points of every ball (O(n^2) per step)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    covers = d2 <= (r * r) * (1 + 1e-9)
+    uncovered = np.ones(pts.shape[0], dtype=bool)
+    count = 0
+    while uncovered.any():
+        center = int(np.argmax(covers[:, uncovered].sum(axis=1)))
+        uncovered &= ~covers[center]
+        count += 1
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_greedy_cover_matches_reference_on_lattices(d, data):
+    # lattice points with spacing 1/4 put many points exactly on a ball
+    # boundary (e.g. 4 steps from a center at r = 1), and repeated draws
+    # and the appended copies give duplicate points
+    lattice = data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+        min_size=1, max_size=40))
+    step = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+    r = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2 ** 0.5, 2.0]))
+    pts = step * np.array(lattice, dtype=float)
+    pts = np.vstack([pts, pts[:data.draw(st.integers(0, len(pts)))]])
+    assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
+
+
+def test_greedy_cover_matches_reference_on_random_clouds():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        pts = rng.uniform(-1.0, 1.0, size=(600, d))
+        pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
+        for r in (1.0, 0.5, 0.25, 0.125):
+            assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
 
 
 # -- covering_sobolev_log --------------------------------------------------
@@ -233,28 +274,15 @@ def test_predicted_exponent_validation():
 # -- hoeffding -------------------------------------------------------------
 
 def test_hoeffding_vanishing_tail():
-    assert hoeffding_tail(1e3, 10, 1.0).tail == pytest.approx(0.0, abs=1e-300)
+    assert hoeffding_tail(1e3, 10, 1.0) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_hoeffding_direct_value():
-    res = hoeffding_tail(1.0, 1, 1.0)
-    assert res.tail == pytest.approx(2 * math.exp(-2), rel=1e-12)
+    assert hoeffding_tail(1.0, 1, 1.0) == pytest.approx(2 * math.exp(-2),
+                                                       rel=1e-12)
 
 
 def test_hoeffding_doubling_identity():
-    t1 = hoeffding_tail(0.3, 8, 1.0).tail
-    t2 = hoeffding_tail(0.3, 16, 1.0).tail
+    t1 = hoeffding_tail(0.3, 8, 1.0)
+    t2 = hoeffding_tail(0.3, 16, 1.0)
     assert t2 == pytest.approx(t1**2 / 2.0, rel=1e-10)
-
-
-def test_hoeffding_alt_tail_reported():
-    res = hoeffding_tail(1.0, 4, 1.0)
-    assert res.alt_tail == pytest.approx(2 * math.exp(-2.0 / 4.0), rel=1e-12)
-    assert res.alt_tail != res.tail
-
-
-def test_finite_class_sample_size():
-    val = finite_class_sample_size(0.1, 100, 0.05)
-    assert val == pytest.approx(math.log(100 / 0.05) / 0.01)
-    with pytest.raises(ConfigurationError):
-        finite_class_sample_size(0.0, 10, 0.05)

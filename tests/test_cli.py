@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -175,3 +176,55 @@ def test_config_required(capsys):
     rc = main(["erm"])
     assert rc == 2
     assert "--config is required" in capsys.readouterr().err
+
+
+def _edit(path, *value):
+    """Config mutation: set the dotted ``path`` to ``value``, or delete it."""
+    def mutate(cfg):
+        *parents, leaf = path.split(".")
+        for key in parents:
+            cfg = cfg[key]
+        if value:
+            cfg[leaf] = value[0]
+        else:
+            del cfg[leaf]
+    return mutate
+
+
+SCHEMA_CASES = {
+    "missing forward": (_edit("problem.forward"), "problem.forward"),
+    "missing prior eigenvalues": (_edit("problem.prior.cov_eigenvalues"),
+                                  "problem.prior.cov_eigenvalues"),
+    "missing class kind": (_edit("param_class.kind"), "param_class.kind"),
+    "family not an object": (_edit("family", "tikhonov"), "family"),
+    "unknown basis": (_edit("problem.forward.basis", "weird"),
+                      "problem.forward.basis"),
+    "m_grid a string": (_edit("m_grid", "16"), "m_grid"),
+    "prior key typo": (_edit("problem.prior.cov_eigenvalue", [1.0]),
+                       "problem.prior.cov_eigenvalue"),
+    "noise key typo": (_edit("problem.noise.typ", "gaussian"),
+                       "problem.noise.typ"),
+    "bounds key typo": (_edit("bounds", {"Kk": 2.0}), "bounds.Kk"),
+    "non-Gaussian noise": (_edit("problem.noise.type", "uniform_ball"),
+                           "problem.noise.type"),
+}
+# ``invlearn bounds`` reads only m_grid, bounds and param_class.dim
+BOUNDS_CASES = ("m_grid a string", "bounds key typo")
+
+
+@pytest.mark.parametrize("command, case", [
+    *((cmd, case) for cmd in ("erm", "rates") for case in SCHEMA_CASES),
+    *(("bounds", case) for case in BOUNDS_CASES)])
+def test_schema_error_names_its_path(tmp_path, capsys, command, case):
+    mutate, path = SCHEMA_CASES[case]
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    mutate(raw)
+    cfg.write_text(json.dumps(raw))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+               command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # the whole dotted path, not a prefix of a longer one
+    assert re.search(rf"(?<![\w.]){re.escape(path)}(?![\w.])", err), err

@@ -93,6 +93,28 @@ def test_config_rejects_small_n_mc():
     assert ExperimentConfig.from_dict(scalar_config(n_mc=100)).n_mc == 100
 
 
+def test_config_schema_accepts_every_documented_key():
+    problem = {
+        "forward": {"n_x": 2, "n_y": 2, "singular_values": [1.0, 0.5],
+                    "basis": {"left": [[0.0, 1.0], [1.0, 0.0]],
+                              "right": "identity"}},
+        "prior": {"type": "uniform_ball", "dim": 2, "radius": 1.0},
+        "noise": {"type": "gaussian", "mean": [0.0, 0.0],
+                  "cov_eigenvalues": [0.1, 0.1],
+                  "cov_basis": [[1.0, 0.0], [0.0, 1.0]]},
+        "delta": 1.0,
+    }
+    bounds = {"model": {"kind": "euclidean_ball", "d": 4}, "K": 1.0,
+              "M_ell": 1.0, "q": 1, "alpha": 1.0, "D": 1.0, "C": 1.0,
+              "C1": 1.0, "C2": 1.0}
+    cfg = ExperimentConfig.from_dict(scalar_config(
+        problem=problem, bounds=bounds,
+        family={"kind": "tikhonov", "structure": "diagonal"},
+        param_class={"kind": "euclidean_ball", "dim": 4}))
+    assert cfg.problem.delta == 1.0
+    assert cfg.problem.forward.left_basis is not None
+
+
 def test_config_digest_is_fnv1a_of_canonical_text():
     raw = scalar_config()
     cfg = ExperimentConfig.from_dict(raw)
@@ -145,6 +167,21 @@ def test_rate_experiment_mean_nonincreasing_up_to_noise(small_fit):
     per_m = small_fit.per_m
     for a, b in zip(per_m, per_m[1:]):
         assert b["mean"] <= a["mean"] + 2 * (a["stderr"] + b["stderr"])
+
+
+def test_rate_experiment_per_m_mean_is_plain_mean():
+    # 50 trials per m: every trial that did not fail enters the mean and
+    # the standard error, none is trimmed
+    fit = run_rate_experiment(ExperimentConfig.from_dict(
+        scalar_config(trials_per_m=50)))
+    for p in fit.per_m:
+        vals = np.array([t.sample_error for t in fit.trials
+                         if t.m == p["m"] and not t.failed])
+        assert set(p) == {"m", "mean", "stderr", "n"}
+        assert p["n"] == vals.size
+        assert p["mean"] == pytest.approx(vals.mean(), rel=1e-12)
+        assert p["stderr"] == pytest.approx(
+            vals.std(ddof=1) / np.sqrt(vals.size), rel=1e-12)
 
 
 def test_rate_experiment_singleton_degenerate():

@@ -418,6 +418,18 @@ def test_fixed_point_batch_with_converged_rows_does_not_raise():
         assert gap <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_fixed_point_rate_at_budget_converges(tol):
+    # p = tanh(-p/2 + 1) + 2 has its fixed point at p = 2, where the local
+    # contraction rate is exactly the budget 0.5; near the stopping step the
+    # observed step ratio exceeds 0.5 only by rounding of |p| = 2
+    A = ForwardOperator.identity(1)
+    params = FixedPointParams(W=np.array([[-0.5]]), b=np.array([1.0]),
+                              contraction_budget=0.5)
+    p = reconstruct_fixed_point(params, A, np.array([2.0]), tol=tol)
+    assert abs(p[0] - 2.0) <= tol
+
+
 def test_fixed_point_batch_contractivity_error_from_one_row(monkeypatch):
     # only the y = 5 row violates the budget; the y = 0 row sits at its
     # fixed point from the first step
@@ -565,14 +577,13 @@ def test_g_hypotheses_identity_penalty():
     ys = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])]
     rep = check_g_hypotheses(np.eye(2), np.zeros(2), 1.0, ys)
     assert rep.nonnegative
-    assert rep.value_at_zero == 0.0
+    assert rep.M_g == 0.0
     assert rep.convex_midpoint_ok
 
 
 def test_g_hypotheses_offset_bound():
     h = np.array([2.0, 0.0])
     rep = check_g_hypotheses(np.eye(2), h, 1.0, [np.array([1.0, 1.0])])
-    assert rep.value_at_zero == pytest.approx(4.0)
     assert rep.M_g == pytest.approx(4.0)
 
 
