@@ -258,6 +258,96 @@ def test_proxy_constrained_class_approximation_gap():
     assert l_star.estimate - bayes.irreducible_error > 3 * l_star.halfwidth
 
 
+
+# -- the error split -------------------------------------------------------
+# L(theta_hat) - L_Bayes = optimization + sample + approximation, each term
+# measured with the empirical risk, the Monte Carlo loss and the MMSE oracle.
+
+def test_decompose_zero_optimization_error():
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    ts = draw_training_set(dist, 200, seed=12)
+    theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
+    grid_min = min(empirical_risk(ts, np.array([b]), fam)
+                   for b in np.linspace(-1.0, 1.0, 401))
+    # ERM reaches the class minimum of the empirical risk
+    assert empirical_risk(ts, theta_hat, fam) <= grid_min + 1e-12
+
+
+def test_decompose_consistency_at_large_m():
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    ts = draw_training_set(dist, 100_000, seed=13)
+    theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
+    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=14)
+    l_hat = expected_loss_mc(dist, theta_hat, fam, 200_000, seed=15)
+    l_star = expected_loss_mc(dist, theta_star, fam, 200_000, seed=15)
+    bayes = mmse_affine(A, dist.prior, dist.noise)
+    hw = max(l_hat.halfwidth, l_star.halfwidth)
+    assert (empirical_risk(ts, theta_hat, fam)
+            <= empirical_risk(ts, theta_star, fam) + 1e-12)
+    assert abs(l_hat.estimate - l_star.estimate) <= 3 * hw + 1e-4
+    assert abs(l_star.estimate - bayes.irreducible_error) <= 3 * hw + 1e-4
+    assert bayes.irreducible_error == pytest.approx(0.25)
+
+
+def test_decompose_singleton_sample_error_zero():
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=0.0)
+    ts = draw_training_set(dist, 50, seed=16)
+    theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
+    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=1000, seed=16)
+    l_hat = expected_loss_mc(dist, theta_hat, fam, 10_000, seed=16)
+    l_star = expected_loss_mc(dist, theta_star, fam, 10_000, seed=16)
+    assert l_hat.estimate - l_star.estimate == 0.0
+    # b = 0 is unregularized, R(y) = y: the loss is |noise|^2 / 2, mean 1/2
+    assert abs(l_hat.estimate - 0.5) <= 3 * l_hat.halfwidth
+
+
+# -- representativeness ----------------------------------------------------
+
+def uniform_deviation(ts, fam, grid, dist, n_mc, seed):
+    """max over the grid of |L_S(theta) - L(theta)|: how representative the
+    training set is of the distribution, uniformly over the grid."""
+    return max(abs(empirical_risk(ts, g, fam)
+                   - expected_loss_mc(dist, g, fam, n_mc, seed).estimate)
+               for g in grid)
+
+
+def test_representativeness_small_at_large_m():
+    A, noise, dist, fam = scalar_setup()
+    ts = draw_training_set(dist, 100_000, seed=17)
+    grid = [np.array([b]) for b in (-0.9, -0.5, 0.0, 0.5, 0.9)]
+    worst = uniform_deviation(ts, fam, grid, dist, n_mc=200_000, seed=18)
+    max_loss = max(expected_loss_mc(dist, g, fam, 10_000, seed=18).estimate
+                   for g in grid)
+    assert worst <= 0.05 * max_loss
+
+
+def test_representativeness_singleton_grid():
+    A, noise, dist, fam = scalar_setup()
+    m = 1000
+    ts = draw_training_set(dist, m, seed=19)
+    theta = np.array([0.4])
+    l_mc = expected_loss_mc(dist, theta, fam, 10_000, seed=20)
+    # the per-pair loss spread, read back from the 95% half-width
+    sigma = l_mc.halfwidth * np.sqrt(l_mc.n_mc) / 1.96
+    dev = uniform_deviation(ts, fam, [theta], dist, n_mc=10_000, seed=20)
+    assert dev <= 3 * 1.96 * sigma / np.sqrt(m) + 3 * l_mc.halfwidth
+
+
+def test_representativeness_duplicate_grid_points():
+    A, noise, dist, fam = scalar_setup()
+    ts = draw_training_set(dist, 1000, seed=21)
+    theta = np.array([0.4])
+    # both losses are reproducible at a fixed seed, so repeated grid points
+    # leave the supremum unchanged
+    v1 = uniform_deviation(ts, fam, [theta], dist, n_mc=5_000, seed=22)
+    v2 = uniform_deviation(ts, fam, [theta, theta.copy(), theta], dist,
+                           n_mc=5_000, seed=22)
+    assert v1 == v2
+
+
 # -- cross-cutting invariants ----------------------------------------------
 
 def test_sample_error_nonnegative_up_to_noise():
@@ -271,6 +361,19 @@ def test_sample_error_nonnegative_up_to_noise():
         l_star = expected_loss_mc(dist, theta_star, fam, 100_000, seed=26)
         assert l_hat.estimate - l_star.estimate >= -2 * l_hat.halfwidth
 
+
+def test_representativeness_bounds_sample_error():
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    ts = draw_training_set(dist, 200, seed=27)
+    grid = [np.array([b]) for b in np.linspace(-1, 1, 41)]
+    theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
+    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=28)
+    l_hat = expected_loss_mc(dist, theta_hat, fam, 200_000, seed=29)
+    l_star = expected_loss_mc(dist, theta_star, fam, 200_000, seed=29)
+    sample_error = l_hat.estimate - l_star.estimate
+    rep = uniform_deviation(ts, fam, grid, dist, n_mc=200_000, seed=29)
+    assert sample_error <= 2 * rep + 3 * l_hat.halfwidth
 
 def test_mmse_mc_matches_closed_form():
     A, noise, dist, fam = scalar_setup()
