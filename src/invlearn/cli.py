@@ -11,6 +11,8 @@ import json
 import pathlib
 import sys
 
+from numpy.linalg import LinAlgError
+
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, InvlearnError
 from .experiment import (ExperimentConfig, read_bounds, read_m_grid,
@@ -99,11 +101,8 @@ def cmd_bounds(args) -> int:
         raise ConfigurationError("m_grid required")
     m_grid = read_m_grid(raw["m_grid"])
     spec = read_bounds(raw)
-    model = spec.get("model", {"kind": "euclidean_ball",
-                               "d": raw.get("param_class", {}).get("dim", 1),
-                               "D": 1.0})
     try:
-        cov = bounds_mod.CoveringModel(**model)
+        cov = bounds_mod.CoveringModel(**spec["model"])
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"invalid bounds.model: {exc}") from exc
     out = []
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvlearnError as exc:
+    except (InvlearnError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
-                         TikhonovFamily, certify_stability, check_g_hypotheses)
+                         TikhonovFamily, certify_stability, check_g_hypotheses,
+                         theta_length)
 from .risk import (ErmOptions, erm_solve, expected_loss_mc,
                    optimal_target_proxy, _batch_losses)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
@@ -45,25 +46,62 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# value types of the checked config leaves
+_STR, _INT, _NUM = "a string", "an integer", "a number"
+_VEC, _MAT = "a list of numbers", "a list of equal-length lists of numbers"
+_BASIS = f'"identity" or {_MAT}'
+
 _REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
                   "trials_per_m", "proxy_m", "n_mc", "master_seed")
-# ``bounds`` is read by ``invlearn bounds`` from the same file
-_OPTIONAL_KEYS = ("tolerances", "erm", "bounds")
-_FAMILY_KEYS = {"tikhonov": ("kind", "structure"),
-                "elastic_net": ("kind", "alpha", "eta", "structure"),
-                "fixed_point": ("kind", "contraction_budget")}
-_PARAM_CLASS_KEYS = ("kind", "dim", "radius", "smoothness")
-_BOUNDS_KEYS = ("model", "K", "M_ell", "q", "alpha", "D", "C", "C1", "C2")
-_GAUSSIAN_KEYS = ("type", "mean", "cov_eigenvalues", "cov_basis")
+# per object: {key: value type, or None where another check reads the
+# value}; ``bounds`` is read by ``invlearn bounds`` from the same file
+_TOP_KEYS = {"problem": None, "family": None, "param_class": None,
+             "m_grid": None, "trials_per_m": _INT, "proxy_m": _INT,
+             "n_mc": _INT, "master_seed": _INT, "tolerances": None,
+             "erm": None, "bounds": None}
+_TOLERANCE_KEYS = {"erm_tol": _NUM, "recon_tol": _NUM}
+_ERM_KEYS = {"n_starts": _INT, "max_iter": _INT}
+_FAMILY_KEYS = {"tikhonov": {"kind": None, "structure": _STR},
+                "elastic_net": {"kind": None, "alpha": _NUM, "eta": _NUM,
+                                "structure": _STR},
+                "fixed_point": {"kind": None, "contraction_budget": _NUM}}
+_PARAM_CLASS_KEYS = {"kind": None, "dim": _INT, "radius": _NUM,
+                     "smoothness": _NUM}
+_BOUNDS_KEYS = {"model": None, **dict.fromkeys(
+    ("K", "M_ell", "q", "alpha", "D", "C", "C1", "C2"), _NUM)}
+_PROBLEM_KEYS = {"forward": None, "prior": None, "noise": None,
+                 "delta": _NUM}
+_FORWARD_KEYS = {"n_x": _INT, "n_y": _INT, "singular_values": _VEC,
+                 "basis": None}
+_GAUSSIAN_KEYS = {"type": None, "mean": _VEC, "cov_eigenvalues": _VEC,
+                  "cov_basis": _MAT}
 # per law type: (allowed keys, required keys)
 _LAW_KEYS = {"gaussian": (_GAUSSIAN_KEYS, ("mean", "cov_eigenvalues")),
-             "uniform_ball": (("type", "dim", "radius"), ("dim", "radius"))}
+             "uniform_ball": ({"type": None, "dim": _INT, "radius": _NUM},
+                              ("dim", "radius"))}
+
+
+def _has_type(value, kind) -> bool:
+    if kind == _STR:
+        return isinstance(value, str)
+    if kind in (_INT, _NUM):
+        return isinstance(value, int if kind == _INT else (int, float)) \
+            and not isinstance(value, bool)
+    if kind == _BASIS and value == "identity":
+        return True
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return False
+    return (isinstance(value, list) and array.ndim == (1 if kind == _VEC else 2)
+            and array.dtype.kind in "iuf")
 
 
 def _known_keys(cfg, allowed, prefix: str = "", required=()) -> dict:
     """``cfg`` itself, after checking that it is an object whose keys are
-    all in ``allowed`` (any key if None) and include ``required``; errors
-    name the dotted config path."""
+    all in ``allowed`` (any key if None) and include ``required``, and that
+    each value has the type ``allowed`` gives its key; errors name the
+    dotted config path."""
     if not isinstance(cfg, dict):
         raise ConfigurationError(
             f"config {prefix.rstrip('.') or 'root'} must be a JSON object")
@@ -74,17 +112,20 @@ def _known_keys(cfg, allowed, prefix: str = "", required=()) -> dict:
     if missing:
         raise ConfigurationError(
             f"missing required config key: {prefix}{missing[0]}")
+    for key, kind in (allowed or {}).items():
+        if kind is not None and key in cfg and not _has_type(cfg[key], kind):
+            raise ConfigurationError(
+                f"config {prefix}{key} must be {kind}, got {cfg[key]!r}")
     return cfg
 
 
 def _check_problem(problem) -> None:
-    _known_keys(problem, ("forward", "prior", "noise", "delta"), "problem.",
+    _known_keys(problem, _PROBLEM_KEYS, "problem.",
                 ("forward", "prior", "noise"))
-    forward = _known_keys(problem["forward"],
-                          ("n_x", "n_y", "singular_values", "basis"),
+    forward = _known_keys(problem["forward"], _FORWARD_KEYS,
                           "problem.forward.", ("n_x", "n_y", "singular_values"))
     if forward.get("basis", "identity") != "identity":
-        _known_keys(forward["basis"], ("left", "right"),
+        _known_keys(forward["basis"], {"left": _BASIS, "right": _BASIS},
                     "problem.forward.basis.")
     for name, kinds in (("prior", ("gaussian", "uniform_ball")),
                         ("noise", ("gaussian",))):
@@ -97,6 +138,16 @@ def _check_problem(problem) -> None:
         _known_keys(law, allowed, f"problem.{name}.", required)
 
 
+def _check_theta_length(family: dict, param_class: dict, n_x: int) -> None:
+    """``param_class.dim`` must be the length of the family's theta."""
+    expected = theta_length(family.get("kind"), n_x,
+                            family.get("structure", "full"))
+    if expected is not None and param_class["dim"] != expected:
+        raise ConfigurationError(
+            f"config param_class.dim is {param_class['dim']}, but the "
+            f"family's theta has length {expected}")
+
+
 def read_m_grid(value) -> tuple:
     """The ``m_grid`` config value, checked to be a JSON list of integers."""
     if not isinstance(value, list) or not all(
@@ -106,8 +157,15 @@ def read_m_grid(value) -> tuple:
 
 
 def read_bounds(raw: dict) -> dict:
-    """The optional ``bounds`` object of a config, with its keys checked."""
-    return _known_keys(raw.get("bounds", {}), _BOUNDS_KEYS, "bounds.")
+    """The optional ``bounds`` object of a config, with its keys checked;
+    ``model`` defaults to the Euclidean ball of dimension ``param_class.dim``."""
+    spec = _known_keys(raw.get("bounds", {}), _BOUNDS_KEYS, "bounds.")
+    if "model" in spec:
+        return spec
+    pclass = _known_keys(raw.get("param_class", {}), _PARAM_CLASS_KEYS,
+                         "param_class.")
+    return {**spec, "model": {"kind": "euclidean_ball",
+                              "d": pclass.get("dim", 1), "D": 1.0}}
 
 
 @dataclass(frozen=True)
@@ -158,10 +216,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _known_keys(d, _REQUIRED_KEYS + _OPTIONAL_KEYS, required=_REQUIRED_KEYS)
-        tol = _known_keys(d.get("tolerances", {}), ("erm_tol", "recon_tol"),
+        _known_keys(d, _TOP_KEYS, required=_REQUIRED_KEYS)
+        tol = _known_keys(d.get("tolerances", {}), _TOLERANCE_KEYS,
                           "tolerances.")
-        erm = _known_keys(d.get("erm", {}), ("n_starts", "max_iter"), "erm.")
+        erm = _known_keys(d.get("erm", {}), _ERM_KEYS, "erm.")
         read_bounds(d)
         _check_problem(d["problem"])
         family = _known_keys(d["family"], None, "family.")
@@ -171,6 +229,8 @@ class ExperimentConfig:
             _known_keys(family, _FAMILY_KEYS[kind], "family.")
         _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
                     ("kind", "dim"))
+        _check_theta_length(family, d["param_class"],
+                            d["problem"]["forward"]["n_x"])
         return cls(
             problem=ProblemDistribution.from_dict(d["problem"]),
             family_spec=dict(family),
@@ -497,7 +557,8 @@ def run_verification_suite(cfg: ExperimentConfig,
         n = int(np.prod(size))
         xs, ys = dist.sample(rng_l, n)
         per = _batch_losses(family, theta0, xs, ys)
-        return (per - center_mc.estimate).reshape(size)
+        per -= center_mc.estimate
+        return per.reshape(size)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

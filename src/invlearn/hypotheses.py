@@ -336,6 +336,17 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 # Family objects: flat-parameter interface used by ERM and experiments
 # ---------------------------------------------------------------------------
 
+def theta_length(kind: str, n_x: int, structure: str = "full") -> int | None:
+    """Length of a family's flat theta on R^{n_x}; None for an unknown kind
+    or structure."""
+    if kind == "fixed_point":
+        return n_x * n_x + n_x
+    if kind not in ("tikhonov", "elastic_net"):
+        return None
+    return {"scale": 1, "diagonal": 2 * n_x,
+            "full": n_x + n_x * n_x}.get(structure)
+
+
 class _Family:
     """Shared by every family: R_theta(y) for one y is a one-row batch."""
 
@@ -360,8 +371,7 @@ class _HBFamily(_Family):
             raise ConfigurationError(f"unknown structure {structure!r}")
         self.op = op
         self.structure = structure
-        n = op.n_x
-        self.dim = {"scale": 1, "full": n + n * n, "diagonal": 2 * n}[structure]
+        self.dim = theta_length(self.kind, op.n_x, structure)
 
     def _h_B(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -379,6 +389,32 @@ class _HBFamily(_Family):
         (h1, B1), (h2, B2) = self._h_B(theta1), self._h_B(theta2)
         return float(np.linalg.norm(h1 - h2) + np.linalg.norm(B1 - B2, 2))
 
+    def affine_map(self, theta):
+        """(G, c) with R_theta(y) = G y + c, for alpha = 1.
+
+        The optimality condition is M x = P y + s with M = K + 2 B*B and
+        the family's shift s.  One checked solve against the n_y + 1
+        right-hand rows [P^T; s^T] gives the columns of G and then c.
+        """
+        if self.alpha != 1.0:
+            raise ConfigurationError("the reconstruction is affine only for "
+                                     "alpha = 1")
+        h, B = self._h_B(theta)
+        BtB = B.T @ B
+        S = _solve_normal(self._K + 2.0 * BtB,
+                          np.vstack([self._P.T, self._shift(h, B, BtB)]))
+        return S[:-1].T, S[-1]
+
+    def _affine_batch(self, theta, Y):
+        """Rows R_theta(y) = G y + c of the (k, n_y) batch Y."""
+        Y = np.asarray(Y, dtype=float)
+        if Y.shape[-1] != self.op.n_y:
+            raise DimensionMismatchError("data length != operator output dim")
+        G, c = self.affine_map(theta)
+        X = Y @ G.T
+        X += c
+        return X
+
 
 class TikhonovFamily(_HBFamily):
     """Flat-parameter wrapper around the generalized Tikhonov reconstructor."""
@@ -392,12 +428,16 @@ class TikhonovFamily(_HBFamily):
         self.noise = noise
         self._P, self._K = _normal_constants(op, noise)
 
+    @staticmethod
+    def _shift(h, B, BtB):
+        """s = 2 B*B h, from the penalty ||B(x - h)||^2."""
+        return 2.0 * (BtB @ h)
+
     def unpack(self, theta) -> TikhonovParams:
         return TikhonovParams(*self._h_B(theta))
 
     def reconstruct_batch(self, theta, Y, tol=None):
-        h, B = self._h_B(theta)
-        return _tikhonov_solve(h, B, self._P, self._K, np.asarray(Y, float))
+        return self._affine_batch(theta, Y)
 
     def risk_gradient(self, theta, X, Y, R=None):
         """Analytic gradient of the empirical quadratic risk at theta.
@@ -437,22 +477,25 @@ class ElasticNetFamily(_HBFamily):
         ElasticNetParams.check_penalty(alpha, eta)
         self.alpha = float(alpha)
         self.eta = float(eta)
-        self._Am = op.as_matrix()
+        # P and K of the alpha = 1 normal equations (see ``affine_map``)
+        Am = op.as_matrix()
+        self._P, self._K = Am.T, Am.T @ Am + 2.0 * self.eta * np.eye(op.n_x)
+
+    @staticmethod
+    def _shift(h, B, BtB):
+        """s = 2 B* h, from the alpha = 1 penalty ||B x - h||^2."""
+        return 2.0 * (B.T @ h)
 
     def unpack(self, theta) -> ElasticNetParams:
         h, B = self._h_B(theta)
         return ElasticNetParams(h=h, B=B, alpha=self.alpha, eta=self.eta)
 
     def reconstruct_batch(self, theta, Y, tol=1e-8):
-        Y = np.asarray(Y, dtype=float)
-        p = self.unpack(theta)
         if self.alpha == 1.0:
             # smooth quadratic case: the optimality condition is linear
-            Am = self._Am
-            M = (Am.T @ Am + 2.0 * p.B.T @ p.B
-                 + 2.0 * self.eta * np.eye(self.op.n_x))
-            return _solve_normal(M, Y @ Am + 2.0 * (p.B.T @ p.h))
-        return reconstruct_elastic_net(p, self.op, Y, tol=tol)
+            return self._affine_batch(theta, Y)
+        return reconstruct_elastic_net(self.unpack(theta), self.op,
+                                       np.asarray(Y, dtype=float), tol=tol)
 
 
 class FixedPointFamily(_Family):
@@ -466,8 +509,7 @@ class FixedPointFamily(_Family):
             raise ConfigurationError("contraction budget must lie in (0, 1)")
         self.op = op
         self.L_z = float(contraction_budget)
-        n = op.n_x
-        self.dim = n * n + n
+        self.dim = theta_length(self.kind, op.n_x)
 
     def unpack(self, theta) -> FixedPointParams:
         theta = np.asarray(theta, dtype=float)

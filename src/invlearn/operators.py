@@ -100,6 +100,8 @@ class ForwardOperator:
                 f"expected input of length {self.n_x}, got {x.shape[-1]}")
         c = x if self.right_basis is None else x @ self.right_basis
         c = c[..., :self.rank] * self.singular_values
+        if self.left_basis is None and self.rank == self.n_y:
+            return c
         if self.left_basis is None:
             out = np.zeros(x.shape[:-1] + (self.n_y,))
             out[..., :self.rank] = c
@@ -225,10 +227,11 @@ class GaussianSpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.dim))
-        z = z * np.sqrt(self.covariance_eigenvalues)
+        z *= np.sqrt(self.covariance_eigenvalues)
         if self.covariance_basis is not None:
             z = z @ self.covariance_basis.T
-        return z + self.mean
+        z += self.mean
+        return z
 
     def to_dict(self) -> dict:
         d = {"type": "gaussian", "mean": self.mean.tolist(),

@@ -21,8 +21,12 @@ FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
 
 
 def _losses(R, X) -> np.ndarray:
-    """Per-row quadratic losses 1/2 ||r_j - x_j||^2 of reconstructions R."""
-    return 0.5 * np.sum((R - X) ** 2, axis=1)
+    """Per-row quadratic losses 1/2 ||r_j - x_j||^2 of reconstructions R.
+
+    R is never written to: the ERM memo holds it."""
+    D = R - X
+    D *= D
+    return 0.5 * np.sum(D, axis=1)
 
 
 def _batch_losses(family, theta, X, Y) -> np.ndarray:

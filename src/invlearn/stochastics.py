@@ -96,7 +96,9 @@ class ProblemDistribution:
         """Draw (x, eps) and return (x, y) with y = A x + eps."""
         x = self.prior.sample(rng, size)
         eps = self.noise.sample(rng, size)
-        return x, self.forward.apply(x) + eps
+        y = self.forward.apply(x)
+        y += eps
+        return x, y
 
     def to_dict(self) -> dict:
         d = {"prior": self.prior.to_dict(), "noise": self.noise.to_dict(),

@@ -197,6 +197,7 @@ SCHEMA_CASES = {
                                   "problem.prior.cov_eigenvalues"),
     "missing class kind": (_edit("param_class.kind"), "param_class.kind"),
     "family not an object": (_edit("family", "tikhonov"), "family"),
+    "param_class not an object": (_edit("param_class", 3), "param_class"),
     "unknown basis": (_edit("problem.forward.basis", "weird"),
                       "problem.forward.basis"),
     "m_grid a string": (_edit("m_grid", "16"), "m_grid"),
@@ -207,9 +208,21 @@ SCHEMA_CASES = {
     "bounds key typo": (_edit("bounds", {"Kk": 2.0}), "bounds.Kk"),
     "non-Gaussian noise": (_edit("problem.noise.type", "uniform_ball"),
                            "problem.noise.type"),
+    # wrong-typed values
+    "n_x a string": (_edit("problem.forward.n_x", "one"),
+                     "problem.forward.n_x"),
+    "trials a string": (_edit("trials_per_m", "ten"), "trials_per_m"),
+    "singular values a string": (_edit("problem.forward.singular_values",
+                                       "abc"),
+                                 "problem.forward.singular_values"),
+    "erm_tol a string": (_edit("tolerances", {"erm_tol": "x"}),
+                         "tolerances.erm_tol"),
+    "left basis a string": (_edit("problem.forward.basis", {"left": "weird"}),
+                            "problem.forward.basis.left"),
 }
 # ``invlearn bounds`` reads only m_grid, bounds and param_class.dim
-BOUNDS_CASES = ("m_grid a string", "bounds key typo")
+BOUNDS_CASES = ("m_grid a string", "bounds key typo",
+                "param_class not an object")
 
 
 @pytest.mark.parametrize("command, case", [
@@ -228,3 +241,30 @@ def test_schema_error_names_its_path(tmp_path, capsys, command, case):
     assert err.startswith("error:")
     # the whole dotted path, not a prefix of a longer one
     assert re.search(rf"(?<![\w.]){re.escape(path)}(?![\w.])", err), err
+
+
+def test_param_class_dim_must_match_theta_length(tmp_path, capsys):
+    # the scalar `scale` family has a theta of length 1
+    cfg = write_config(tmp_path, param_class={"kind": "euclidean_ball",
+                                              "dim": 3, "radius": 1.0})
+    rc = main(["--config", str(cfg), "erm"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "param_class.dim" in err and "length 1" in err, err
+
+
+def test_stray_linalg_error_is_reported_without_traceback(
+        tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import invlearn.cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(invlearn.cli, "erm_solve", singular)
+    rc = main(["--config", str(write_config(tmp_path)), "erm", "--m", "20"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Singular matrix\n"
+    assert "Traceback" not in captured.out

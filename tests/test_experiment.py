@@ -268,8 +268,10 @@ def test_verification_suite_elastic_net_penalty_checks():
 
 
 def test_verification_suite_invalid_contraction_budget():
+    # theta = (W, b) has length 2 on the scalar problem
     cfg = scalar_config(family={"kind": "fixed_point",
-                                "contraction_budget": 1.2})
+                                "contraction_budget": 1.2},
+                        param_class={"kind": "euclidean_ball", "dim": 2})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg))
     assert not report["passed"]
     assert not report["checks"]["family_invariants"]["passed"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -146,6 +146,94 @@ def test_tikhonov_risk_gradient_matches_finite_differences():
             e[i] = eps
             fd[i] = (risk(theta + e) - risk(theta - e)) / (2 * eps)
         assert np.allclose(g, fd, atol=1e-6), structure
+
+
+# -- affine families: R_theta(y) = G y + c ---------------------------------
+
+AFFINE_SHAPES = [(3, 3), (2, 3), (3, 2)]  # (n_y, n_x) of the operator
+
+
+def _affine_case(seed, kind, structure, shape, k):
+    """A random affine family on a ``from_matrix`` operator, its theta, a
+    data batch, and the per-row normal equations M x = P y + s."""
+    rng = np.random.default_rng(seed)
+    n_y, n_x = shape
+    A = ForwardOperator.from_matrix(rng.standard_normal(shape))
+    if kind == "tikhonov":
+        noise = GaussianSpec(mean=np.zeros(n_y),
+                             covariance_eigenvalues=rng.uniform(0.2, 2.0, n_y))
+        fam = TikhonovFamily(A, noise, structure=structure)
+    else:
+        fam = ElasticNetFamily(A, alpha=1.0, eta=0.5, structure=structure)
+    theta = rng.standard_normal(fam.dim) * 0.7
+    Y = rng.standard_normal((k, n_y)) * rng.choice([0.1, 1.0, 5.0],
+                                                   size=(k, 1))
+    h, B = fam._h_B(theta)
+    Am = A.as_matrix()
+    if kind == "tikhonov":
+        P = Am.T @ np.linalg.inv(noise.covariance_matrix())
+        M, s = P @ Am + 2.0 * B.T @ B, 2.0 * B.T @ B @ h
+    else:
+        P = Am.T
+        M = Am.T @ Am + 2.0 * B.T @ B + np.eye(n_x)
+        s = 2.0 * B.T @ h
+    return fam, theta, Y, M, P, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["tikhonov", "elastic_net"]),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       shape=st.sampled_from(AFFINE_SHAPES), k=st.integers(1, 6))
+def test_affine_batch_matches_per_row_reference(seed, kind, structure, shape,
+                                                k):
+    # the batch X = Y G^T + c against the per-row references: the Tikhonov
+    # normal-equation solve of one row, and the Elastic-Net first-order
+    # solver at tol 1e-12; each row also solves its own normal equations
+    fam, theta, Y, M, P, s = _affine_case(seed, kind, structure, shape, k)
+    assume(np.linalg.cond(M) <= 1e4)  # the tolerances below assume it
+    batch = fam.reconstruct_batch(theta, Y)
+    assert batch.shape == Y.shape[:1] + (shape[1],)
+    params = fam.unpack(theta)
+    for j in range(k):
+        if kind == "tikhonov":
+            ref = reconstruct_tikhonov(params, fam.op, fam.noise, Y[j])
+            tol = 1e-10 * (1.0 + np.linalg.norm(ref))
+        else:
+            # the reference stops at gradient norm 1e-12 with curvature >= 1
+            ref = reconstruct_elastic_net(params, fam.op, Y[j], tol=1e-12)
+            tol = 1e-12 + 1e-10 * (1.0 + np.linalg.norm(ref))
+        assert np.linalg.norm(batch[j] - ref) <= tol
+        rhs = P @ Y[j] + s
+        assert np.max(np.abs(M @ batch[j] - rhs)) \
+            <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("kind", ["tikhonov", "elastic_net"])
+def test_affine_map_checks_its_solve(monkeypatch, kind):
+    # the one solve of affine_map keeps its residual check
+    fam, theta, Y, *_ = _affine_case(3, kind, "full", (3, 3), 4)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda M, rhs: solve(M, rhs) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError, match="residual"):
+        fam.reconstruct_batch(theta, Y)
+
+
+def test_tikhonov_family_rejects_singular_normal_matrix():
+    rank_one = ForwardOperator(n_x=2, n_y=2, singular_values=np.array([1.0]))
+    fam = TikhonovFamily(rank_one, GaussianSpec.iso(2, 1.0), "diagonal")
+    with pytest.raises(ConfigurationError, match="singular normal matrix"):
+        fam.reconstruct_batch(np.zeros(4), np.ones((3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        fam.reconstruct_batch(np.zeros(4), np.ones((3, 3)))
+
+
+def test_affine_map_only_for_alpha_one():
+    fam = ElasticNetFamily(ForwardOperator.identity(2), alpha=0.5,
+                           structure="scale")
+    with pytest.raises(ConfigurationError, match="alpha = 1"):
+        fam.affine_map(np.array([0.3]))
 
 
 # -- Elastic-Net -----------------------------------------------------------

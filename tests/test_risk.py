@@ -207,18 +207,19 @@ def test_erm_reconstructs_each_theta_once(monkeypatch):
     thetas = []
     solves = []
     reconstruct_batch = fam.reconstruct_batch
-    tikhonov_solve = hypotheses._tikhonov_solve
+    solve_normal = hypotheses._solve_normal
 
     def counting_reconstruct_batch(theta, Y, tol=None):
         thetas.append(np.asarray(theta).tobytes())
         return reconstruct_batch(theta, Y, tol)
 
     def counting_solve(*args):
+        # the one checked solve of affine_map
         solves.append(1)
-        return tikhonov_solve(*args)
+        return solve_normal(*args)
 
     monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
-    monkeypatch.setattr(hypotheses, "_tikhonov_solve", counting_solve)
+    monkeypatch.setattr(hypotheses, "_solve_normal", counting_solve)
     res = erm_solve(pc, fam, ts, ErmOptions(seed=0, n_starts=3))
     assert res.converged
     assert len(thetas) > 30
