@@ -51,7 +51,7 @@ def _out_dir(args) -> pathlib.Path:
 
 def cmd_generate(args) -> int:
     cfg = _experiment_config(args)
-    m = args.m or max(cfg.m_grid)
+    m = max(cfg.m_grid) if args.m is None else args.m
     ts = draw_training_set(cfg.problem, m, cfg.master_seed)
     path = _out_dir(args) / "training_set.csv"
     ts.to_csv(path)
@@ -62,12 +62,11 @@ def cmd_generate(args) -> int:
 def cmd_erm(args) -> int:
     from .experiment import build_family
     cfg = _experiment_config(args)
-    m = args.m or max(cfg.m_grid)
+    m = max(cfg.m_grid) if args.m is None else args.m
     family = build_family(cfg)
     ts = draw_training_set(cfg.problem, m, cfg.master_seed)
     res = erm_solve(cfg.param_class, family, ts,
-                    ErmOptions(tol=cfg.erm_tol, n_starts=cfg.n_starts,
-                               max_iter=cfg.max_iter, seed=cfg.master_seed))
+                    ErmOptions(seed=cfg.master_seed))
     mc = expected_loss_mc(cfg.problem, res.theta, family, cfg.n_mc,
                           cfg.master_seed + 1)
     print(json.dumps({

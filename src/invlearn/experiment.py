@@ -46,9 +46,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# value types of the checked config leaves
-_STR, _INT, _NUM = "a string", "an integer", "a number"
-_VEC, _MAT = "a list of numbers", "a list of equal-length lists of numbers"
+# value types of the checked config leaves (JSON admits NaN and Infinity)
+_STR, _INT, _NUM = "a string", "an integer", "a finite number"
+_VEC = "a list of finite numbers"
+_MAT = "a list of equal-length lists of finite numbers"
 _BASIS = f'"identity" or {_MAT}'
 
 _REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
@@ -57,10 +58,7 @@ _REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
 # value}; ``bounds`` is read by ``invlearn bounds`` from the same file
 _TOP_KEYS = {"problem": None, "family": None, "param_class": None,
              "m_grid": None, "trials_per_m": _INT, "proxy_m": _INT,
-             "n_mc": _INT, "master_seed": _INT, "tolerances": None,
-             "erm": None, "bounds": None}
-_TOLERANCE_KEYS = {"erm_tol": _NUM, "recon_tol": _NUM}
-_ERM_KEYS = {"n_starts": _INT, "max_iter": _INT}
+             "n_mc": _INT, "master_seed": _INT, "bounds": None}
 _FAMILY_KEYS = {"tikhonov": {"kind": None, "structure": _STR},
                 "elastic_net": {"kind": None, "alpha": _NUM, "eta": _NUM,
                                 "structure": _STR},
@@ -86,7 +84,7 @@ def _has_type(value, kind) -> bool:
         return isinstance(value, str)
     if kind in (_INT, _NUM):
         return isinstance(value, int if kind == _INT else (int, float)) \
-            and not isinstance(value, bool)
+            and not isinstance(value, bool) and abs(value) < math.inf
     if kind == _BASIS and value == "identity":
         return True
     try:
@@ -94,7 +92,7 @@ def _has_type(value, kind) -> bool:
     except ValueError:  # ragged nesting
         return False
     return (isinstance(value, list) and array.ndim == (1 if kind == _VEC else 2)
-            and array.dtype.kind in "iuf")
+            and array.dtype.kind in "iuf" and np.isfinite(array).all())
 
 
 def _known_keys(cfg, allowed, prefix: str = "", required=()) -> dict:
@@ -136,13 +134,24 @@ def _check_problem(problem) -> None:
                 f"unsupported law at problem.{name}.type: {kind!r}")
         allowed, required = _LAW_KEYS[kind]
         _known_keys(law, allowed, f"problem.{name}.", required)
+        # each length of the law's vectors and matrices, or its ball's dim
+        n_key = "n_x" if name == "prior" else "n_y"
+        for key in ("dim", "mean", "cov_eigenvalues", "cov_basis"):
+            if key in law and set(np.shape(law[key]) or (law[key],)) \
+                    != {forward[n_key]}:
+                raise ConfigurationError(
+                    f"config problem.{name}.{key} does not fit "
+                    f"problem.forward.{n_key} = {forward[n_key]}")
 
 
 def _check_theta_length(family: dict, param_class: dict, n_x: int) -> None:
     """``param_class.dim`` must be the length of the family's theta."""
-    expected = theta_length(family.get("kind"), n_x,
+    expected = theta_length(family["kind"], n_x,
                             family.get("structure", "full"))
-    if expected is not None and param_class["dim"] != expected:
+    if expected is None:  # the kind is known, so the structure is not
+        raise ConfigurationError(
+            f"unknown structure at family.structure: {family['structure']!r}")
+    if param_class["dim"] != expected:
         raise ConfigurationError(
             f"config param_class.dim is {param_class['dim']}, but the "
             f"family's theta has length {expected}")
@@ -178,11 +187,7 @@ class ExperimentConfig:
     proxy_m: int
     n_mc: int
     master_seed: int
-    erm_tol: float = 1e-8
-    recon_tol: float = 1e-10
-    n_starts: int = 8
-    max_iter: int = 500
-    raw: dict = field(default_factory=dict)
+    raw: dict  # the config as read; its digest identifies a run
 
     def __post_init__(self):
         mg = tuple(int(m) for m in self.m_grid)
@@ -198,39 +203,22 @@ class ExperimentConfig:
 
     @property
     def digest(self) -> int:
-        return fnv1a64(canonical_json(self.raw or self.to_dict()))
-
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "family": self.family_spec,
-            "param_class": self.param_class.to_dict(),
-            "m_grid": list(self.m_grid),
-            "trials_per_m": self.trials_per_m,
-            "proxy_m": self.proxy_m,
-            "n_mc": self.n_mc,
-            "master_seed": self.master_seed,
-            "tolerances": {"erm_tol": self.erm_tol, "recon_tol": self.recon_tol},
-            "erm": {"n_starts": self.n_starts, "max_iter": self.max_iter},
-        }
+        return fnv1a64(canonical_json(self.raw))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _known_keys(d, _TOP_KEYS, required=_REQUIRED_KEYS)
-        tol = _known_keys(d.get("tolerances", {}), _TOLERANCE_KEYS,
-                          "tolerances.")
-        erm = _known_keys(d.get("erm", {}), _ERM_KEYS, "erm.")
         read_bounds(d)
         _check_problem(d["problem"])
+        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
+                    ("kind", "dim"))
         family = _known_keys(d["family"], None, "family.")
         kind = family.get("kind")
         if isinstance(kind, str) and kind in _FAMILY_KEYS:
             # an unknown kind is reported by ``build_family``
             _known_keys(family, _FAMILY_KEYS[kind], "family.")
-        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
-                    ("kind", "dim"))
-        _check_theta_length(family, d["param_class"],
-                            d["problem"]["forward"]["n_x"])
+            _check_theta_length(family, d["param_class"],
+                                d["problem"]["forward"]["n_x"])
         return cls(
             problem=ProblemDistribution.from_dict(d["problem"]),
             family_spec=dict(family),
@@ -240,28 +228,22 @@ class ExperimentConfig:
             proxy_m=int(d["proxy_m"]),
             n_mc=int(d["n_mc"]),
             master_seed=int(d["master_seed"]),
-            erm_tol=float(tol.get("erm_tol", 1e-8)),
-            recon_tol=float(tol.get("recon_tol", 1e-10)),
-            n_starts=int(erm.get("n_starts", 8)),
-            max_iter=int(erm.get("max_iter", 500)),
             raw=d,
         )
 
 
 def build_family(cfg: ExperimentConfig):
-    spec = cfg.family_spec
-    kind = spec.get("kind")
+    """The configured family; ``from_dict`` has checked the keys of
+    ``family`` against its kind, and the constructors hold the defaults."""
+    kind = cfg.family_spec.get("kind")
+    params = {k: v for k, v in cfg.family_spec.items() if k != "kind"}
     op = cfg.problem.forward
     if kind == "tikhonov":
-        return TikhonovFamily(op, cfg.problem.noise,
-                              structure=spec.get("structure", "full"))
+        return TikhonovFamily(op, cfg.problem.noise, **params)
     if kind == "elastic_net":
-        return ElasticNetFamily(op, alpha=spec.get("alpha", 1.0),
-                                eta=spec.get("eta", 0.5),
-                                structure=spec.get("structure", "full"))
+        return ElasticNetFamily(op, **params)
     if kind == "fixed_point":
-        return FixedPointFamily(op, contraction_budget=spec.get(
-            "contraction_budget", 0.5))
+        return FixedPointFamily(op, **params)
     raise ConfigurationError(f"unknown family kind at family.kind: {kind!r}")
 
 
@@ -351,8 +333,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
     family = build_family(cfg)
     pclass = cfg.param_class
-    opts = ErmOptions(tol=cfg.erm_tol, n_starts=cfg.n_starts,
-                      max_iter=cfg.max_iter, seed=derived_seed(cfg.master_seed, 7))
+    opts = ErmOptions(seed=derived_seed(cfg.master_seed, 7))
     theta_star = optimal_target_proxy(
         pclass, family, cfg.problem, cfg.proxy_m,
         derived_seed(cfg.master_seed, 11), opts, n_check_mc=cfg.n_mc)
@@ -366,9 +347,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     def run_trial(m, t):
         seed = derived_seed(cfg.master_seed, m, t)
         ts = draw_training_set(cfg.problem, m, seed)
-        t_opts = ErmOptions(tol=cfg.erm_tol, n_starts=cfg.n_starts,
-                            max_iter=cfg.max_iter,
-                            seed=derived_seed(cfg.master_seed, 1, m, t))
+        t_opts = ErmOptions(seed=derived_seed(cfg.master_seed, 1, m, t))
         try:
             res = erm_solve(pclass, family, ts, t_opts)
         except ConvergenceError:
@@ -517,9 +496,8 @@ def run_verification_suite(cfg: ExperimentConfig,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             norm = orlicz_norm(v, q)
-        tails = tail_check(v, norm * 1.05, q)
         record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
-               and tails.passed, q=q, norm=norm)
+               and tail_check(v, norm * 1.05, q), q=q, norm=norm)
 
     pclass = cfg.param_class
     rng_p = substream(cfg.master_seed, 502)
@@ -531,8 +509,7 @@ def run_verification_suite(cfg: ExperimentConfig,
             pairs.append((a, b))
     probe_ys = list(dist.sample(rng_p, PROBE_YS)[1])
     try:
-        cert = certify_stability(family, pclass, probe_ys, pairs,
-                                 tol=cfg.recon_tol)
+        cert = certify_stability(family, pclass, probe_ys, pairs)
         record("stability_certificate",
                np.isfinite([cert.L_R, cert.Lp_R, cert.M_R, cert.Mp_R]).all(),
                certificate=cert.to_dict())

@@ -99,12 +99,6 @@ class ParamClass:
         z = self.project(z * self.radius / max(np.linalg.norm(z), 1e-300))
         return z * rng.random() ** (1.0 / self.dim)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "dim": self.dim, "radius": self.radius}
-        if self.smoothness is not None:
-            d["smoothness"] = self.smoothness
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ParamClass":
         return cls(kind=d["kind"], dim=int(d["dim"]),

@@ -9,7 +9,6 @@ reconstruction in this package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,27 +142,9 @@ class ForwardOperator:
             v = w / nw
         return float(np.sqrt(np.dot(v, self.adjoint_apply(self.apply(v)))))
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        if self.left_basis is None and self.right_basis is None:
-            basis = "identity"
-        else:
-            basis = {
-                "left": (self.left_basis.tolist()
-                         if self.left_basis is not None else "identity"),
-                "right": (self.right_basis.tolist()
-                          if self.right_basis is not None else "identity"),
-            }
-        return json.dumps({
-            "n_x": self.n_x, "n_y": self.n_y,
-            "singular_values": self.singular_values.tolist(),
-            "basis": basis,
-        })
-
     @classmethod
-    def from_json(cls, text: str) -> "ForwardOperator":
-        d = json.loads(text) if isinstance(text, str) else text
+    def from_dict(cls, d: dict) -> "ForwardOperator":
+        """From a config's ``problem.forward`` object."""
         basis = d.get("basis", "identity")
         left = right = None
         if basis != "identity":
@@ -232,13 +213,6 @@ class GaussianSpec:
             z = z @ self.covariance_basis.T
         z += self.mean
         return z
-
-    def to_dict(self) -> dict:
-        d = {"type": "gaussian", "mean": self.mean.tolist(),
-             "cov_eigenvalues": self.covariance_eigenvalues.tolist()}
-        if self.covariance_basis is not None:
-            d["cov_basis"] = self.covariance_basis.tolist()
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianSpec":

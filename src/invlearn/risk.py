@@ -18,6 +18,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .stochastics import ProblemDistribution, TrainingSet, substream
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
+ERM_TOL = 1e-8  # projected-gradient residual at which an ERM start has converged
 
 
 def _losses(R, X) -> np.ndarray:
@@ -66,7 +67,6 @@ def expected_loss_mc(dist: ProblemDistribution, theta, family,
 
 @dataclass(frozen=True)
 class ErmOptions:
-    tol: float = 1e-8
     max_iter: int = 500
     n_starts: int = 8
     seed: int = 0
@@ -121,7 +121,7 @@ def _projected_gradient(theta0, risk, grad, pclass, opts):
         g = grad(theta)
         # projected-gradient residual at unit reference step
         residual = float(np.linalg.norm(theta - pclass.project(theta - g)))
-        if residual <= opts.tol:
+        if residual <= ERM_TOL:
             break
         step = min(step * 2.0, 1e8)
         while True:
@@ -161,7 +161,7 @@ def erm_solve(pclass, family, ts: TrainingSet,
             best = cand
     f, theta_t, residual = best
     return ErmResult(theta=np.asarray(theta_t), objective=f,
-                     residual=residual, converged=residual <= opts.tol)
+                     residual=residual, converged=residual <= ERM_TOL)
 
 
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,

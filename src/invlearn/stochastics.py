@@ -8,7 +8,6 @@ trial draws the same numbers however the trials are ordered.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -40,24 +39,16 @@ class BoundedSpec:
 
     dim: int
     radius: float
-    mean_is_zero = True
 
     def __post_init__(self):
         if self.radius <= 0 or self.dim < 1:
             raise ConfigurationError("radius and dimension must be positive")
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         u = rng.random(size) ** (1.0 / self.dim)
         return self.radius * z * u[:, None]
-
-    def to_dict(self) -> dict:
-        return {"type": "uniform_ball", "dim": self.dim, "radius": self.radius}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundedSpec":
@@ -100,18 +91,11 @@ class ProblemDistribution:
         y += eps
         return x, y
 
-    def to_dict(self) -> dict:
-        d = {"prior": self.prior.to_dict(), "noise": self.noise.to_dict(),
-             "forward": json.loads(self.forward.to_json())}
-        if self.delta is not None:
-            d["delta"] = self.delta
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemDistribution":
         return cls(prior=prior_from_dict(d["prior"]),
                    noise=GaussianSpec.from_dict(d["noise"]),
-                   forward=ForwardOperator.from_json(d["forward"]),
+                   forward=ForwardOperator.from_dict(d["forward"]),
                    delta=d.get("delta"))
 
 
@@ -194,17 +178,8 @@ def orlicz_norm(samples, q: int) -> float:
     return float(hi)
 
 
-@dataclass(frozen=True)
-class TailCheckReport:
-    passed: bool
-    t_grid: np.ndarray
-    survival: np.ndarray
-    bound: np.ndarray
-    point_pass: np.ndarray
-
-
-def tail_check(samples, K: float, q: int) -> TailCheckReport:
-    """Check the empirical survival function against 2 exp(-t^q/K^q).
+def tail_check(samples, K: float, q: int) -> bool:
+    """Whether the empirical survival function passes 2 exp(-t^q/K^q).
 
     The ``TAIL_GRID`` thresholds cover the 50th-99.9th percentiles of |W|.
     At each point the observed exceedance count is allowed up to the
@@ -220,14 +195,10 @@ def tail_check(samples, K: float, q: int) -> TailCheckReport:
         raise ConfigurationError("q must be 1 or 2")
     pct = np.linspace(50.0, 99.9, TAIL_GRID)
     t_grid = np.percentile(w, pct)
-    n = w.size
-    survival = np.array([(w > t).sum() for t in t_grid], dtype=float)
+    exceedances = np.array([(w > t).sum() for t in t_grid], dtype=float)
     p_bound = np.minimum(1.0, 2.0 * np.exp(-(t_grid / K) ** q))
-    allowed = _binom_ppf(TAIL_CONFIDENCE, n, p_bound)
-    point_pass = survival <= allowed
-    return TailCheckReport(passed=bool(point_pass.all()), t_grid=t_grid,
-                           survival=survival / n, bound=p_bound,
-                           point_pass=point_pass)
+    return bool(np.all(
+        exceedances <= _binom_ppf(TAIL_CONFIDENCE, w.size, p_bound)))
 
 
 def _binom_ppf(q: float, n: int, p: np.ndarray) -> np.ndarray:
@@ -253,11 +224,9 @@ def _binom_ppf(q: float, n: int, p: np.ndarray) -> np.ndarray:
 class ContractionTable:
     """psi_q norm of m-sample empirical averages, per m, plus log-log slope."""
 
-    q: int
     m_grid: np.ndarray
     k_hat: np.ndarray
     slope: float
-    warnings: tuple = ()
 
 
 def empirical_average_contraction(sampler, q: int, m_grid, trials: int,
@@ -292,5 +261,4 @@ def empirical_average_contraction(sampler, q: int, m_grid, trials: int,
         slope = float(np.polyfit(np.log(m_grid[mask]), np.log(k_hat[mask]), 1)[0])
     if notes:
         warnings.warn("; ".join(notes), stacklevel=2)
-    return ContractionTable(q=q, m_grid=m_grid, k_hat=k_hat, slope=slope,
-                            warnings=tuple(notes))
+    return ContractionTable(m_grid=m_grid, k_hat=k_hat, slope=slope)

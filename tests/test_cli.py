@@ -42,6 +42,17 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert len(lines) == 21
 
 
+def test_generate_m_zero_is_not_the_default(tmp_path, capsys):
+    # --m 0 is a given value, rejected like --m -3, not read as "absent"
+    cfg = write_config(tmp_path)
+    for m in ("0", "-3"):
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "generate", "--m", m])
+        assert rc == 2
+        assert "training set size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "training_set.csv").exists()
+
+
 def test_erm_prints_fit(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["--config", str(cfg), "erm", "--m", "500"])
@@ -215,10 +226,30 @@ SCHEMA_CASES = {
     "singular values a string": (_edit("problem.forward.singular_values",
                                        "abc"),
                                  "problem.forward.singular_values"),
-    "erm_tol a string": (_edit("tolerances", {"erm_tol": "x"}),
-                         "tolerances.erm_tol"),
     "left basis a string": (_edit("problem.forward.basis", {"left": "weird"}),
                             "problem.forward.basis.left"),
+    # removed settings
+    "tolerances section": (_edit("tolerances", {"erm_tol": 1e-6}),
+                           "tolerances"),
+    "erm section": (_edit("erm", {"n_starts": 2}), "erm"),
+    # values JSON admits but no computation can use
+    "radius NaN": (_edit("param_class.radius", float("nan")),
+                   "param_class.radius"),
+    "radius Infinity": (_edit("param_class.radius", float("inf")),
+                        "param_class.radius"),
+    "singular value NaN": (_edit("problem.forward.singular_values",
+                                 [float("nan")]),
+                           "problem.forward.singular_values"),
+    "prior mean NaN": (_edit("problem.prior.mean", [float("nan")]),
+                       "problem.prior.mean"),
+    "unknown structure": (_edit("family.structure", "weird"),
+                          "family.structure"),
+    "noise longer than n_y": (_edit("problem.noise.mean", [0.0, 0.0]),
+                              "problem.noise.mean"),
+    "prior dim other than n_x": (_edit("problem.prior",
+                                       {"type": "uniform_ball", "dim": 2,
+                                        "radius": 1.0}),
+                                 "problem.prior.dim"),
 }
 # ``invlearn bounds`` reads only m_grid, bounds and param_class.dim
 BOUNDS_CASES = ("m_grid a string", "bounds key typo",

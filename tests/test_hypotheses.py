@@ -52,11 +52,6 @@ def test_param_class_singleton():
     assert pc.contains([0.0, 0.0])
 
 
-def test_param_class_round_trip():
-    pc = ParamClass(kind="sobolev_ball", dim=3, radius=1.0, smoothness=1.5)
-    assert ParamClass.from_dict(pc.to_dict()) == pc
-
-
 # -- Tikhonov --------------------------------------------------------------
 
 def test_tikhonov_no_regularization():
