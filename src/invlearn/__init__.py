@@ -15,7 +15,7 @@ from .risk import (ErmOptions, ErmResult, empirical_risk, erm_solve,
                    expected_loss_mc, optimal_target_proxy)
 from .bounds import (BoundInputs, CoveringModel, RatePrediction, chaining_bound,
                      covering_ball, covering_bound, covering_sobolev_log,
-                     greedy_cover, hoeffding_tail, predicted_exponent)
+                     greedy_cover, predicted_exponent)
 from .experiment import (ExperimentConfig, RateFit, bound_domination_check,
                          run_rate_experiment, run_verification_suite)
 

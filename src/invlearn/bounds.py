@@ -101,13 +101,13 @@ class CoveringModel:
 # Bound evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundInputs:
-    K: float          # Orlicz constant of the loss (or its increments)
-    M_ell: float      # expectation bound on the stability envelope
-    q: int
-    alpha: float
     m: int
+    K: float = 1.0    # Orlicz constant of the loss (or its increments)
+    M_ell: float = 1.0  # expectation bound on the stability envelope
+    q: int = 1
+    alpha: float = 1.0
     D: float = 1.0
     C: float = 1.0    # absolute constants, unspecified in theory
     C1: float = 1.0
@@ -260,15 +260,3 @@ def predicted_exponent(class_kind: str, alpha: float, q: int, s_or_d,
         return RatePrediction(method, -0.5 * alpha**2 * s * q,
                               "sub-saturation", "")
     raise ConfigurationError(f"unknown class kind {class_kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Concentration tails for finite classes
-# ---------------------------------------------------------------------------
-
-def hoeffding_tail(rho: float, m: int, K: float) -> float:
-    """Two-sided Hoeffding tail 2 exp(-2 m rho^2 / K^2) for an m-average of
-    K-bounded variables."""
-    if rho <= 0 or m < 1 or K <= 0:
-        raise ConfigurationError("rho > 0, m >= 1, K > 0 required")
-    return 2.0 * math.exp(-2.0 * m * rho**2 / K**2)

@@ -15,8 +15,8 @@ from numpy.linalg import LinAlgError
 
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, InvlearnError
-from .experiment import (ExperimentConfig, read_bounds, read_m_grid,
-                         run_rate_experiment, run_verification_suite)
+from .experiment import (ExperimentConfig, read_bounds, run_rate_experiment,
+                         run_verification_suite)
 from .risk import ErmOptions, erm_solve, expected_loss_mc
 from .stochastics import draw_training_set
 
@@ -95,24 +95,11 @@ def cmd_rates(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    raw = _load_config(args.config)
-    if "m_grid" not in raw:
-        raise ConfigurationError("m_grid required")
-    m_grid = read_m_grid(raw["m_grid"])
-    spec = read_bounds(raw)
-    try:
-        cov = bounds_mod.CoveringModel(**spec["model"])
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"invalid bounds.model: {exc}") from exc
+    inputs_per_m, cov = read_bounds(_load_config(args.config))
     out = []
-    for m in m_grid:
-        inputs = bounds_mod.BoundInputs(
-            K=spec.get("K", 1.0), M_ell=spec.get("M_ell", 1.0),
-            q=spec.get("q", 1), alpha=spec.get("alpha", 1.0), m=int(m),
-            D=spec.get("D", 1.0), C=spec.get("C", 1.0),
-            C1=spec.get("C1", 1.0), C2=spec.get("C2", 1.0))
+    for inputs in inputs_per_m:
         curve = bounds_mod.covering_bound(inputs, cov, r=inputs.D)
-        entry = {"m": int(m), "inputs": {
+        entry = {"m": inputs.m, "inputs": {
                      "K": inputs.K, "M_ell": inputs.M_ell, "q": inputs.q,
                      "alpha": inputs.alpha, "D": inputs.D},
                  **curve.to_dict()}

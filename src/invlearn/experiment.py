@@ -21,6 +21,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses,
                          theta_length)
+from .operators import ForwardOperator, GaussianSpec
 from .risk import (ErmOptions, erm_solve, expected_loss_mc,
                    optimal_target_proxy, _batch_losses)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
@@ -63,10 +64,13 @@ _FAMILY_KEYS = {"tikhonov": {"kind": None, "structure": _STR},
                 "elastic_net": {"kind": None, "alpha": _NUM, "eta": _NUM,
                                 "structure": _STR},
                 "fixed_point": {"kind": None, "contraction_budget": _NUM}}
+_FAMILIES = {cls.kind: cls for cls in (TikhonovFamily, ElasticNetFamily,
+                                        FixedPointFamily)}
 _PARAM_CLASS_KEYS = {"kind": None, "dim": _INT, "radius": _NUM,
                      "smoothness": _NUM}
 _BOUNDS_KEYS = {"model": None, **dict.fromkeys(
     ("K", "M_ell", "q", "alpha", "D", "C", "C1", "C2"), _NUM)}
+_MODEL_KEYS = {"kind": None, "d": _INT, "D": _NUM, "s": _NUM, "c": _NUM}
 _PROBLEM_KEYS = {"forward": None, "prior": None, "noise": None,
                  "delta": _NUM}
 _FORWARD_KEYS = {"n_x": _INT, "n_y": _INT, "singular_values": _VEC,
@@ -117,14 +121,31 @@ def _known_keys(cfg, allowed, prefix: str = "", required=()) -> dict:
     return cfg
 
 
-def _check_problem(problem) -> None:
+def _build(path: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, the object at config ``path``; the range
+    checks are the constructor's, and its errors are re-raised naming
+    ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config {path}: {exc}") from exc
+
+
+def _read_problem(problem) -> ProblemDistribution:
     _known_keys(problem, _PROBLEM_KEYS, "problem.",
                 ("forward", "prior", "noise"))
     forward = _known_keys(problem["forward"], _FORWARD_KEYS,
                           "problem.forward.", ("n_x", "n_y", "singular_values"))
-    if forward.get("basis", "identity") != "identity":
-        _known_keys(forward["basis"], {"left": _BASIS, "right": _BASIS},
-                    "problem.forward.basis.")
+    basis = forward.get("basis", "identity")
+    basis = _known_keys({} if basis == "identity" else basis,
+                        {"left": _BASIS, "right": _BASIS},
+                        "problem.forward.basis.")
+    left, right = (None if basis.get(side, "identity") == "identity"
+                   else basis[side] for side in ("left", "right"))
+    op = _build("problem.forward", ForwardOperator, n_x=forward["n_x"],
+                n_y=forward["n_y"], singular_values=forward["singular_values"],
+                left_basis=left, right_basis=right)
+    laws = {}
     for name, kinds in (("prior", ("gaussian", "uniform_ball")),
                         ("noise", ("gaussian",))):
         law = _known_keys(problem[name], None, f"problem.{name}.")
@@ -142,39 +163,63 @@ def _check_problem(problem) -> None:
                 raise ConfigurationError(
                     f"config problem.{name}.{key} does not fit "
                     f"problem.forward.{n_key} = {forward[n_key]}")
+        if kind == "gaussian":
+            laws[name] = _build(f"problem.{name}", GaussianSpec,
+                                mean=law["mean"],
+                                covariance_eigenvalues=law["cov_eigenvalues"],
+                                covariance_basis=law.get("cov_basis"))
+        else:
+            laws[name] = _build(f"problem.{name}", BoundedSpec,
+                                dim=law["dim"], radius=law["radius"])
+    return _build("problem", ProblemDistribution, forward=op,
+                  delta=problem.get("delta"), **laws)
 
 
-def _check_theta_length(family: dict, param_class: dict, n_x: int) -> None:
+def _check_theta_length(family: dict, param_class: ParamClass,
+                        n_x: int) -> None:
     """``param_class.dim`` must be the length of the family's theta."""
     expected = theta_length(family["kind"], n_x,
                             family.get("structure", "full"))
     if expected is None:  # the kind is known, so the structure is not
         raise ConfigurationError(
             f"unknown structure at family.structure: {family['structure']!r}")
-    if param_class["dim"] != expected:
+    if param_class.dim != expected:
         raise ConfigurationError(
-            f"config param_class.dim is {param_class['dim']}, but the "
+            f"config param_class.dim is {param_class.dim}, but the "
             f"family's theta has length {expected}")
 
 
 def read_m_grid(value) -> tuple:
-    """The ``m_grid`` config value, checked to be a JSON list of integers."""
+    """The ``m_grid`` config value, checked to be a JSON list of positive
+    integers."""
     if not isinstance(value, list) or not all(
-            isinstance(m, int) and not isinstance(m, bool) for m in value):
-        raise ConfigurationError("config m_grid must be a list of integers")
+            isinstance(m, int) and not isinstance(m, bool) and m >= 1
+            for m in value):
+        raise ConfigurationError(
+            "config m_grid must be a list of positive integers")
     return tuple(value)
 
 
-def read_bounds(raw: dict) -> dict:
-    """The optional ``bounds`` object of a config, with its keys checked;
-    ``model`` defaults to the Euclidean ball of dimension ``param_class.dim``."""
+def read_bounds(raw) -> tuple:
+    """The bound inputs at each m of ``m_grid`` and the covering model, from
+    a config's optional ``bounds`` object; ``model`` defaults to the
+    Euclidean ball of dimension ``param_class.dim``."""
+    _known_keys(raw, _TOP_KEYS)
+    if "m_grid" not in raw:
+        raise ConfigurationError("m_grid required")
+    m_grid = read_m_grid(raw["m_grid"])
     spec = _known_keys(raw.get("bounds", {}), _BOUNDS_KEYS, "bounds.")
     if "model" in spec:
-        return spec
-    pclass = _known_keys(raw.get("param_class", {}), _PARAM_CLASS_KEYS,
-                         "param_class.")
-    return {**spec, "model": {"kind": "euclidean_ball",
-                              "d": pclass.get("dim", 1), "D": 1.0}}
+        model = _known_keys(spec["model"], _MODEL_KEYS, "bounds.model.",
+                            ("kind",))
+    else:
+        pclass = _known_keys(raw.get("param_class", {}), _PARAM_CLASS_KEYS,
+                             "param_class.")
+        model = {"kind": "euclidean_ball", "d": pclass.get("dim", 1)}
+    cov = _build("bounds.model", bounds_mod.CoveringModel, **model)
+    constants = {k: v for k, v in spec.items() if k != "model"}
+    return [_build("bounds", bounds_mod.BoundInputs, m=m, **constants)
+            for m in m_grid], cov
 
 
 @dataclass(frozen=True)
@@ -190,8 +235,7 @@ class ExperimentConfig:
     raw: dict  # the config as read; its digest identifies a run
 
     def __post_init__(self):
-        mg = tuple(int(m) for m in self.m_grid)
-        object.__setattr__(self, "m_grid", mg)
+        mg = self.m_grid  # a tuple of integers, from ``read_m_grid``
         if any(b <= a for a, b in zip(mg, mg[1:])) or not mg:
             raise ConfigurationError("m_grid must be non-empty, strictly increasing")
         if self.trials_per_m < 1:
@@ -207,44 +251,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The one reader of the config format: each object's keys and
+        value types are checked, and the object is built on the spot."""
         _known_keys(d, _TOP_KEYS, required=_REQUIRED_KEYS)
         read_bounds(d)
-        _check_problem(d["problem"])
-        _known_keys(d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
-                    ("kind", "dim"))
+        problem = _read_problem(d["problem"])
+        param_class = _build("param_class", ParamClass, **_known_keys(
+            d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
+            ("kind", "dim")))
         family = _known_keys(d["family"], None, "family.")
         kind = family.get("kind")
         if isinstance(kind, str) and kind in _FAMILY_KEYS:
             # an unknown kind is reported by ``build_family``
             _known_keys(family, _FAMILY_KEYS[kind], "family.")
-            _check_theta_length(family, d["param_class"],
-                                d["problem"]["forward"]["n_x"])
-        return cls(
-            problem=ProblemDistribution.from_dict(d["problem"]),
-            family_spec=dict(family),
-            param_class=ParamClass.from_dict(d["param_class"]),
-            m_grid=read_m_grid(d["m_grid"]),
-            trials_per_m=int(d["trials_per_m"]),
-            proxy_m=int(d["proxy_m"]),
-            n_mc=int(d["n_mc"]),
-            master_seed=int(d["master_seed"]),
-            raw=d,
-        )
+            _check_theta_length(family, param_class, problem.forward.n_x)
+        return cls(problem=problem, family_spec=dict(family),
+                   param_class=param_class, m_grid=read_m_grid(d["m_grid"]),
+                   trials_per_m=d["trials_per_m"], proxy_m=d["proxy_m"],
+                   n_mc=d["n_mc"], master_seed=d["master_seed"], raw=d)
 
 
 def build_family(cfg: ExperimentConfig):
     """The configured family; ``from_dict`` has checked the keys of
     ``family`` against its kind, and the constructors hold the defaults."""
-    kind = cfg.family_spec.get("kind")
-    params = {k: v for k, v in cfg.family_spec.items() if k != "kind"}
-    op = cfg.problem.forward
+    params = dict(cfg.family_spec)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ConfigurationError(
+            f"unknown family kind at family.kind: {kind!r}")
     if kind == "tikhonov":
-        return TikhonovFamily(op, cfg.problem.noise, **params)
-    if kind == "elastic_net":
-        return ElasticNetFamily(op, **params)
-    if kind == "fixed_point":
-        return FixedPointFamily(op, **params)
-    raise ConfigurationError(f"unknown family kind at family.kind: {kind!r}")
+        params["noise"] = cfg.problem.noise
+    return _build("family", _FAMILIES[kind], cfg.problem.forward, **params)
 
 
 def q_route(problem: ProblemDistribution) -> int:
@@ -507,7 +544,7 @@ def run_verification_suite(cfg: ExperimentConfig,
         b = pclass.sample(rng_p)
         if np.any(a != b):
             pairs.append((a, b))
-    probe_ys = list(dist.sample(rng_p, PROBE_YS)[1])
+    probe_xs, probe_ys = map(list, dist.sample(rng_p, PROBE_YS))
     try:
         cert = certify_stability(family, pclass, probe_ys, pairs)
         record("stability_certificate",
@@ -519,7 +556,7 @@ def run_verification_suite(cfg: ExperimentConfig,
     if family.kind == "elastic_net":
         theta0 = pclass.sample(substream(cfg.master_seed, 503))
         p = family.unpack(theta0)
-        g_rep = check_g_hypotheses(p.B, p.h, family.alpha, probe_ys)
+        g_rep = check_g_hypotheses(p.B, p.h, family.alpha, probe_xs)
         ok = g_rep.nonnegative and np.isfinite(g_rep.M_g) and \
             (g_rep.convex_midpoint_ok is not False)
         record("penalty_hypotheses", ok, alpha=family.alpha,

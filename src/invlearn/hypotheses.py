@@ -99,12 +99,6 @@ class ParamClass:
         z = self.project(z * self.radius / max(np.linalg.norm(z), 1e-300))
         return z * rng.random() ** (1.0 / self.dim)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParamClass":
-        return cls(kind=d["kind"], dim=int(d["dim"]),
-                   radius=float(d.get("radius", 1.0)),
-                   smoothness=d.get("smoothness"))
-
 
 # ---------------------------------------------------------------------------
 # Parameter containers and single-shot reconstruction operations
@@ -621,30 +615,32 @@ class GHypothesesReport:
 
     alpha: float
     nonnegative: bool
-    M_g: float  # g at y = 0
+    M_g: float  # g at x = 0
     holder_constant: float | None
     convex_midpoint_ok: bool | None
     convexity_checked: bool
 
 
-def check_g_hypotheses(B, h, alpha: float, probe_ys,
+def check_g_hypotheses(B, h, alpha: float, probe_xs,
                        probe_pairs=None) -> GHypothesesReport:
-    """Verify sign, boundedness at 0, Holder-in-theta, and convexity probes.
+    """Verify sign, boundedness at 0, Holder-in-theta, and convexity probes
+    of the penalty g(x) = ||B x - h||^{2 alpha} on the probe points x.
 
     ``probe_pairs`` defaults to 16 random perturbations of (h, B) of scale
     0.1, drawn from a fixed seed.  Convexity (midpoint inequality) is only
     asserted for alpha = 1; for alpha < 1 the penalty need not be convex and
     the report marks the check as skipped.
     """
-    if not len(probe_ys):
+    if not len(probe_xs):
         raise ConfigurationError("probe set must be non-empty")
     B = np.asarray(B, dtype=float)
     h = np.asarray(h, dtype=float)
 
-    def g(Bm, hv, y):
-        return float(np.linalg.norm(Bm @ y - hv) ** (2 * alpha))
+    def g(Bm, hv, x):
+        return float(np.linalg.norm(Bm @ x - hv) ** (2 * alpha))
 
-    vals = [g(B, h, np.asarray(y, float)) for y in probe_ys]
+    xs = [np.asarray(x, float) for x in probe_xs]
+    vals = [g(B, h, x) for x in xs]
     nonneg = all(v >= 0 for v in vals)
     g0 = g(B, h, np.zeros(h.size))
 
@@ -660,21 +656,19 @@ def check_g_hypotheses(B, h, alpha: float, probe_ys,
         d = np.linalg.norm(h - h2) + np.linalg.norm(B - np.asarray(B2), 2)
         if d <= 0:
             continue
-        for y in probe_ys:
-            y = np.asarray(y, float)
-            ny = np.linalg.norm(y)
-            if ny <= 0:
+        for x in xs:
+            nx = np.linalg.norm(x)
+            if nx <= 0:
                 continue
-            diff = abs(g(B, h, y) - g(np.asarray(B2, float),
-                                      np.asarray(h2, float), y))
-            c_g = max(c_g, diff / (ny**2 * d ** (2 * alpha)))
+            diff = abs(g(B, h, x) - g(np.asarray(B2, float),
+                                      np.asarray(h2, float), x))
+            c_g = max(c_g, diff / (nx**2 * d ** (2 * alpha)))
 
     convex_ok = None
     if alpha == 1.0:
-        ys = [np.asarray(y, float) for y in probe_ys]
         convex_ok = not any(
             g(B, h, 0.5 * (a + b)) > 0.5 * (g(B, h, a) + g(B, h, b)) + 1e-10
-            for a, b in combinations(ys, 2))
+            for a, b in combinations(xs, 2))
     return GHypothesesReport(alpha=alpha, nonnegative=nonneg, M_g=g0,
                              holder_constant=c_g,
                              convex_midpoint_ok=convex_ok,

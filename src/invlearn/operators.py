@@ -129,33 +129,6 @@ class ForwardOperator:
             np.eye(self.n_x, self.rank)
         return (U * self.singular_values) @ V.T
 
-    def operator_norm_power_iteration(self, iters=200, seed=0) -> float:
-        """Largest singular value via power iteration on A*A (cross-check)."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.n_x)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            w = self.adjoint_apply(self.apply(v))
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return 0.0
-            v = w / nw
-        return float(np.sqrt(np.dot(v, self.adjoint_apply(self.apply(v)))))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForwardOperator":
-        """From a config's ``problem.forward`` object."""
-        basis = d.get("basis", "identity")
-        left = right = None
-        if basis != "identity":
-            if basis.get("left", "identity") != "identity":
-                left = np.asarray(basis["left"], dtype=float)
-            if basis.get("right", "identity") != "identity":
-                right = np.asarray(basis["right"], dtype=float)
-        return cls(n_x=int(d["n_x"]), n_y=int(d["n_y"]),
-                   singular_values=np.asarray(d["singular_values"], float),
-                   left_basis=left, right_basis=right)
-
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -213,13 +186,6 @@ class GaussianSpec:
             z = z @ self.covariance_basis.T
         z += self.mean
         return z
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianSpec":
-        basis = d.get("cov_basis")
-        return cls(mean=np.asarray(d["mean"], float),
-                   covariance_eigenvalues=np.asarray(d["cov_eigenvalues"], float),
-                   covariance_basis=None if basis is None else np.asarray(basis, float))
 
 
 @dataclass(frozen=True)

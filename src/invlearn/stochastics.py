@@ -50,18 +50,6 @@ class BoundedSpec:
         u = rng.random(size) ** (1.0 / self.dim)
         return self.radius * z * u[:, None]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundedSpec":
-        return cls(dim=int(d["dim"]), radius=float(d["radius"]))
-
-
-def prior_from_dict(d: dict):
-    if d.get("type", "gaussian") == "gaussian":
-        return GaussianSpec.from_dict(d)
-    if d["type"] == "uniform_ball":
-        return BoundedSpec.from_dict(d)
-    raise ConfigurationError(f"unknown prior type {d.get('type')!r}")
-
 
 @dataclass(frozen=True)
 class ProblemDistribution:
@@ -90,13 +78,6 @@ class ProblemDistribution:
         y = self.forward.apply(x)
         y += eps
         return x, y
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemDistribution":
-        return cls(prior=prior_from_dict(d["prior"]),
-                   noise=GaussianSpec.from_dict(d["noise"]),
-                   forward=ForwardOperator.from_dict(d["forward"]),
-                   delta=d.get("delta"))
 
 
 @dataclass(frozen=True)

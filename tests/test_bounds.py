@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from invlearn import (BoundInputs, CoveringModel, chaining_bound,
                       covering_ball, covering_bound, covering_sobolev_log,
-                      greedy_cover, hoeffding_tail, predicted_exponent)
+                      greedy_cover, predicted_exponent)
 from invlearn.bounds import entropy_integral
 from invlearn.errors import ConfigurationError
 
@@ -269,20 +269,3 @@ def test_predicted_exponent_validation():
         predicted_exponent("euclidean_ball", 1.0, 3, 2)
     with pytest.raises(ConfigurationError):
         predicted_exponent("unknown", 1.0, 1, 2)
-
-
-# -- hoeffding -------------------------------------------------------------
-
-def test_hoeffding_vanishing_tail():
-    assert hoeffding_tail(1e3, 10, 1.0) == pytest.approx(0.0, abs=1e-300)
-
-
-def test_hoeffding_direct_value():
-    assert hoeffding_tail(1.0, 1, 1.0) == pytest.approx(2 * math.exp(-2),
-                                                       rel=1e-12)
-
-
-def test_hoeffding_doubling_identity():
-    t1 = hoeffding_tail(0.3, 8, 1.0)
-    t2 = hoeffding_tail(0.3, 16, 1.0)
-    assert t2 == pytest.approx(t1**2 / 2.0, rel=1e-10)

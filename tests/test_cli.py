@@ -202,6 +202,14 @@ def _edit(path, *value):
     return mutate
 
 
+def _all(*mutations):
+    """Config mutation: each of ``mutations`` in turn."""
+    def mutate(cfg):
+        for mutation in mutations:
+            mutation(cfg)
+    return mutate
+
+
 SCHEMA_CASES = {
     "missing forward": (_edit("problem.forward"), "problem.forward"),
     "missing prior eigenvalues": (_edit("problem.prior.cov_eigenvalues"),
@@ -250,10 +258,43 @@ SCHEMA_CASES = {
                                        {"type": "uniform_ball", "dim": 2,
                                         "radius": 1.0}),
                                  "problem.prior.dim"),
+    # values of the right type that a constructor's range check rejects:
+    # the error names the config object
+    "negative prior eigenvalue": (
+        _edit("problem.prior.cov_eigenvalues", [-1.0]), "problem.prior"),
+    "negative singular value": (
+        _edit("problem.forward.singular_values", [-1.0]), "problem.forward"),
+    "non-orthonormal left basis": (
+        _edit("problem.forward.basis", {"left": [[2.0]]}), "problem.forward"),
+    "non-orthonormal prior basis": (
+        _edit("problem.prior.cov_basis", [[2.0]]), "problem.prior"),
+    "non-zero noise mean": (_edit("problem.noise.mean", [1.0]), "problem"),
+    "delta below root trace": (_edit("problem.delta", 0.5), "problem"),
+    "negative radius": (_edit("param_class.radius", -1), "param_class"),
+    "unknown class kind": (_edit("param_class.kind", "cube"), "param_class"),
+    "sobolev without smoothness": (
+        _edit("param_class", {"kind": "sobolev_ball", "dim": 1}),
+        "param_class"),
+    "alpha above 1": (
+        _edit("family", {"kind": "elastic_net", "alpha": 1.5,
+                         "structure": "scale"}), "family"),
+    "budget above 1": (
+        _all(_edit("family", {"kind": "fixed_point",
+                              "contraction_budget": 1.5}),
+             _edit("param_class.dim", 2)), "family"),
+    "bounds q 3": (_edit("bounds", {"q": 3}), "bounds"),
+    "bounds D below 1": (_edit("bounds", {"D": 0.5}), "bounds"),
+    "bounds alpha 2": (_edit("bounds", {"alpha": 2}), "bounds"),
+    "unknown model kind": (_edit("bounds", {"model": {"kind": "cube"}}),
+                           "bounds.model"),
+    "unknown model key": (
+        _edit("bounds", {"model": {"kind": "euclidean_ball", "d": 1,
+                                   "radius": 1.0}}), "bounds.model.radius"),
 }
 # ``invlearn bounds`` reads only m_grid, bounds and param_class.dim
 BOUNDS_CASES = ("m_grid a string", "bounds key typo",
-                "param_class not an object")
+                "param_class not an object", "bounds q 3", "bounds D below 1",
+                "bounds alpha 2", "unknown model kind", "unknown model key")
 
 
 @pytest.mark.parametrize("command, case", [
@@ -269,7 +310,7 @@ def test_schema_error_names_its_path(tmp_path, capsys, command, case):
                command])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
     # the whole dotted path, not a prefix of a longer one
     assert re.search(rf"(?<![\w.]){re.escape(path)}(?![\w.])", err), err
 

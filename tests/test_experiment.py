@@ -278,6 +278,23 @@ def test_verification_suite_elastic_net_penalty_checks():
     assert report["checks"]["penalty_hypotheses"]["passed"]
 
 
+def test_verification_suite_elastic_net_with_n_x_other_than_n_y():
+    # the penalty g(x) = ||B x - h||^{2 alpha} is probed at points x, which
+    # on a 2 x 3 operator have another length than the data y (alpha < 1
+    # takes the same path, at the cost of the per-sample solver)
+    problem = {
+        "forward": {"n_x": 3, "n_y": 2, "singular_values": [1.0, 0.5]},
+        "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
+        "noise": {"mean": [0.0] * 2, "cov_eigenvalues": [0.1] * 2}}
+    cfg = scalar_config(problem=problem,
+                        family={"kind": "elastic_net", "alpha": 1.0,
+                                "eta": 0.5, "structure": "diagonal"},
+                        param_class={"kind": "euclidean_ball", "dim": 6})
+    report = run_verification_suite(ExperimentConfig.from_dict(cfg),
+                                    n_samples=20_000)
+    assert report["checks"]["penalty_hypotheses"]["passed"], report
+
+
 def test_verification_suite_invalid_contraction_budget():
     # theta = (W, b) has length 2 on the scalar problem
     cfg = scalar_config(family={"kind": "fixed_point",

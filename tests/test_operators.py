@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from invlearn import ForwardOperator, GaussianSpec, mmse_affine
+from invlearn import (ExperimentConfig, ForwardOperator, GaussianSpec,
+                      mmse_affine)
 from invlearn.errors import ConfigurationError, DimensionMismatchError
 
 
@@ -128,12 +129,6 @@ def test_apply_linearity():
                        a * A.apply(x) + b * A.apply(z), atol=1e-10)
 
 
-def test_operator_norm_power_iteration():
-    A = ForwardOperator.power_decay(6, 1.5)
-    est = A.operator_norm_power_iteration()
-    assert abs(est - A.singular_values[0]) <= 1e-6 * A.singular_values[0]
-
-
 def test_irreducible_error_monotone_in_noise():
     A = ForwardOperator.diagonal([1.0, 0.5, 0.25])
     prior = GaussianSpec.iso(3, 1.0)
@@ -168,10 +163,19 @@ def test_singular_values_must_decrease():
 def test_from_dict_dense_basis():
     rng = np.random.default_rng(13)
     A = ForwardOperator.from_matrix(rng.standard_normal((5, 3)))
-    B = ForwardOperator.from_dict({
-        "n_x": 3, "n_y": 5, "singular_values": A.singular_values.tolist(),
-        "basis": {"left": A.left_basis.tolist(),
-                  "right": A.right_basis.tolist()}})
+    forward = {"n_x": 3, "n_y": 5,
+               "singular_values": A.singular_values.tolist(),
+               "basis": {"left": A.left_basis.tolist(),
+                         "right": A.right_basis.tolist()}}
+    B = ExperimentConfig.from_dict({
+        "problem": {
+            "forward": forward,
+            "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
+            "noise": {"mean": [0.0] * 5, "cov_eigenvalues": [1.0] * 5}},
+        "family": {"kind": "tikhonov", "structure": "scale"},
+        "param_class": {"kind": "euclidean_ball", "dim": 1},
+        "m_grid": [16], "trials_per_m": 1, "proxy_m": 1600, "n_mc": 100,
+        "master_seed": 1}).problem.forward
     x = rng.standard_normal(3)
     assert np.allclose(A.apply(x), B.apply(x), atol=1e-12)
 
