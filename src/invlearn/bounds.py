@@ -160,11 +160,11 @@ def covering_bound(inputs: BoundInputs, cov: CoveringModel,
 
 def entropy_integral(cov: CoveringModel, alpha: float, q: int,
                      lower: float, upper: float) -> float:
-    """Numerically integrate (log N(Theta, c^{1/alpha}))^{1/q} dc.
+    """Integral of (log N(Theta, c^{1/alpha}))^{1/q} dc over [lower, upper].
 
-    For the polynomial-entropy model the integrand has a c^{-1/(alpha s q)}
-    singularity at 0; the substitution u = c^{1 - 1/(alpha s q)} removes it
-    analytically before quadrature.
+    For the polynomial-entropy model the integrand is a power of the
+    integration variable, with exponent -beta = -1/(alpha s q), and the
+    integral is taken in closed form; other models use quadrature.
     """
     if upper <= lower:
         return 0.0
@@ -177,11 +177,9 @@ def entropy_integral(cov: CoveringModel, alpha: float, q: int,
         if abs(beta - 1.0) < 1e-12:
             # c^{-1} integrand, only reachable with lower > 0
             return cov.c**inv_q * math.log(upper / lower)
-        # u = c^{1-beta}: the transformed integrand is constant
+        # the antiderivative of c^{-beta} is c^{1-beta} / (1 - beta)
         one = 1.0 - beta
-        val, _ = quad(lambda u: cov.c**inv_q / one, lower**one, upper**one,
-                      epsrel=1e-12)
-        return val
+        return cov.c**inv_q * (upper**one - lower**one) / one
     integrand = lambda c: cov.log_n(c ** (1.0 / alpha)) ** inv_q
     val, err = quad(integrand, lower, upper, epsrel=1e-6, limit=400,
                     points=[lower] if lower > 0 else None)

@@ -60,14 +60,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_erm(args) -> int:
-    from .experiment import build_family
     cfg = _experiment_config(args)
     m = max(cfg.m_grid) if args.m is None else args.m
-    family = build_family(cfg)
     ts = draw_training_set(cfg.problem, m, cfg.master_seed)
-    res = erm_solve(cfg.param_class, family, ts,
+    res = erm_solve(cfg.param_class, cfg.family, ts,
                     ErmOptions(seed=cfg.master_seed))
-    mc = expected_loss_mc(cfg.problem, res.theta, family, cfg.n_mc,
+    mc = expected_loss_mc(cfg.problem, res.theta, cfg.family, cfg.n_mc,
                           cfg.master_seed + 1)
     print(json.dumps({
         "theta_hat": res.theta.tolist(),

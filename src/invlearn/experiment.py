@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +18,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
-                         TikhonovFamily, certify_stability, check_g_hypotheses,
-                         theta_length)
+                         TikhonovFamily, certify_stability, check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
-from .risk import (ErmOptions, erm_solve, expected_loss_mc,
-                   optimal_target_proxy, _batch_losses)
+from .risk import ErmOptions, erm_solve, optimal_target_proxy, _batch_losses
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
                           substream, tail_check)
@@ -175,20 +172,6 @@ def _read_problem(problem) -> ProblemDistribution:
                   delta=problem.get("delta"), **laws)
 
 
-def _check_theta_length(family: dict, param_class: ParamClass,
-                        n_x: int) -> None:
-    """``param_class.dim`` must be the length of the family's theta."""
-    expected = theta_length(family["kind"], n_x,
-                            family.get("structure", "full"))
-    if expected is None:  # the kind is known, so the structure is not
-        raise ConfigurationError(
-            f"unknown structure at family.structure: {family['structure']!r}")
-    if param_class.dim != expected:
-        raise ConfigurationError(
-            f"config param_class.dim is {param_class.dim}, but the "
-            f"family's theta has length {expected}")
-
-
 def read_m_grid(value) -> tuple:
     """The ``m_grid`` config value, checked to be a JSON list of positive
     integers."""
@@ -225,7 +208,7 @@ def read_bounds(raw) -> tuple:
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemDistribution
-    family_spec: dict
+    family: TikhonovFamily | ElasticNetFamily | FixedPointFamily
     param_class: ParamClass
     m_grid: tuple
     trials_per_m: int
@@ -259,29 +242,24 @@ class ExperimentConfig:
         param_class = _build("param_class", ParamClass, **_known_keys(
             d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
             ("kind", "dim")))
-        family = _known_keys(d["family"], None, "family.")
-        kind = family.get("kind")
-        if isinstance(kind, str) and kind in _FAMILY_KEYS:
-            # an unknown kind is reported by ``build_family``
-            _known_keys(family, _FAMILY_KEYS[kind], "family.")
-            _check_theta_length(family, param_class, problem.forward.n_x)
-        return cls(problem=problem, family_spec=dict(family),
-                   param_class=param_class, m_grid=read_m_grid(d["m_grid"]),
+        params = dict(_known_keys(d["family"], None, "family."))
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _FAMILIES:
+            raise ConfigurationError(
+                f"unknown family kind at family.kind: {kind!r}")
+        _known_keys(d["family"], _FAMILY_KEYS[kind], "family.")
+        if kind == "tikhonov":
+            params["noise"] = problem.noise
+        # the constructors hold the defaults of the family keys
+        family = _build("family", _FAMILIES[kind], problem.forward, **params)
+        if param_class.dim != family.dim:
+            raise ConfigurationError(
+                f"config param_class.dim is {param_class.dim}, but the "
+                f"family's theta has length {family.dim}")
+        return cls(problem=problem, family=family, param_class=param_class,
+                   m_grid=read_m_grid(d["m_grid"]),
                    trials_per_m=d["trials_per_m"], proxy_m=d["proxy_m"],
                    n_mc=d["n_mc"], master_seed=d["master_seed"], raw=d)
-
-
-def build_family(cfg: ExperimentConfig):
-    """The configured family; ``from_dict`` has checked the keys of
-    ``family`` against its kind, and the constructors hold the defaults."""
-    params = dict(cfg.family_spec)
-    kind = params.pop("kind", None)
-    if not isinstance(kind, str) or kind not in _FAMILIES:
-        raise ConfigurationError(
-            f"unknown family kind at family.kind: {kind!r}")
-    if kind == "tikhonov":
-        params["noise"] = cfg.problem.noise
-    return _build("family", _FAMILIES[kind], cfg.problem.forward, **params)
 
 
 def q_route(problem: ProblemDistribution) -> int:
@@ -368,7 +346,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
-    family = build_family(cfg)
+    family = cfg.family
     pclass = cfg.param_class
     opts = ErmOptions(seed=derived_seed(cfg.master_seed, 7))
     theta_star = optimal_target_proxy(
@@ -515,12 +493,9 @@ def run_verification_suite(cfg: ExperimentConfig,
         if not ok:
             report["passed"] = False
 
-    try:
-        family = build_family(cfg)
-    except ConfigurationError as exc:
-        record("family_invariants", False, error=str(exc))
-        return report
+    # the family is built and checked when the config is read
     record("family_invariants", True)
+    family = cfg.family
 
     dist = cfg.problem
     q = q_route(dist)
@@ -530,9 +505,7 @@ def run_verification_suite(cfg: ExperimentConfig,
     x, y = dist.sample(rng, n_samples)
     for name, v in (("x_sq_norm", np.sum(x**2, axis=1)),
                     ("y_sq_norm", np.sum(y**2, axis=1))):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            norm = orlicz_norm(v, q)
+        norm = orlicz_norm(v, q)
         record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
                and tail_check(v, norm * 1.05, q), q=q, norm=norm)
 
@@ -564,21 +537,14 @@ def run_verification_suite(cfg: ExperimentConfig,
                convexity_checked=g_rep.convexity_checked)
 
     theta0 = pclass.center
-    center_mc = expected_loss_mc(dist, theta0, family, max(1000, cfg.n_mc // 10),
-                                 derived_seed(cfg.master_seed, 504))
 
     def loss_sampler(rng_l, size):
-        n = int(np.prod(size))
-        xs, ys = dist.sample(rng_l, n)
-        per = _batch_losses(family, theta0, xs, ys)
-        per -= center_mc.estimate
-        return per.reshape(size)
+        xs, ys = dist.sample(rng_l, int(np.prod(size)))
+        return _batch_losses(family, theta0, xs, ys).reshape(size)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = empirical_average_contraction(
-            loss_sampler, q, m_grid=[16, 64, 256, 1024], trials=2000,
-            seed=derived_seed(cfg.master_seed, 505))
+    table = empirical_average_contraction(
+        loss_sampler, q, m_grid=[16, 64, 256, 1024], trials=2000,
+        seed=derived_seed(cfg.master_seed, 505))
     degenerate = bool(np.all(table.k_hat == 0))  # identically-zero loss process
     record("loss_average_contraction",
            degenerate or -0.65 <= table.slope <= -0.3,

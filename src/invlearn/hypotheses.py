@@ -324,17 +324,6 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 # Family objects: flat-parameter interface used by ERM and experiments
 # ---------------------------------------------------------------------------
 
-def theta_length(kind: str, n_x: int, structure: str = "full") -> int | None:
-    """Length of a family's flat theta on R^{n_x}; None for an unknown kind
-    or structure."""
-    if kind == "fixed_point":
-        return n_x * n_x + n_x
-    if kind not in ("tikhonov", "elastic_net"):
-        return None
-    return {"scale": 1, "diagonal": 2 * n_x,
-            "full": n_x + n_x * n_x}.get(structure)
-
-
 class _Family:
     """Shared by every family: R_theta(y) for one y is a one-row batch."""
 
@@ -355,11 +344,14 @@ class _HBFamily(_Family):
     """
 
     def __init__(self, op: ForwardOperator, structure: str):
-        if structure not in ("scale", "full", "diagonal"):
-            raise ConfigurationError(f"unknown structure {structure!r}")
+        n = op.n_x
+        dims = {"scale": 1, "diagonal": 2 * n, "full": n + n * n}
+        if structure not in dims:
+            raise ConfigurationError(
+                f"unknown structure at family.structure: {structure!r}")
         self.op = op
         self.structure = structure
-        self.dim = theta_length(self.kind, op.n_x, structure)
+        self.dim = dims[structure]
 
     def _h_B(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -497,7 +489,7 @@ class FixedPointFamily(_Family):
             raise ConfigurationError("contraction budget must lie in (0, 1)")
         self.op = op
         self.L_z = float(contraction_budget)
-        self.dim = theta_length(self.kind, op.n_x)
+        self.dim = op.n_x * op.n_x + op.n_x
 
     def unpack(self, theta) -> FixedPointParams:
         theta = np.asarray(theta, dtype=float)

@@ -173,6 +173,14 @@ def test_chaining_closed_form_sqrt_integral():
         assert val == pytest.approx(2.0 * math.sqrt(D) / 4.0, rel=1e-10)
 
 
+def test_entropy_integral_closed_form_beta_above_one():
+    # s=1/2, alpha=1, q=1, c=2: beta = 2, and the integral of 2 c^{-2} from
+    # 1/4 to 1 is 2 (4 - 1) = 6
+    cov = CoveringModel(kind="entropy_decay", s=0.5, c=2.0)
+    val = entropy_integral(cov, alpha=1.0, q=1, lower=0.25, upper=1.0)
+    assert val == pytest.approx(6.0, rel=1e-14)
+
+
 def test_chaining_euclidean_integrand_vs_antiderivative():
     # q=1, alpha=1 euclidean ball: integrand d log(2 D sqrt(d) / c) has the
     # closed-form antiderivative d c (log(2 D sqrt(d)/c) + 1)

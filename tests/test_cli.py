@@ -252,6 +252,7 @@ SCHEMA_CASES = {
                        "problem.prior.mean"),
     "unknown structure": (_edit("family.structure", "weird"),
                           "family.structure"),
+    "unknown family kind": (_edit("family.kind", "weird"), "family.kind"),
     "noise longer than n_y": (_edit("problem.noise.mean", [0.0, 0.0]),
                               "problem.noise.mean"),
     "prior dim other than n_x": (_edit("problem.prior",
@@ -282,6 +283,8 @@ SCHEMA_CASES = {
         _all(_edit("family", {"kind": "fixed_point",
                               "contraction_budget": 1.5}),
              _edit("param_class.dim", 2)), "family"),
+    "Tikhonov zero noise": (_edit("problem.noise.cov_eigenvalues", [0.0]),
+                            "problem.noise.cov_eigenvalues"),
     "bounds q 3": (_edit("bounds", {"q": 3}), "bounds"),
     "bounds D below 1": (_edit("bounds", {"D": 0.5}), "bounds"),
     "bounds alpha 2": (_edit("bounds", {"alpha": 2}), "bounds"),
@@ -298,7 +301,8 @@ BOUNDS_CASES = ("m_grid a string", "bounds key typo",
 
 
 @pytest.mark.parametrize("command, case", [
-    *((cmd, case) for cmd in ("erm", "rates") for case in SCHEMA_CASES),
+    *((cmd, case) for cmd in ("erm", "rates", "verify", "generate")
+      for case in SCHEMA_CASES),
     *(("bounds", case) for case in BOUNDS_CASES)])
 def test_schema_error_names_its_path(tmp_path, capsys, command, case):
     mutate, path = SCHEMA_CASES[case]

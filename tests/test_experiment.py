@@ -69,7 +69,7 @@ def test_config_unknown_key_names_its_path():
 @pytest.mark.parametrize("cls", [TikhonovFamily, ElasticNetFamily,
                                  FixedPointFamily])
 def test_family_schema_keys_are_constructor_parameters(cls):
-    # build_family passes the checked keys to the constructor as they are
+    # from_dict passes the checked keys to the constructor as they are
     params = inspect.signature(cls).parameters
     assert set(_FAMILY_KEYS[cls.kind]) - {"kind"} <= set(params)
     assert set(_FAMILY_KEYS) == {"tikhonov", "elastic_net", "fixed_point"}
@@ -225,6 +225,8 @@ def test_verification_suite_gaussian_route():
                                     n_samples=50_000)
     assert report["q_route"] == 1
     assert report["passed"], report
+    # the family was checked when the config was read; the entry stays
+    assert report["checks"]["family_invariants"] == {"passed": True}
     assert report["checks"]["orlicz_x_sq_norm"]["passed"]
     assert report["checks"]["stability_certificate"]["passed"]
     assert report["checks"]["loss_average_contraction"]["passed"]
@@ -245,19 +247,21 @@ def test_verification_suite_bounded_route():
 
 
 def test_verification_suite_tikhonov_zero_noise_fails_family_check():
+    # the family is built when the config is read, so a Tikhonov family
+    # without invertible noise never reaches the verification suite
     cfg = scalar_config()
     cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
-    report = run_verification_suite(ExperimentConfig.from_dict(cfg),
-                                    n_samples=10_000)
-    assert not report["passed"]
-    check = report["checks"]["family_invariants"]
-    assert not check["passed"]
-    assert "problem.noise.cov_eigenvalues" in check["error"]
+    with pytest.raises(ConfigurationError,
+                       match=r"^config family: .*problem\.noise\.cov_eigenvalues"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_q_route_needs_bounded_prior_and_zero_noise():
+    # the fixed-point family has no noise model to invert
     def problem(prior, noise_var):
-        cfg = scalar_config()
+        cfg = scalar_config(
+            family={"kind": "fixed_point", "contraction_budget": 0.5},
+            param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0})
         cfg["problem"]["prior"] = prior
         cfg["problem"]["noise"]["cov_eigenvalues"] = [noise_var]
         return ExperimentConfig.from_dict(cfg).problem
@@ -296,20 +300,19 @@ def test_verification_suite_elastic_net_with_n_x_other_than_n_y():
 
 
 def test_verification_suite_invalid_contraction_budget():
-    # theta = (W, b) has length 2 on the scalar problem
+    # theta = (W, b) has length 2 on the scalar problem; the budget is
+    # checked when the config is read
     cfg = scalar_config(family={"kind": "fixed_point",
                                 "contraction_budget": 1.2},
                         param_class={"kind": "euclidean_ball", "dim": 2})
-    report = run_verification_suite(ExperimentConfig.from_dict(cfg))
-    assert not report["passed"]
-    assert not report["checks"]["family_invariants"]["passed"]
+    with pytest.raises(ConfigurationError,
+                       match=r"^config family: contraction budget"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_verification_suite_invalid_elastic_net_penalty():
-    # an alpha outside (0, 1] is a family error, reported, not raised
+    # an alpha outside (0, 1] is a config error naming the family
     cfg = scalar_config(family={"kind": "elastic_net", "alpha": 1.5,
                                 "eta": 0.5, "structure": "scale"})
-    report = run_verification_suite(ExperimentConfig.from_dict(cfg))
-    assert not report["passed"]
-    check = report["checks"]["family_invariants"]
-    assert not check["passed"] and "alpha" in check["error"]
+    with pytest.raises(ConfigurationError, match=r"^config family: alpha"):
+        ExperimentConfig.from_dict(cfg)
