@@ -1,8 +1,9 @@
 """Covering-number models, sample-error bound curves, and rate exponents.
 
-Absolute constants in the bounds default to 1 and are user inputs; the
-curves are therefore only compared to experiments in shape (log-log slope
-or one-point-calibrated domination), never in level.
+The absolute constants ``C``, ``C1`` and ``C2`` of the bounds are left
+unspecified by the theory and fixed at 1; the curves are therefore only
+compared to experiments in shape (log-log slope or one-point-calibrated
+domination), never in level.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy.spatial.distance import cdist
 from .errors import ConfigurationError
 
 COVERING_GRID = 200  # log-grid points over which covering_bound is minimized
+C = C1 = C2 = 1.0  # absolute constants of the covering and chaining bounds
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +111,6 @@ class BoundInputs:
     q: int = 1
     alpha: float = 1.0
     D: float = 1.0
-    C: float = 1.0    # absolute constants, unspecified in theory
-    C1: float = 1.0
-    C2: float = 1.0
 
     def __post_init__(self):
         if self.q not in (1, 2):
@@ -148,7 +147,7 @@ def covering_bound(inputs: BoundInputs, cov: CoveringModel,
 
     def value_at(rr):
         entropy = cov.log_n(rr) ** (1.0 / inputs.q)
-        return (inputs.C * inputs.K / math.sqrt(inputs.m) * entropy
+        return (C * inputs.K / math.sqrt(inputs.m) * entropy
                 + 2.0 * inputs.M_ell * rr ** inputs.alpha)
 
     grid = np.geomspace(1e-6 * inputs.D, inputs.D, COVERING_GRID)
@@ -203,8 +202,8 @@ def chaining_bound(inputs: BoundInputs, cov: CoveringModel, r: float) -> float:
                 "r=0 not admissible: alpha*s*q <= 1, the entropy integral "
                 "diverges; use r > 0 (covering-style regime)")
     integral = entropy_integral(cov, inputs.alpha, inputs.q, lower, inputs.D)
-    return (inputs.C1 * inputs.K / math.sqrt(inputs.m) * integral
-            + inputs.C2 * inputs.K * r ** inputs.alpha)
+    return (C1 * inputs.K / math.sqrt(inputs.m) * integral
+            + C2 * inputs.K * r ** inputs.alpha)
 
 
 # ---------------------------------------------------------------------------

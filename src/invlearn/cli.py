@@ -7,6 +7,7 @@ Subcommands: generate (training-set CSV), erm (single fit), verify
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -15,7 +16,7 @@ from numpy.linalg import LinAlgError
 
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, InvlearnError
-from .experiment import (ExperimentConfig, read_bounds, run_rate_experiment,
+from .experiment import (ExperimentConfig, bound_inputs, run_rate_experiment,
                          run_verification_suite)
 from .risk import ErmOptions, erm_solve, expected_loss_mc
 from .stochastics import draw_training_set
@@ -93,14 +94,12 @@ def cmd_rates(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    inputs_per_m, cov = read_bounds(_load_config(args.config))
+    inputs_per_m, cov = bound_inputs(_experiment_config(args))
     out = []
     for inputs in inputs_per_m:
         curve = bounds_mod.covering_bound(inputs, cov, r=inputs.D)
-        entry = {"m": inputs.m, "inputs": {
-                     "K": inputs.K, "M_ell": inputs.M_ell, "q": inputs.q,
-                     "alpha": inputs.alpha, "D": inputs.D},
-                 **curve.to_dict()}
+        entry = {"m": inputs.m, "inputs": dataclasses.asdict(inputs),
+                 "model": dataclasses.asdict(cov), **curve.to_dict()}
         try:
             entry["chaining_r0"] = bounds_mod.chaining_bound(inputs, cov, 0.0)
         except ConfigurationError as exc:

@@ -47,16 +47,17 @@ def canonical_json(obj) -> str:
 # value types of the checked config leaves (JSON admits NaN and Infinity)
 _STR, _INT, _NUM = "a string", "an integer", "a finite number"
 _VEC = "a list of finite numbers"
+_GRID = "a list of positive integers"
 _MAT = "a list of equal-length lists of finite numbers"
 _BASIS = f'"identity" or {_MAT}'
 
 _REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
                   "trials_per_m", "proxy_m", "n_mc", "master_seed")
 # per object: {key: value type, or None where another check reads the
-# value}; ``bounds`` is read by ``invlearn bounds`` from the same file
+# value}
 _TOP_KEYS = {"problem": None, "family": None, "param_class": None,
-             "m_grid": None, "trials_per_m": _INT, "proxy_m": _INT,
-             "n_mc": _INT, "master_seed": _INT, "bounds": None}
+             "m_grid": _GRID, "trials_per_m": _INT, "proxy_m": _INT,
+             "n_mc": _INT, "master_seed": _INT}
 _FAMILY_KEYS = {"tikhonov": {"kind": None, "structure": _STR},
                 "elastic_net": {"kind": None, "alpha": _NUM, "eta": _NUM,
                                 "structure": _STR},
@@ -65,9 +66,6 @@ _FAMILIES = {cls.kind: cls for cls in (TikhonovFamily, ElasticNetFamily,
                                         FixedPointFamily)}
 _PARAM_CLASS_KEYS = {"kind": None, "dim": _INT, "radius": _NUM,
                      "smoothness": _NUM}
-_BOUNDS_KEYS = {"model": None, **dict.fromkeys(
-    ("K", "M_ell", "q", "alpha", "D", "C", "C1", "C2"), _NUM)}
-_MODEL_KEYS = {"kind": None, "d": _INT, "D": _NUM, "s": _NUM, "c": _NUM}
 _PROBLEM_KEYS = {"forward": None, "prior": None, "noise": None,
                  "delta": _NUM}
 _FORWARD_KEYS = {"n_x": _INT, "n_y": _INT, "singular_values": _VEC,
@@ -83,6 +81,9 @@ _LAW_KEYS = {"gaussian": (_GAUSSIAN_KEYS, ("mean", "cov_eigenvalues")),
 def _has_type(value, kind) -> bool:
     if kind == _STR:
         return isinstance(value, str)
+    if kind == _GRID:
+        return isinstance(value, list) and all(
+            _has_type(m, _INT) and m >= 1 for m in value)
     if kind in (_INT, _NUM):
         return isinstance(value, int if kind == _INT else (int, float)) \
             and not isinstance(value, bool) and abs(value) < math.inf
@@ -172,39 +173,6 @@ def _read_problem(problem) -> ProblemDistribution:
                   delta=problem.get("delta"), **laws)
 
 
-def read_m_grid(value) -> tuple:
-    """The ``m_grid`` config value, checked to be a JSON list of positive
-    integers."""
-    if not isinstance(value, list) or not all(
-            isinstance(m, int) and not isinstance(m, bool) and m >= 1
-            for m in value):
-        raise ConfigurationError(
-            "config m_grid must be a list of positive integers")
-    return tuple(value)
-
-
-def read_bounds(raw) -> tuple:
-    """The bound inputs at each m of ``m_grid`` and the covering model, from
-    a config's optional ``bounds`` object; ``model`` defaults to the
-    Euclidean ball of dimension ``param_class.dim``."""
-    _known_keys(raw, _TOP_KEYS)
-    if "m_grid" not in raw:
-        raise ConfigurationError("m_grid required")
-    m_grid = read_m_grid(raw["m_grid"])
-    spec = _known_keys(raw.get("bounds", {}), _BOUNDS_KEYS, "bounds.")
-    if "model" in spec:
-        model = _known_keys(spec["model"], _MODEL_KEYS, "bounds.model.",
-                            ("kind",))
-    else:
-        pclass = _known_keys(raw.get("param_class", {}), _PARAM_CLASS_KEYS,
-                             "param_class.")
-        model = {"kind": "euclidean_ball", "d": pclass.get("dim", 1)}
-    cov = _build("bounds.model", bounds_mod.CoveringModel, **model)
-    constants = {k: v for k, v in spec.items() if k != "model"}
-    return [_build("bounds", bounds_mod.BoundInputs, m=m, **constants)
-            for m in m_grid], cov
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemDistribution
@@ -218,7 +186,7 @@ class ExperimentConfig:
     raw: dict  # the config as read; its digest identifies a run
 
     def __post_init__(self):
-        mg = self.m_grid  # a tuple of integers, from ``read_m_grid``
+        mg = self.m_grid  # a tuple of positive integers (schema-checked)
         if any(b <= a for a, b in zip(mg, mg[1:])) or not mg:
             raise ConfigurationError("m_grid must be non-empty, strictly increasing")
         if self.trials_per_m < 1:
@@ -237,7 +205,6 @@ class ExperimentConfig:
         """The one reader of the config format: each object's keys and
         value types are checked, and the object is built on the spot."""
         _known_keys(d, _TOP_KEYS, required=_REQUIRED_KEYS)
-        read_bounds(d)
         problem = _read_problem(d["problem"])
         param_class = _build("param_class", ParamClass, **_known_keys(
             d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
@@ -257,7 +224,7 @@ class ExperimentConfig:
                 f"config param_class.dim is {param_class.dim}, but the "
                 f"family's theta has length {family.dim}")
         return cls(problem=problem, family=family, param_class=param_class,
-                   m_grid=read_m_grid(d["m_grid"]),
+                   m_grid=tuple(d["m_grid"]),
                    trials_per_m=d["trials_per_m"], proxy_m=d["proxy_m"],
                    n_mc=d["n_mc"], master_seed=d["master_seed"], raw=d)
 
@@ -272,6 +239,24 @@ def q_route(problem: ProblemDistribution) -> int:
             np.all(problem.noise.covariance_eigenvalues == 0):
         return 2
     return 1
+
+
+def bound_inputs(cfg: ExperimentConfig) -> tuple:
+    """The bound inputs at each m of ``m_grid`` and the covering model, all
+    derived from the config: q from ``q_route``, alpha from the family, D
+    from the class diameter.  A ``euclidean_ball`` class is covered as the
+    ball of radius max(radius, 1/2) that contains it, a ``sobolev_ball``
+    class by the polynomial entropy decay of its smoothness."""
+    pclass = cfg.param_class
+    if pclass.kind == "euclidean_ball":
+        cov = bounds_mod.CoveringModel("euclidean_ball", d=pclass.dim,
+                                       D=pclass.diameter / 2)
+    else:
+        cov = bounds_mod.CoveringModel("entropy_decay", s=pclass.smoothness)
+    q = q_route(cfg.problem)
+    return [bounds_mod.BoundInputs(m=m, q=q, alpha=cfg.family.alpha,
+                                   D=pclass.diameter)
+            for m in cfg.m_grid], cov
 
 
 def derived_seed(master: int, *indices: int) -> int:
@@ -400,16 +385,11 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         ses.append(se)
         ms.append(m)
 
-    q = q_route(cfg.problem)
-    alpha = family.alpha
-    if pclass.kind == "euclidean_ball":
-        predicted = bounds_mod.predicted_exponent(
-            "euclidean_ball", alpha=alpha, q=q, s_or_d=pclass.dim,
-            method="chaining").exponent
-    else:
-        predicted = bounds_mod.predicted_exponent(
-            "entropy_decay", alpha=alpha, q=q,
-            s_or_d=pclass.smoothness, method="chaining").exponent
+    inputs, cov = bound_inputs(cfg)
+    # a covering model sets one of d and s
+    predicted = bounds_mod.predicted_exponent(
+        cov.kind, alpha=inputs[0].alpha, q=inputs[0].q, s_or_d=cov.d or cov.s,
+        method="chaining").exponent
 
     means = np.array(means)
     ses = np.array(ses)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from invlearn import (BoundInputs, CoveringModel, chaining_bound,
                       covering_ball, covering_bound, covering_sobolev_log,
                       greedy_cover, predicted_exponent)
-from invlearn.bounds import entropy_integral
+from invlearn.bounds import C2, entropy_integral
 from invlearn.errors import ConfigurationError
 
 
@@ -161,7 +161,7 @@ def test_chaining_bound_singleton_model():
     # r^alpha / 4 = D makes the integral empty, leaving C2 K r^alpha
     r = 4.0
     val = chaining_bound(inputs, cov, r=r)
-    assert val == pytest.approx(inputs.C2 * inputs.K * r)
+    assert val == pytest.approx(C2 * inputs.K * r)
 
 
 def test_chaining_closed_form_sqrt_integral():

@@ -122,7 +122,7 @@ def test_bounds_requires_m_grid(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))
     rc = main(["--config", str(cfg), "bounds"])
     assert rc == 2
-    assert "m_grid required" in capsys.readouterr().err
+    assert "missing required config key: m_grid" in capsys.readouterr().err
 
 
 def test_bounds_emits_curves(tmp_path, capsys):
@@ -137,17 +137,21 @@ def test_bounds_emits_curves(tmp_path, capsys):
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
-def test_bounds_invalid_model_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "bounds.json"
-    path.write_text(json.dumps({
-        "m_grid": [16, 32],
-        "bounds": {"model": {"kind": "euclidean_ball", "d": 3,
-                             "radius": 1.0}}}))
-    rc = main(["--config", str(path), "bounds"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "bounds.model" in err
+def test_bounds_names_the_derived_inputs_and_model(tmp_path, capsys):
+    # a Hölder family on a Sobolev class: alpha s q <= 1, so the chaining
+    # integral diverges at r = 0
+    cfg = write_config(
+        tmp_path, family={"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
+                          "structure": "scale"},
+        param_class={"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+                     "smoothness": 1.0})
+    assert main(["--config", str(cfg), "bounds"]) == 0
+    for entry in json.loads(capsys.readouterr().out):
+        assert (entry["inputs"]["q"], entry["inputs"]["alpha"]) == (1, 0.5)
+        assert (entry["model"]["kind"], entry["model"]["s"]) == (
+            "entropy_decay", 1.0)
+        assert entry["chaining_r0"] is None
+        assert "alpha*s*q <= 1" in entry["chaining_note"]
 
 
 def test_malformed_config_reports_location(tmp_path, capsys):
@@ -224,7 +228,6 @@ SCHEMA_CASES = {
                        "problem.prior.cov_eigenvalue"),
     "noise key typo": (_edit("problem.noise.typ", "gaussian"),
                        "problem.noise.typ"),
-    "bounds key typo": (_edit("bounds", {"Kk": 2.0}), "bounds.Kk"),
     "non-Gaussian noise": (_edit("problem.noise.type", "uniform_ball"),
                            "problem.noise.type"),
     # wrong-typed values
@@ -240,6 +243,17 @@ SCHEMA_CASES = {
     "tolerances section": (_edit("tolerances", {"erm_tol": 1e-6}),
                            "tolerances"),
     "erm section": (_edit("erm", {"n_starts": 2}), "erm"),
+    # the bound inputs are derived from the rest of the config
+    "bounds section": (_edit("bounds", {}), "bounds"),
+    "bounds key typo": (_edit("bounds", {"Kk": 2.0}), "bounds"),
+    "bounds q 3": (_edit("bounds", {"q": 3}), "bounds"),
+    "bounds D below 1": (_edit("bounds", {"D": 0.5}), "bounds"),
+    "bounds alpha 2": (_edit("bounds", {"alpha": 2}), "bounds"),
+    "unknown model kind": (_edit("bounds", {"model": {"kind": "cube"}}),
+                           "bounds"),
+    "unknown model key": (
+        _edit("bounds", {"model": {"kind": "euclidean_ball", "d": 1,
+                                   "radius": 1.0}}), "bounds"),
     # values JSON admits but no computation can use
     "radius NaN": (_edit("param_class.radius", float("nan")),
                    "param_class.radius"),
@@ -285,25 +299,12 @@ SCHEMA_CASES = {
              _edit("param_class.dim", 2)), "family"),
     "Tikhonov zero noise": (_edit("problem.noise.cov_eigenvalues", [0.0]),
                             "problem.noise.cov_eigenvalues"),
-    "bounds q 3": (_edit("bounds", {"q": 3}), "bounds"),
-    "bounds D below 1": (_edit("bounds", {"D": 0.5}), "bounds"),
-    "bounds alpha 2": (_edit("bounds", {"alpha": 2}), "bounds"),
-    "unknown model kind": (_edit("bounds", {"model": {"kind": "cube"}}),
-                           "bounds.model"),
-    "unknown model key": (
-        _edit("bounds", {"model": {"kind": "euclidean_ball", "d": 1,
-                                   "radius": 1.0}}), "bounds.model.radius"),
 }
-# ``invlearn bounds`` reads only m_grid, bounds and param_class.dim
-BOUNDS_CASES = ("m_grid a string", "bounds key typo",
-                "param_class not an object", "bounds q 3", "bounds D below 1",
-                "bounds alpha 2", "unknown model kind", "unknown model key")
 
 
 @pytest.mark.parametrize("command, case", [
-    *((cmd, case) for cmd in ("erm", "rates", "verify", "generate")
-      for case in SCHEMA_CASES),
-    *(("bounds", case) for case in BOUNDS_CASES)])
+    (cmd, case) for cmd in ("erm", "rates", "verify", "generate", "bounds")
+    for case in SCHEMA_CASES])
 def test_schema_error_names_its_path(tmp_path, capsys, command, case):
     mutate, path = SCHEMA_CASES[case]
     cfg = write_config(tmp_path)

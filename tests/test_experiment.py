@@ -12,8 +12,8 @@ from invlearn import (ElasticNetFamily, ExperimentConfig, FixedPointFamily,
 from invlearn.bounds import BoundInputs, CoveringModel
 from invlearn.errors import ConfigurationError
 from invlearn.experiment import (_FAMILY_KEYS, bound_domination_check,
-                                 canonical_json, derived_seed, fnv1a64,
-                                 q_route)
+                                 bound_inputs, canonical_json, derived_seed,
+                                 fnv1a64, q_route)
 
 
 def scalar_config(**overrides):
@@ -54,16 +54,16 @@ def test_config_round_trip_and_validation():
 
 def test_config_unknown_key_names_its_path():
     # a misspelt key must not silently leave its setting at the default;
-    # the ERM and reconstruction tolerances are not settings
+    # the ERM and reconstruction tolerances and the bound inputs are not
+    # settings
     for raw, path in (
             (scalar_config(tolerance={"erm_tol": 1e-6}), "tolerance"),
             (scalar_config(tolerances={"erm_tol": 1e-6}), "tolerances"),
-            (scalar_config(erm={"n_starts": 2}), "erm")):
+            (scalar_config(erm={"n_starts": 2}), "erm"),
+            (scalar_config(bounds={"K": 2.0}), "bounds")):
         with pytest.raises(ConfigurationError,
                            match=rf"unknown config key: {path}$"):
             ExperimentConfig.from_dict(raw)
-    # the bounds section is read from the same file by `invlearn bounds`
-    ExperimentConfig.from_dict(scalar_config(bounds={"K": 2.0}))
 
 
 @pytest.mark.parametrize("cls", [TikhonovFamily, ElasticNetFamily,
@@ -115,11 +115,8 @@ def test_config_schema_accepts_every_documented_key():
                   "cov_basis": [[1.0, 0.0], [0.0, 1.0]]},
         "delta": 1.0,
     }
-    bounds = {"model": {"kind": "euclidean_ball", "d": 4}, "K": 1.0,
-              "M_ell": 1.0, "q": 1, "alpha": 1.0, "D": 1.0, "C": 1.0,
-              "C1": 1.0, "C2": 1.0}
     cfg = ExperimentConfig.from_dict(scalar_config(
-        problem=problem, bounds=bounds,
+        problem=problem,
         family={"kind": "tikhonov", "structure": "diagonal"},
         param_class={"kind": "euclidean_ball", "dim": 4}))
     assert cfg.problem.delta == 1.0
@@ -216,6 +213,37 @@ def test_bound_domination_after_calibration(small_fit):
     ok, ratios = bound_domination_check(small_fit, inputs, cov, r=0.0)
     assert ok, ratios
     assert all(r <= 1.0 + 1e-9 for _, r in ratios)
+
+
+def test_bound_inputs_follow_the_config():
+    # the criterion-2 config gives criterion 10's hand-typed inputs
+    grid = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
+        m_grid=grid, proxy_m=409_600)))
+    assert inputs == [BoundInputs(K=1.0, M_ell=1.0, q=1, alpha=1.0, m=m,
+                                  D=2.0) for m in grid]
+    assert (cov.kind, cov.d) == ("euclidean_ball", 1)
+    # bounded data with zero noise: the q of the verification suite
+    raw = scalar_config(
+        family={"kind": "fixed_point", "contraction_budget": 0.5},
+        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 0.25})
+    raw["problem"]["prior"] = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
+    raw["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    cfg = ExperimentConfig.from_dict(raw)
+    inputs, cov = bound_inputs(cfg)
+    assert {b.q for b in inputs} == {2} == {
+        run_verification_suite(cfg, n_samples=20_000)["q_route"]}
+    # a ball of radius max(radius, 1/2) covers the class
+    assert cov == CoveringModel("euclidean_ball", d=2, D=0.5)
+    assert {b.D for b in inputs} == {1.0}
+    # a Hölder family on a Sobolev class
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
+        family={"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
+                "structure": "scale"},
+        param_class={"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+                     "smoothness": 1.5})))
+    assert {(b.q, b.alpha) for b in inputs} == {(1, 0.5)}
+    assert cov == CoveringModel("entropy_decay", s=1.5)
 
 
 # -- verification suite ----------------------------------------------------
