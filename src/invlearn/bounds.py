@@ -130,9 +130,8 @@ class BoundCurve:
     min_value: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "r_grid": self.r_grid.tolist(),
-                "values": self.values.tolist(), "argmin_r": self.argmin_r,
-                "min_value": self.min_value}
+        return {"r_grid": self.r_grid.tolist(), "values": self.values.tolist(),
+                "argmin_r": self.argmin_r, "min_value": self.min_value}
 
 
 def covering_bound(inputs: BoundInputs, cov: CoveringModel,

@@ -29,6 +29,8 @@ SLOPE_BAND = 0.15  # acceptance band around the predicted exponent
 MAX_FAILURE_FRACTION = 0.05  # failed trials above this invalidate a rate run
 PROBE_PAIRS = 8  # random theta pairs of the verification suite's certificate
 PROBE_YS = 8     # data vectors the certificate is evaluated on
+CONTRACTION_M_GRID = (16, 64, 256, 1024)  # m of the loss-average contraction
+CONTRACTION_TRIALS = 2000  # m-averages per m of that table
 
 
 def fnv1a64(text: str) -> int:
@@ -333,15 +335,14 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
     family = cfg.family
     pclass = cfg.param_class
-    opts = ErmOptions(seed=derived_seed(cfg.master_seed, 7))
-    theta_star = optimal_target_proxy(
-        pclass, family, cfg.problem, cfg.proxy_m,
-        derived_seed(cfg.master_seed, 11), opts, n_check_mc=cfg.n_mc)
-
     # one shared evaluation sample: common random numbers across all trials
-    rng_eval = substream(cfg.master_seed, 9999)
-    x_eval, y_eval = cfg.problem.sample(rng_eval, cfg.n_mc)
-    per_star = _batch_losses(family, theta_star, x_eval, y_eval)
+    # and the proxy's gate
+    x_eval, y_eval = cfg.problem.sample(substream(cfg.master_seed, 9999),
+                                        cfg.n_mc)
+    theta_star, per_star = optimal_target_proxy(
+        pclass, family, cfg.problem, cfg.proxy_m,
+        derived_seed(cfg.master_seed, 11), x_eval, y_eval,
+        ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
     loss_star = float(per_star.mean())
 
     def run_trial(m, t):
@@ -373,17 +374,15 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
             f"experiment invalid: {n_failed}/{len(records)} trials failed "
             f"(cap {MAX_FAILURE_FRACTION:.0%})")
 
-    per_m = []
-    means, ses, ms = [], [], []
-    for m in cfg.m_grid:
-        vals = np.array([r.sample_error for r in records
-                         if r.m == m and not r.failed])
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(vals.size))
-        per_m.append({"m": m, "mean": mean, "stderr": se, "n": int(vals.size)})
-        means.append(mean)
-        ses.append(se)
-        ms.append(m)
+    # per m, the sample errors of the trials that did not fail
+    shape = (len(cfg.m_grid), cfg.trials_per_m)
+    errors = np.array([r.sample_error for r in records]).reshape(shape)
+    kept = ~np.array([r.failed for r in records]).reshape(shape)
+    vals = [row[keep] for row, keep in zip(errors, kept)]
+    means = np.array([v.mean() for v in vals])
+    ses = np.array([v.std(ddof=1) / np.sqrt(v.size) for v in vals])
+    per_m = [{"m": m, "mean": float(mean), "stderr": float(se), "n": v.size}
+             for m, mean, se, v in zip(cfg.m_grid, means, ses, vals)]
 
     inputs, cov = bound_inputs(cfg)
     # a covering model sets one of d and s
@@ -391,15 +390,12 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         cov.kind, alpha=inputs[0].alpha, q=inputs[0].q, s_or_d=cov.d or cov.s,
         method="chaining").exponent
 
-    means = np.array(means)
-    ses = np.array(ses)
-    ms = np.array(ms, dtype=float)
     usable = means > 0
-    if pclass.radius == 0 or np.max(np.abs(means)) < 1e-14:
-        slope, ci, verdict = None, None, "degenerate"
-    elif usable.sum() < 4:
+    if pclass.radius == 0 or np.max(np.abs(means)) < 1e-14 or \
+            usable.sum() < 4:
         slope, ci, verdict = None, None, "degenerate"
     else:
+        ms = np.array(cfg.m_grid, dtype=float)
         slope, ci = _weighted_loglog_fit(ms[usable], means[usable], ses[usable])
         if abs(slope - predicted) <= SLOPE_BAND or \
                 (ci[0] <= predicted <= ci[1]):
@@ -516,15 +512,13 @@ def run_verification_suite(cfg: ExperimentConfig,
                M_g=g_rep.M_g, holder_constant=g_rep.holder_constant,
                convexity_checked=g_rep.convexity_checked)
 
-    theta0 = pclass.center
-
-    def loss_sampler(rng_l, size):
-        xs, ys = dist.sample(rng_l, int(np.prod(size)))
-        return _batch_losses(family, theta0, xs, ys).reshape(size)
-
+    # one draw of losses at the class centre serves every m: a trial's
+    # m-average reads the first m losses of its row
+    xs, ys = dist.sample(substream(cfg.master_seed, 505),
+                         CONTRACTION_TRIALS * max(CONTRACTION_M_GRID))
+    losses = _batch_losses(family, pclass.center, xs, ys)
     table = empirical_average_contraction(
-        loss_sampler, q, m_grid=[16, 64, 256, 1024], trials=2000,
-        seed=derived_seed(cfg.master_seed, 505))
+        losses.reshape(CONTRACTION_TRIALS, -1), q, CONTRACTION_M_GRID)
     degenerate = bool(np.all(table.k_hat == 0))  # identically-zero loss process
     record("loss_average_contraction",
            degenerate or -0.65 <= table.slope <= -0.3,

@@ -2,10 +2,11 @@
 
 The expected loss of a parametric reconstructor is estimated by Monte
 Carlo; the empirical target comes from projected gradient descent with
-multi-start; the optimal target is proxied by ERM on a much larger sample
-with a cross-seed stability gate.  The sample error L(theta_hat) -
+multi-start; the optimal target is proxied by ERM on a much larger sample,
+gated by a second fit from another seed.  The sample error L(theta_hat) -
 L(theta_star) itself is measured by the rate experiment, on one shared
-Monte Carlo sample so that the difference cancels common noise.
+Monte Carlo sample so that the difference cancels common noise; the
+proxy's gate and theta_star's losses read that same sample.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .stochastics import ProblemDistribution, TrainingSet, substream
+from .stochastics import (ProblemDistribution, TrainingSet,
+                          draw_training_set, substream)
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
 ERM_TOL = 1e-8  # projected-gradient residual at which an ERM start has converged
@@ -32,6 +34,11 @@ def _losses(R, X) -> np.ndarray:
 
 def _batch_losses(family, theta, X, Y) -> np.ndarray:
     return _losses(family.reconstruct_batch(theta, Y), X)
+
+
+def _mean_halfwidth(per) -> tuple:
+    """Mean of per-sample losses and its 95% Monte Carlo half-width."""
+    return float(per.mean()), 1.96 * float(per.std(ddof=1)) / np.sqrt(per.size)
 
 
 def empirical_risk(ts: TrainingSet, theta, family) -> float:
@@ -55,10 +62,8 @@ def expected_loss_mc(dist: ProblemDistribution, theta, family,
         raise ConfigurationError("n_mc must be >= 100")
     rng = substream(seed, 1)
     x, y = dist.sample(rng, n_mc)
-    per = _batch_losses(family, theta, x, y)
-    return McEstimate(estimate=float(per.mean()),
-                      halfwidth=1.96 * float(per.std(ddof=1)) / np.sqrt(n_mc),
-                      n_mc=n_mc)
+    estimate, halfwidth = _mean_halfwidth(_batch_losses(family, theta, x, y))
+    return McEstimate(estimate=estimate, halfwidth=halfwidth, n_mc=n_mc)
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +170,21 @@ def erm_solve(pclass, family, ts: TrainingSet,
 
 
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
-                         proxy_m: int, seed: int,
-                         opts: ErmOptions = ErmOptions(),
-                         n_check_mc: int = 100_000) -> np.ndarray:
+                         proxy_m: int, seed: int, x_eval, y_eval,
+                         opts: ErmOptions = ErmOptions()) -> tuple:
     """ERM on a proxy sample standing in for the exact expected-loss argmin.
 
-    The fit is repeated from a second seed, and the two candidates must
-    agree in expected loss within the Monte Carlo half-width; otherwise the
-    proxy is declared unstable.
+    The fit is repeated from a second seed, and the two candidates' mean
+    losses on the evaluation sample (x_eval, y_eval) must agree within the
+    first one's 95% half-width; otherwise the proxy is declared unstable.
+    Returns the first fit and its per-sample losses on that sample.
     """
-    from .stochastics import draw_training_set
-    ts = draw_training_set(dist, proxy_m, seed)
-    res = erm_solve(pclass, family, ts, opts)
-    ts2 = draw_training_set(dist, proxy_m, seed + 1)
-    res2 = erm_solve(pclass, family, ts2, opts)
-    la = expected_loss_mc(dist, res.theta, family, n_check_mc, seed + 2)
-    lb = expected_loss_mc(dist, res2.theta, family, n_check_mc, seed + 2)
-    if abs(la.estimate - lb.estimate) > max(la.halfwidth, 1e-12):
+    thetas = [erm_solve(pclass, family, draw_training_set(dist, proxy_m, s),
+                        opts).theta for s in (seed, seed + 1)]
+    losses = [_batch_losses(family, t, x_eval, y_eval) for t in thetas]
+    (la, halfwidth), (lb, _) = map(_mean_halfwidth, losses)
+    if abs(la - lb) > max(halfwidth, 1e-12):
         raise ConvergenceError(
             "optimal-target proxy unstable across seeds: "
-            f"|{la.estimate:.6g} - {lb.estimate:.6g}| > {la.halfwidth:.3g}")
-    return res.theta
+            f"|{la:.6g} - {lb:.6g}| > {halfwidth:.3g}")
+    return thetas[0], losses[0]

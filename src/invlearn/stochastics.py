@@ -206,23 +206,28 @@ class ContractionTable:
     slope: float
 
 
-def empirical_average_contraction(sampler, q: int, m_grid, trials: int,
-                                  seed: int) -> ContractionTable:
+def empirical_average_contraction(draws, q: int, m_grid) -> ContractionTable:
     """Estimate how the psi_q norm of empirical averages shrinks with m.
 
-    ``sampler(rng, size)`` must return i.i.d. draws of a scalar variable W.
-    For each m, ``trials`` independent m-averages are formed, centred on
-    their own mean (so W need not be zero-mean, and the centring error
-    shrinks with m like the spread of the averages), and their psi_q norm
-    estimated; the fitted log-log slope of K_hat versus m is reported (the
-    theoretical envelope is K/sqrt(m)).
+    ``draws`` is a (trials, max m) array of i.i.d. draws of a scalar
+    variable W.  A trial's m-average is the mean of the first m entries of
+    its row, so every m reads the same draw.  For each m the trials'
+    averages are centred on their own mean (so W need not be zero-mean, and
+    the centring error shrinks with m like the spread of the averages), and
+    their psi_q norm estimated; the fitted log-log slope of K_hat versus m
+    is reported (the theoretical envelope is K/sqrt(m)).
     """
     m_grid = np.asarray(sorted(m_grid), dtype=int)
     if m_grid.size == 0:
         raise ConfigurationError("m_grid must be non-empty")
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[1] < m_grid[-1]:
+        raise ConfigurationError(
+            f"draws must be a 2-d array with at least max(m_grid) = "
+            f"{m_grid[-1]} columns, got shape {draws.shape}")
     k_hat = np.empty(m_grid.size)
     for i, m in enumerate(m_grid):
-        averages = sampler(substream(seed, i), (trials, int(m))).mean(axis=1)
+        averages = draws[:, :m].mean(axis=1)
         k_hat[i] = orlicz_norm(averages - averages.mean(), q)
     if np.all(k_hat == 0):
         slope = 0.0

@@ -137,6 +137,18 @@ def test_bounds_emits_curves(tmp_path, capsys):
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+def test_bounds_entries_carry_the_curve_minimum_not_the_value_at_d(
+        tmp_path, capsys):
+    # at r = D the Euclidean model's log N is 0, so a value there would be
+    # the stability term alone: entries report the curve's minimum instead
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "bounds"]) == 0
+    for entry in json.loads(capsys.readouterr().out):
+        assert "value" not in entry
+        assert entry["min_value"] == min(entry["values"])
+        assert entry["argmin_r"] in entry["r_grid"]
+
+
 def test_bounds_names_the_derived_inputs_and_model(tmp_path, capsys):
     # a Hölder family on a Sobolev class: alpha s q <= 1, so the chaining
     # integral diverges at r = 0

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, rate fits, verification."""
 
+import dataclasses
 import inspect
 import json
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from invlearn import (ElasticNetFamily, ExperimentConfig, FixedPointFamily,
-                      TikhonovFamily, run_rate_experiment,
-                      run_verification_suite)
+                      TikhonovFamily, erm_solve, experiment,
+                      run_rate_experiment, run_verification_suite)
 from invlearn.bounds import BoundInputs, CoveringModel
 from invlearn.errors import ConfigurationError
 from invlearn.experiment import (_FAMILY_KEYS, bound_domination_check,
@@ -177,11 +178,23 @@ def test_rate_experiment_mean_nonincreasing_up_to_noise(small_fit):
         assert b["mean"] <= a["mean"] + 2 * (a["stderr"] + b["stderr"])
 
 
-def test_rate_experiment_per_m_mean_is_plain_mean():
+def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
     # 50 trials per m: every trial that did not fail enters the mean and
-    # the standard error, none is trimmed
+    # the standard error, none is trimmed; the first trial at m = 16 and at
+    # m = 32 is made to stop short of ERM_TOL, and is left out
+    short = set()
+
+    def first_trials_short(pclass, family, ts, opts):
+        res = erm_solve(pclass, family, ts, opts)
+        if ts.m in (16, 32) and ts.m not in short:
+            short.add(ts.m)
+            return dataclasses.replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(experiment, "erm_solve", first_trials_short)
     fit = run_rate_experiment(ExperimentConfig.from_dict(
         scalar_config(trials_per_m=50)))
+    assert [p["n"] for p in fit.per_m] == [49, 49, 50, 50]
     for p in fit.per_m:
         vals = np.array([t.sample_error for t in fit.trials
                          if t.m == p["m"] and not t.failed])

@@ -1,5 +1,7 @@
 """Tests for the loss stack, ERM, and the optimal-target proxy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from invlearn import (ErmOptions, ForwardOperator, GaussianSpec, ParamClass,
                       ProblemDistribution, TikhonovFamily, draw_training_set,
                       empirical_risk, erm_solve, expected_loss_mc, mmse_affine,
                       optimal_target_proxy)
-from invlearn import hypotheses
-from invlearn.errors import ConfigurationError
-from invlearn.risk import _risk_and_grad_factory
-from invlearn.stochastics import TrainingSet
+from invlearn import hypotheses, risk
+from invlearn.errors import ConfigurationError, ConvergenceError
+from invlearn.risk import _batch_losses, _risk_and_grad_factory
+from invlearn.stochastics import TrainingSet, substream
 
 
 def scalar_setup(noise_var=1.0):
@@ -20,6 +22,14 @@ def scalar_setup(noise_var=1.0):
                                forward=A)
     fam = TikhonovFamily(A, noise, structure="scale")
     return A, noise, dist, fam
+
+
+def proxy(pc, fam, dist, proxy_m, seed):
+    """The proxy's theta; its gate reads the 100 000 rows that
+    ``expected_loss_mc(..., seed + 2)`` draws."""
+    x_eval, y_eval = dist.sample(substream(seed + 2, 1), 100_000)
+    return optimal_target_proxy(pc, fam, dist, proxy_m, seed, x_eval,
+                                y_eval)[0]
 
 
 def one_pair_risk(x, y, theta, fam):
@@ -232,7 +242,7 @@ def test_erm_reconstructs_each_theta_once(monkeypatch):
 def test_proxy_recovers_mmse_weight():
     A, noise, dist, fam = scalar_setup()
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
-    theta = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=7)
+    theta = proxy(pc, fam, dist, proxy_m=100_000, seed=7)
     # scale family: R(y) = y/(1 + 2b^2); MMSE weight 1/2 at 2b^2 = 1
     w = 1.0 / (1.0 + 2.0 * theta[0] ** 2)
     assert abs(w - 0.5) <= 0.01
@@ -243,7 +253,7 @@ def test_proxy_recovers_mmse_weight():
 def test_proxy_singleton_class():
     A, noise, dist, fam = scalar_setup()
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=0.0)
-    theta = optimal_target_proxy(pc, fam, dist, proxy_m=10_000, seed=9)
+    theta = proxy(pc, fam, dist, proxy_m=10_000, seed=9)
     assert theta[0] == 0.0
 
 
@@ -251,12 +261,45 @@ def test_proxy_constrained_class_approximation_gap():
     A, noise, dist, fam = scalar_setup()
     # class excludes the optimum |b| = sqrt(1/2) ~ 0.707: radius 0.3
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=0.3)
-    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=10)
+    theta_star = proxy(pc, fam, dist, proxy_m=100_000, seed=10)
     assert abs(abs(theta_star[0]) - 0.3) <= 1e-6  # pinned to the boundary
     bayes = mmse_affine(A, dist.prior, dist.noise)
     l_star = expected_loss_mc(dist, theta_star, fam, 200_000, seed=11)
     # R(y) = y/1.18 against the MMSE y/2: a gap of 0.12, about 50 half-widths
     assert l_star.estimate - bayes.irreducible_error > 3 * l_star.halfwidth
+
+
+def test_proxy_returns_its_losses_on_the_evaluation_sample():
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    x_eval, y_eval = dist.sample(substream(40, 1), 20_000)
+    theta, losses = optimal_target_proxy(pc, fam, dist, 10_000, 41,
+                                         x_eval, y_eval)
+    assert losses.shape == (20_000,)
+    np.testing.assert_array_equal(
+        losses, _batch_losses(fam, theta, x_eval, y_eval))
+
+
+def test_proxy_unstable_when_the_second_fit_differs(monkeypatch):
+    A, noise, dist, fam = scalar_setup()
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    x_eval, y_eval = dist.sample(substream(42, 1), 20_000)
+    fits = []
+
+    def second_fit_unregularized(*args, **kwargs):
+        res = erm_solve(*args, **kwargs)
+        fits.append(res)
+        # b = 0 is R(y) = y, loss 1/2 against the fit's 1/4
+        return dataclasses.replace(res, theta=np.zeros(1)) \
+            if len(fits) == 2 else res
+
+    monkeypatch.setattr(risk, "erm_solve", second_fit_unregularized)
+    with pytest.raises(ConvergenceError, match="unstable"):
+        optimal_target_proxy(pc, fam, dist, 10_000, 43, x_eval, y_eval)
+    assert len(fits) == 2
+    # unpatched, the same two fits agree
+    monkeypatch.undo()
+    optimal_target_proxy(pc, fam, dist, 10_000, 43, x_eval, y_eval)
 
 
 
@@ -280,7 +323,7 @@ def test_decompose_consistency_at_large_m():
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
     ts = draw_training_set(dist, 100_000, seed=13)
     theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
-    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=14)
+    theta_star = proxy(pc, fam, dist, proxy_m=100_000, seed=14)
     l_hat = expected_loss_mc(dist, theta_hat, fam, 200_000, seed=15)
     l_star = expected_loss_mc(dist, theta_star, fam, 200_000, seed=15)
     bayes = mmse_affine(A, dist.prior, dist.noise)
@@ -297,7 +340,7 @@ def test_decompose_singleton_sample_error_zero():
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=0.0)
     ts = draw_training_set(dist, 50, seed=16)
     theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
-    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=1000, seed=16)
+    theta_star = proxy(pc, fam, dist, proxy_m=1000, seed=16)
     l_hat = expected_loss_mc(dist, theta_hat, fam, 10_000, seed=16)
     l_star = expected_loss_mc(dist, theta_star, fam, 10_000, seed=16)
     assert l_hat.estimate - l_star.estimate == 0.0
@@ -354,7 +397,7 @@ def test_representativeness_duplicate_grid_points():
 def test_sample_error_nonnegative_up_to_noise():
     A, noise, dist, fam = scalar_setup()
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
-    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=25)
+    theta_star = proxy(pc, fam, dist, proxy_m=100_000, seed=25)
     for seed in range(5):
         ts = draw_training_set(dist, 100, seed=30 + seed)
         theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
@@ -369,7 +412,7 @@ def test_representativeness_bounds_sample_error():
     ts = draw_training_set(dist, 200, seed=27)
     grid = [np.array([b]) for b in np.linspace(-1, 1, 41)]
     theta_hat = erm_solve(pc, fam, ts, ErmOptions(seed=0)).theta
-    theta_star = optimal_target_proxy(pc, fam, dist, proxy_m=100_000, seed=28)
+    theta_star = proxy(pc, fam, dist, proxy_m=100_000, seed=28)
     l_hat = expected_loss_mc(dist, theta_hat, fam, 200_000, seed=29)
     l_star = expected_loss_mc(dist, theta_star, fam, 200_000, seed=29)
     sample_error = l_hat.estimate - l_star.estimate

@@ -190,49 +190,55 @@ def test_tail_check_input_validation():
 # -- empirical_average_contraction ----------------------------------------
 
 def test_average_contraction_gaussian_slope():
-    def sampler(rng, size):
-        return rng.standard_normal(size)
-
+    draws = substream(7, 0).standard_normal((2000, 4096))
     table = empirical_average_contraction(
-        sampler, q=2, m_grid=[16, 64, 256, 1024, 4096], trials=2000, seed=7)
+        draws, q=2, m_grid=[16, 64, 256, 1024, 4096])
     assert -0.6 <= table.slope <= -0.4
 
 
 def test_average_contraction_zero_variable():
-    def sampler(rng, size):
-        return np.zeros(size)
-
     table = empirical_average_contraction(
-        sampler, q=2, m_grid=[16, 64], trials=100, seed=7)
+        np.zeros((100, 64)), q=2, m_grid=[16, 64])
     assert np.all(table.k_hat == 0.0)
     assert table.slope == 0.0
 
 
 def test_average_contraction_subexponential_envelope():
-    def sampler(rng, size):
-        return rng.standard_normal(size) ** 2 - 1.0
-
+    draws = substream(11, 0).standard_normal((4000, 1024)) ** 2 - 1.0
     grid = [1, 16, 64, 256, 1024]
-    table = empirical_average_contraction(
-        sampler, q=1, m_grid=grid, trials=4000, seed=11)
+    table = empirical_average_contraction(draws, q=1, m_grid=grid)
     k1 = table.k_hat[0]
     for m, k in zip(table.m_grid[1:], table.k_hat[1:]):
         assert k <= k1 / np.sqrt(m) * 1.25
 
 
 def test_average_contraction_is_shift_invariant():
-    # each m's averages are centred on their own mean, so a sampler shifted
-    # by a constant gives the same norms
-    def sampler(rng, size):
-        return rng.standard_normal(size)
-
-    def shifted(rng, size):
-        return sampler(rng, size) + 1.0
-
-    kwargs = dict(q=2, m_grid=[16, 64, 256], trials=500, seed=3)
-    base = empirical_average_contraction(sampler, **kwargs)
-    moved = empirical_average_contraction(shifted, **kwargs)
+    # each m's averages are centred on their own mean, so draws shifted by
+    # a constant give the same norms
+    draws = substream(3, 0).standard_normal((500, 256))
+    kwargs = dict(q=2, m_grid=[16, 64, 256])
+    base = empirical_average_contraction(draws, **kwargs)
+    moved = empirical_average_contraction(draws + 1.0, **kwargs)
     np.testing.assert_allclose(moved.k_hat, base.k_hat, rtol=1e-12)
+
+
+def test_average_contraction_reads_prefix_means():
+    # a trial's m-average is the mean of the first m entries of its row;
+    # columns beyond max(m_grid) are never read
+    draws = substream(5, 0).standard_normal((300, 80))
+    grid = [4, 16, 64]
+    table = empirical_average_contraction(draws, q=2, m_grid=grid)
+    for m, k in zip(grid, table.k_hat):
+        means = draws[:, :m].mean(axis=1)
+        assert k == orlicz_norm(means - means.mean(), q=2)
+
+
+def test_average_contraction_rejects_too_few_columns():
+    with pytest.raises(ConfigurationError, match="columns"):
+        empirical_average_contraction(np.ones((10, 63)), q=2,
+                                      m_grid=[16, 64])
+    with pytest.raises(ConfigurationError, match="columns"):
+        empirical_average_contraction(np.ones(64), q=2, m_grid=[16, 64])
 
 
 # -- substream -------------------------------------------------------------
