@@ -374,14 +374,16 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
             f"experiment invalid: {n_failed}/{len(records)} trials failed "
             f"(cap {MAX_FAILURE_FRACTION:.0%})")
 
-    # per m, the sample errors of the trials that did not fail
+    # per m, the sample errors of the trials that did not fail, and how many
+    # failed
     shape = (len(cfg.m_grid), cfg.trials_per_m)
     errors = np.array([r.sample_error for r in records]).reshape(shape)
     kept = ~np.array([r.failed for r in records]).reshape(shape)
     vals = [row[keep] for row, keep in zip(errors, kept)]
     means = np.array([v.mean() for v in vals])
     ses = np.array([v.std(ddof=1) / np.sqrt(v.size) for v in vals])
-    per_m = [{"m": m, "mean": float(mean), "stderr": float(se), "n": v.size}
+    per_m = [{"m": m, "mean": float(mean), "stderr": float(se), "n": v.size,
+              "failed": cfg.trials_per_m - v.size}
              for m, mean, se, v in zip(cfg.m_grid, means, ses, vals)]
 
     inputs, cov = bound_inputs(cfg)

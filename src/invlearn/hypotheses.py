@@ -29,6 +29,15 @@ from .operators import ForwardOperator, GaussianSpec
 HOLDER_SMOOTHING = 1e-8  # mu in (||Bx-h||^2 + mu^2)^alpha for alpha < 1
 
 
+def _stacked_dot(a, b):
+    """a . b of two vectors, or of each pair of rows of two stacks.
+
+    One BLAS dot per row, so each row equals its 1-d ``a @ b`` bit for bit
+    (and its square root ``np.linalg.norm``); ``einsum``, ``sum(axis=-1)``
+    and ``norm(axis=-1)`` do not once the rows are longer than 1."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Compact parameter classes
 # ---------------------------------------------------------------------------
@@ -66,26 +75,30 @@ class ParamClass:
         k = np.arange(1, self.dim + 1, dtype=float)
         return k ** self.smoothness
 
-    def _constraint_norm(self, theta: np.ndarray) -> float:
-        if self.kind == "euclidean_ball":
-            return float(np.linalg.norm(theta))
-        return float(np.linalg.norm(self._weights() * theta))
+    def _constraint_norm(self, theta: np.ndarray):
+        """The norm of theta, or of each row of a (k, dim) stack."""
+        if self.kind == "sobolev_ball":
+            theta = self._weights() * theta
+        return np.sqrt(_stacked_dot(theta, theta))
 
     def contains(self, theta, tol: float = 1e-9) -> bool:
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.dim:
             return False
-        return self._constraint_norm(theta) <= self.radius * (1 + tol)
+        return bool(self._constraint_norm(theta) <= self.radius * (1 + tol))
 
     def project(self, theta) -> np.ndarray:
-        """Radial projection onto the ball; idempotent and non-expansive."""
+        """Radial projection onto the ball; idempotent and non-expansive.
+
+        A (k, dim) stack is projected row by row."""
         theta = np.asarray(theta, dtype=float)
-        if theta.size != self.dim:
+        if theta.shape[-1:] != (self.dim,):
             raise DimensionMismatchError("parameter length != class dimension")
         norm = self._constraint_norm(theta)
-        if norm <= self.radius:
-            return theta.copy()
-        return theta * (self.radius / norm)
+        inside = norm <= self.radius
+        scale = np.divide(self.radius, norm, out=np.ones_like(norm),
+                          where=~inside)
+        return theta * scale[..., None]
 
     @property
     def center(self) -> np.ndarray:
@@ -181,19 +194,21 @@ def _tikhonov_solve(h, B, P, K, Y: np.ndarray) -> np.ndarray:
 def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Rows X with X M^T = rhs for the normal matrix M of an affine family.
 
-    Rejects a numerically singular M and checks the residual of the solve.
+    M may be a (k, n, n) stack with rhs (k, r, n), one solve per slice.
+    Rejects a numerically singular M and checks the residual of each solve.
     """
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e13:
+    cond = np.atleast_1d(np.linalg.cond(M))
+    if np.any(singular := ~(cond <= 1e13)):  # inf and nan included
         raise ConfigurationError(
-            f"singular normal matrix (cond={cond:.3g}); "
+            f"singular normal matrix (cond={cond[singular][0]:.3g}); "
             "the penalty does not control ker A")
-    X = np.linalg.solve(M, rhs.T).T
-    resid = np.max(np.abs(X @ M.T - rhs)) if X.size else 0.0
-    scale = max(1.0, np.max(np.abs(rhs))) if rhs.size else 1.0
-    if resid > 1e-8 * scale:
+    X = np.swapaxes(np.linalg.solve(M, np.swapaxes(rhs, -1, -2)), -1, -2)
+    resid = np.atleast_1d(np.max(np.abs(X @ np.swapaxes(M, -1, -2) - rhs),
+                                 axis=(-2, -1), initial=0.0))
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1), initial=0.0))
+    if np.any(bad := resid > 1e-8 * scale):
         raise ConvergenceError("normal equation residual too large",
-                               residual=resid)
+                               residual=float(resid[bad][0]))
     return X
 
 
@@ -325,12 +340,26 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """Shared by every family: R_theta(y) for one y is a one-row batch."""
+    """Shared by every family: R_theta(y) for one y is a one-row batch.
+
+    ``reconstruct_batch(theta, Y)`` maps the (m, n_y) batch Y to (m, n_x)
+    rows; a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for
+    bit the 1-d call.
+    """
 
     def reconstruct(self, theta, y, **solver):
         """R_theta(y); ``solver`` (``tol``) goes to ``reconstruct_batch``."""
         Y = np.asarray(y, dtype=float).reshape(1, -1)
         return self.reconstruct_batch(theta, Y, **solver)[0]
+
+    @staticmethod
+    def _each_theta(theta, solve):
+        """solve(theta) for one theta; the k solves of a (k, dim) stack,
+        one theta at a time, stacked."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            return solve(theta)
+        return np.stack([solve(t) for t in theta])
 
 
 class _HBFamily(_Family):
@@ -341,6 +370,9 @@ class _HBFamily(_Family):
     * "scale": theta = [b], B = b I, h = 0 (the 1-parameter family),
     * "full":  theta = concat(h, vec(B)) with dense B,
     * "diagonal": theta = concat(h, diag(B)).
+
+    A (k, dim) stack of thetas gives stacks of (h, B), affine maps,
+    reconstructions and gradients.
     """
 
     def __init__(self, op: ForwardOperator, structure: str):
@@ -356,13 +388,16 @@ class _HBFamily(_Family):
     def _h_B(self, theta):
         theta = np.asarray(theta, dtype=float)
         n = self.op.n_x
-        if theta.size != self.dim:
+        if theta.shape[-1:] != (self.dim,):
             raise DimensionMismatchError("theta length mismatch")
+        stack = theta.shape[:-1]
         if self.structure == "scale":
-            return np.zeros(n), theta[0] * np.eye(n)
+            return np.zeros(stack + (n,)), theta[..., :1, None] * np.eye(n)
         if self.structure == "diagonal":
-            return theta[:n], np.diag(theta[n:])
-        return theta[:n], theta[n:].reshape(n, n)
+            B = np.zeros(stack + (n, n))
+            B[..., range(n), range(n)] = theta[..., n:]
+            return theta[..., :n], B
+        return theta[..., :n], theta[..., n:].reshape(stack + (n, n))
 
     def metric(self, theta1, theta2) -> float:
         """d((h,B),(h',B')) = ||h-h'|| + ||B-B'||_op."""
@@ -374,16 +409,20 @@ class _HBFamily(_Family):
 
         The optimality condition is M x = P y + s with M = K + 2 B*B and
         the family's shift s.  One checked solve against the n_y + 1
-        right-hand rows [P^T; s^T] gives the columns of G and then c.
+        right-hand rows [P^T; s^T] gives the columns of G and then c.  A
+        (k, dim) theta gives (k, n_x, n_y) and (k, n_x), one checked solve
+        per row.
         """
         if self.alpha != 1.0:
             raise ConfigurationError("the reconstruction is affine only for "
                                      "alpha = 1")
         h, B = self._h_B(theta)
-        BtB = B.T @ B
+        BtB = np.swapaxes(B, -1, -2) @ B
+        s = self._shift(h, B, BtB)
+        Pt = np.broadcast_to(self._P.T, s.shape[:-1] + self._P.T.shape)
         S = _solve_normal(self._K + 2.0 * BtB,
-                          np.vstack([self._P.T, self._shift(h, B, BtB)]))
-        return S[:-1].T, S[-1]
+                          np.concatenate([Pt, s[..., None, :]], axis=-2))
+        return np.swapaxes(S[..., :-1, :], -1, -2), S[..., -1, :]
 
     def _affine_batch(self, theta, Y):
         """Rows R_theta(y) = G y + c of the (k, n_y) batch Y."""
@@ -391,8 +430,8 @@ class _HBFamily(_Family):
         if Y.shape[-1] != self.op.n_y:
             raise DimensionMismatchError("data length != operator output dim")
         G, c = self.affine_map(theta)
-        X = Y @ G.T
-        X += c
+        X = Y @ np.swapaxes(G, -1, -2)
+        X += c[..., None, :]
         return X
 
 
@@ -411,7 +450,7 @@ class TikhonovFamily(_HBFamily):
     @staticmethod
     def _shift(h, B, BtB):
         """s = 2 B*B h, from the penalty ||B(x - h)||^2."""
-        return 2.0 * (BtB @ h)
+        return 2.0 * (BtB @ h[..., None])[..., 0]
 
     def unpack(self, theta) -> TikhonovParams:
         return TikhonovParams(*self._h_B(theta))
@@ -424,25 +463,30 @@ class TikhonovFamily(_HBFamily):
 
         Differentiates R = M^{-1} rhs through the normal equations.  ``R``
         is the reconstruction ``reconstruct_batch(theta, Y)`` when the
-        caller already has it; then only the n x n matrix M is rebuilt.
+        caller already has it; then only the n x n matrix M is rebuilt.  A
+        (k, dim) theta with its (k, m, n) R gives the (k, dim) gradients.
         """
         if R is None:
             R = self.reconstruct_batch(theta, Y)
         h, B = self._h_B(theta)
-        BtB = B.T @ B
+        BtB = np.swapaxes(B, -1, -2) @ B
         M = self._K + 2.0 * BtB
-        E = R - np.asarray(X, float)              # residuals, (m, n)
-        U = np.linalg.solve(M, E.T).T             # adjoint states
-        m = E.shape[0]
-        grad_h = 2.0 * (BtB @ U.mean(axis=0))
-        HmR = h[None, :] - R                      # (m, n)
-        grad_B = 2.0 / m * ((B @ HmR.T) @ U + (B @ U.T) @ HmR)
+        E = R - np.asarray(X, float)              # residuals, (..., m, n)
+        U = np.swapaxes(np.linalg.solve(M, np.swapaxes(E, -1, -2)),
+                        -1, -2)                   # adjoint states
+        m = E.shape[-2]
+        grad_h = 2.0 * (BtB @ U.mean(axis=-2)[..., None])[..., 0]
+        HmR = h[..., None, :] - R                 # (..., m, n)
+        grad_B = 2.0 / m * ((B @ np.swapaxes(HmR, -1, -2)) @ U
+                            + (B @ np.swapaxes(U, -1, -2)) @ HmR)
         if self.structure == "scale":
             # B = b I: chain rule collapses grad_B onto its trace
-            return np.array([np.trace(grad_B)])
+            return np.trace(grad_B, axis1=-2, axis2=-1)[..., None]
         if self.structure == "diagonal":
-            return np.concatenate([grad_h, np.diag(grad_B)])
-        return np.concatenate([grad_h, grad_B.ravel()])
+            return np.concatenate(
+                [grad_h, np.diagonal(grad_B, axis1=-2, axis2=-1)], axis=-1)
+        return np.concatenate(
+            [grad_h, grad_B.reshape(grad_h.shape[:-1] + (-1,))], axis=-1)
 
 
 class ElasticNetFamily(_HBFamily):
@@ -464,7 +508,7 @@ class ElasticNetFamily(_HBFamily):
     @staticmethod
     def _shift(h, B, BtB):
         """s = 2 B* h, from the alpha = 1 penalty ||B x - h||^2."""
-        return 2.0 * (B.T @ h)
+        return 2.0 * (np.swapaxes(B, -1, -2) @ h[..., None])[..., 0]
 
     def unpack(self, theta) -> ElasticNetParams:
         h, B = self._h_B(theta)
@@ -474,8 +518,9 @@ class ElasticNetFamily(_HBFamily):
         if self.alpha == 1.0:
             # smooth quadratic case: the optimality condition is linear
             return self._affine_batch(theta, Y)
-        return reconstruct_elastic_net(self.unpack(theta), self.op,
-                                       np.asarray(Y, dtype=float), tol=tol)
+        Y = np.asarray(Y, dtype=float)
+        return self._each_theta(theta, lambda t: reconstruct_elastic_net(
+            self.unpack(t), self.op, Y, tol=tol))
 
 
 class FixedPointFamily(_Family):
@@ -504,7 +549,8 @@ class FixedPointFamily(_Family):
                                     - np.asarray(theta2, float)))
 
     def reconstruct_batch(self, theta, Y, tol=1e-10):
-        return reconstruct_fixed_point(self.unpack(theta), self.op, Y, tol=tol)
+        return self._each_theta(theta, lambda t: reconstruct_fixed_point(
+            self.unpack(t), self.op, Y, tol=tol))
 
     def lipschitz_theta_bound(self, probe_ys) -> float:
         """Analytic Lipschitz-in-theta constant over the probe data.

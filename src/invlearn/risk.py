@@ -2,8 +2,10 @@
 
 The expected loss of a parametric reconstructor is estimated by Monte
 Carlo; the empirical target comes from projected gradient descent with
-multi-start; the optimal target is proxied by ERM on a much larger sample,
-gated by a second fit from another seed.  The sample error L(theta_hat) -
+multi-start, the starts advancing in lock-step as one (k, dim) stack whose
+every row equals its one-start run bit for bit; the optimal target is
+proxied by ERM on a much larger sample, gated by a second fit from another
+seed.  The sample error L(theta_hat) -
 L(theta_star) itself is measured by the rate experiment, on one shared
 Monte Carlo sample so that the difference cancels common noise; the
 proxy's gate and theta_star's losses read that same sample.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
+from .hypotheses import _stacked_dot
 from .stochastics import (ProblemDistribution, TrainingSet,
                           draw_training_set, substream)
 
@@ -24,12 +27,13 @@ ERM_TOL = 1e-8  # projected-gradient residual at which an ERM start has converge
 
 
 def _losses(R, X) -> np.ndarray:
-    """Per-row quadratic losses 1/2 ||r_j - x_j||^2 of reconstructions R.
+    """Per-row quadratic losses 1/2 ||r_j - x_j||^2 of reconstructions R,
+    or of each slice of a (k, m, n_x) stack.
 
-    R is never written to: the ERM memo holds it."""
+    R is never written to: ERM keeps it for the gradient."""
     D = R - X
     D *= D
-    return 0.5 * np.sum(D, axis=1)
+    return 0.5 * np.sum(D, axis=-1)
 
 
 def _batch_losses(family, theta, X, Y) -> np.ndarray:
@@ -86,71 +90,101 @@ class ErmResult:
 
 
 def _risk_and_grad_factory(family, pclass, X, Y):
-    # single-entry memo of the latest reconstruction: the gradient is always
-    # taken at the point whose risk was just evaluated, so it reuses that
-    # solve; local to one ERM run
-    last = {}
+    """The empirical risk and its gradient on a (k, dim) stack of thetas.
 
-    def reconstruction(theta):
-        key = theta.tobytes()
-        if last.get("key") != key:
-            last.clear()  # release the old batch before solving the new one
-            last.update(key=key, R=family.reconstruct_batch(theta, Y))
-        return last["R"]
-
-    def risk(theta):
-        return float(_losses(reconstruction(theta), X).mean())
+    ``risk(thetas)`` returns the k risks and the (k, m, n_x)
+    reconstructions; ``grad(thetas, R)`` the (k, dim) gradients, reusing
+    the reconstructions R of those thetas.  Each row equals its one-row
+    stack bit for bit.
+    """
+    def risk(thetas):
+        R = family.reconstruct_batch(thetas, Y)
+        return _losses(R, X).mean(axis=-1), R
 
     if hasattr(family, "risk_gradient"):
-        def grad(theta):
-            return family.risk_gradient(theta, X, Y, R=reconstruction(theta))
+        def grad(thetas, R):
+            return family.risk_gradient(thetas, X, Y, R=R)
     else:
         step = FD_STEP_REL * pclass.diameter
 
-        def grad(theta):
-            g = np.empty(theta.size)
-            for i in range(theta.size):
-                e = np.zeros(theta.size)
+        def grad(thetas, R):
+            g = np.empty(thetas.shape)
+            for i in range(thetas.shape[1]):
+                e = np.zeros(thetas.shape[1])
                 e[i] = step
-                g[i] = (risk(theta + e) - risk(theta - e)) / (2 * step)
+                g[:, i] = (risk(thetas + e)[0]
+                           - risk(thetas - e)[0]) / (2 * step)
             return g
     return risk, grad
 
 
 def _projected_gradient(theta0, risk, grad, pclass, opts):
+    """Projected gradient descent from each row of theta0, in lock-step.
+
+    Every row keeps its own step, Armijo test and iteration count, and
+    leaves the stack when its residual reaches ``ERM_TOL``, when its line
+    search ends without a move, or at ``max_iter``.  Each iteration takes
+    one stacked gradient of the live rows, and each line-search round one
+    stacked risk of the rows still searching.  Returns the (k, dim) thetas
+    and the k objectives and residuals.
+    """
     theta = pclass.project(np.asarray(theta0, float))
-    f = risk(theta)
-    step = 1.0
-    residual = np.inf
+    f, R = risk(theta)
+    out_theta, out_f = np.empty_like(theta), np.empty_like(f)
+    residual = np.full(len(theta), np.inf)
+    step = np.ones(len(theta))
+    live = np.arange(len(theta))  # rows of the outputs still iterating
+
+    def leave(keep):
+        """Write the rows that leave to the outputs and return the state
+        of the rows that stay (the same arrays when none leaves)."""
+        if keep.all():
+            return live, theta, f, R, step
+        out_theta[live[~keep]], out_f[live[~keep]] = theta[~keep], f[~keep]
+        return (a[keep] for a in (live, theta, f, R, step))
+
     for _ in range(opts.max_iter):
-        g = grad(theta)
+        if not live.size:
+            break
+        g = grad(theta, R)
         # projected-gradient residual at unit reference step
-        residual = float(np.linalg.norm(theta - pclass.project(theta - g)))
-        if residual <= ERM_TOL:
-            break
-        step = min(step * 2.0, 1e8)
-        while True:
-            cand = pclass.project(theta - step * g)
-            move = cand - theta
-            f_cand = risk(cand)
-            if f_cand <= f + float(g @ move) + \
-                    0.5 / step * float(move @ move) or step < 1e-14:
-                break
-            step *= 0.5
-        if np.array_equal(cand, theta):
-            break
-        theta, f = cand, f_cand
-    return theta, f, residual
+        d = theta - pclass.project(theta - g)
+        residual[live] = np.sqrt(_stacked_dot(d, d))
+        keep = ~(residual[live] <= ERM_TOL)
+        g = g[keep]
+        live, theta, f, R, step = leave(keep)
+        step = np.minimum(step * 2.0, 1e8)
+        cand, f_cand, R_cand = map(np.empty_like, (theta, f, R))
+        search = np.arange(live.size)  # rows whose line search goes on
+        while search.size:
+            c = pclass.project(theta[search] - step[search, None] * g[search])
+            move = c - theta[search]
+            cand[search] = c
+            f_cand[search], R_cand[search] = risk(c)
+            accept = (f_cand[search] <= f[search]
+                      + _stacked_dot(g[search], move)
+                      + 0.5 / step[search] * _stacked_dot(move, move)) \
+                | (step[search] < 1e-14)
+            search = search[~accept]
+            step[search] *= 0.5
+        moved = np.any(cand != theta, axis=1)
+        # a row that did not move leaves: its cand is its theta, bit for
+        # bit, and so its f_cand is its f
+        theta, f, R = cand, f_cand, R_cand
+        live, theta, f, R, step = leave(moved)
+    leave(np.zeros(live.size, bool))
+    return out_theta, out_f, residual
 
 
 def erm_solve(pclass, family, ts: TrainingSet,
               opts: ErmOptions = ErmOptions()) -> ErmResult:
     """Multi-start projected gradient descent on the empirical risk.
 
-    Starts at the class center plus projected random points.  Gradients are
-    analytic when the family provides them (Tikhonov), otherwise central
-    finite differences.  Ties are broken by lowest objective, then by
-    lexicographically smallest parameter vector.
+    Starts at the class center plus projected random points, all run in
+    lock-step as one stack.  Gradients are analytic when the family
+    provides them (Tikhonov), otherwise central finite differences.  Ties
+    are broken by lowest objective, then by lexicographically smallest
+    parameter vector.
     """
     if ts.m < 1:
         raise ConfigurationError("empty training set")
@@ -158,13 +192,10 @@ def erm_solve(pclass, family, ts: TrainingSet,
     starts = [pclass.center]
     rng = substream(opts.seed, 101)
     starts += [pclass.sample(rng) for _ in range(max(0, opts.n_starts - 1))]
-    best = None
-    for theta0 in starts:
-        theta, f, residual = _projected_gradient(theta0, risk, grad, pclass, opts)
-        cand = (f, tuple(theta), residual)
-        if best is None or cand < best:
-            best = cand
-    f, theta_t, residual = best
+    thetas, fs, residuals = _projected_gradient(np.array(starts), risk, grad,
+                                                pclass, opts)
+    f, theta_t, residual = min(zip(fs.tolist(), map(tuple, thetas.tolist()),
+                                   residuals.tolist()))
     return ErmResult(theta=np.asarray(theta_t), objective=f,
                      residual=residual, converged=residual <= ERM_TOL)
 

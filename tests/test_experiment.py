@@ -181,7 +181,7 @@ def test_rate_experiment_mean_nonincreasing_up_to_noise(small_fit):
 def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
     # 50 trials per m: every trial that did not fail enters the mean and
     # the standard error, none is trimmed; the first trial at m = 16 and at
-    # m = 32 is made to stop short of ERM_TOL, and is left out
+    # m = 32 is made to stop short of ERM_TOL, and is left out and counted
     short = set()
 
     def first_trials_short(pclass, family, ts, opts):
@@ -195,10 +195,11 @@ def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
     fit = run_rate_experiment(ExperimentConfig.from_dict(
         scalar_config(trials_per_m=50)))
     assert [p["n"] for p in fit.per_m] == [49, 49, 50, 50]
+    assert [p["failed"] for p in fit.per_m] == [1, 1, 0, 0]
     for p in fit.per_m:
         vals = np.array([t.sample_error for t in fit.trials
                          if t.m == p["m"] and not t.failed])
-        assert set(p) == {"m", "mean", "stderr", "n"}
+        assert set(p) == {"m", "mean", "stderr", "n", "failed"}
         assert p["n"] == vals.size
         assert p["mean"] == pytest.approx(vals.mean(), rel=1e-12)
         assert p["stderr"] == pytest.approx(

@@ -14,6 +14,7 @@ from invlearn import (ElasticNetFamily, ElasticNetParams, FixedPointFamily,
                       reconstruct_tikhonov)
 from invlearn.errors import (ConfigurationError, ContractivityError,
                              ConvergenceError, DimensionMismatchError)
+from invlearn.hypotheses import _stacked_dot
 
 
 # -- ParamClass ------------------------------------------------------------
@@ -35,6 +36,31 @@ def test_param_class_projection_nonexpansive(a, b):
     pc = ParamClass(kind="euclidean_ball", dim=2, radius=1.0)
     pa, pb = pc.project(np.array(a)), pc.project(np.array(b))
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
+
+
+def test_stacked_dot_rows_equal_one_d_dot_and_norm():
+    # the form of every reduction over theta in ERM: each row is the 1-d
+    # BLAS dot, and its root the 1-d norm, bit for bit
+    rng = np.random.default_rng(2)
+    for dim in range(1, 31):
+        a, b = rng.standard_normal((2, 5, dim)) * rng.uniform(0.1, 10.0)
+        dots, sq = _stacked_dot(a, b), _stacked_dot(a, a)
+        for i in range(5):
+            assert dots[i] == a[i] @ b[i]
+            assert np.sqrt(sq[i]) == np.linalg.norm(a[i])
+
+
+@pytest.mark.parametrize("kind", ["euclidean_ball", "sobolev_ball"])
+def test_param_class_projects_a_stack_row_by_row(kind):
+    pc = ParamClass(kind=kind, dim=5, radius=0.7,
+                    smoothness=1.0 if kind == "sobolev_ball" else None)
+    rng = np.random.default_rng(3)
+    thetas = rng.standard_normal((6, 5)) * rng.choice([0.01, 1.0], (6, 1))
+    projected = pc.project(thetas)
+    for theta, row in zip(thetas, projected):
+        np.testing.assert_array_equal(row, pc.project(theta))
+    with pytest.raises(DimensionMismatchError):
+        pc.project(thetas[:, :4])
 
 
 def test_param_class_sobolev_membership():
@@ -206,13 +232,80 @@ def test_affine_batch_matches_per_row_reference(seed, kind, structure, shape,
 
 @pytest.mark.parametrize("kind", ["tikhonov", "elastic_net"])
 def test_affine_map_checks_its_solve(monkeypatch, kind):
-    # the one solve of affine_map keeps its residual check
+    # the one solve of affine_map keeps its residual check, for one theta
+    # and for every row of a stack: only the last slice's solve is perturbed
     fam, theta, Y, *_ = _affine_case(3, kind, "full", (3, 3), 4)
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda M, rhs: solve(M, rhs) * (1.0 + 1e-6))
-    with pytest.raises(ConvergenceError, match="residual"):
-        fam.reconstruct_batch(theta, Y)
+
+    def perturbed_solve(M, rhs):
+        X = solve(M, rhs)
+        X[-1] *= 1.0 + 1e-6
+        return X
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed_solve)
+    for thetas in (theta, np.stack([0.5 * theta, theta])):
+        with pytest.raises(ConvergenceError, match="residual"):
+            fam.reconstruct_batch(thetas, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["tikhonov", "elastic_net"]),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       shape=st.sampled_from(AFFINE_SHAPES), k=st.integers(1, 4))
+def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
+                                                    shape, k):
+    # each row of a (k, dim) stack of thetas gets the affine map,
+    # reconstructions and risk gradient of its 1-d call, bit for bit; a
+    # stack with a singular row raises as that row does alone
+    fam, _, Y, *_ = _affine_case(seed, kind, structure, shape, 5)
+    rng = np.random.default_rng(seed)
+    thetas = rng.standard_normal((k, fam.dim)) * 0.7
+    X = rng.standard_normal((5, shape[1]))
+    try:
+        maps = [fam.affine_map(t) for t in thetas]
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError, match="singular"):
+            fam.affine_map(thetas)
+        return
+    G, c = fam.affine_map(thetas)
+    R = fam.reconstruct_batch(thetas, Y)
+    assert G.shape == (k, shape[1], shape[0]) and R.shape == (k, 5, shape[1])
+    for i, theta in enumerate(thetas):
+        np.testing.assert_array_equal(G[i], maps[i][0])
+        np.testing.assert_array_equal(c[i], maps[i][1])
+        np.testing.assert_array_equal(R[i], fam.reconstruct_batch(theta, Y))
+    if kind == "tikhonov":
+        g = fam.risk_gradient(thetas, X, Y)
+        np.testing.assert_array_equal(g, fam.risk_gradient(thetas, X, Y, R=R))
+        for i, theta in enumerate(thetas):
+            np.testing.assert_array_equal(g[i],
+                                          fam.risk_gradient(theta, X, Y))
+
+
+def test_stacked_theta_with_one_singular_row_raises():
+    # B = 0 leaves ker A uncontrolled: the stack fails although its first
+    # row solves alone
+    rank_one = ForwardOperator(n_x=2, n_y=2, singular_values=np.array([1.0]))
+    fam = TikhonovFamily(rank_one, GaussianSpec.iso(2, 1.0), "diagonal")
+    good = np.array([0.0, 0.0, 1.0, 1.0])
+    fam.reconstruct_batch(good, np.ones((3, 2)))
+    with pytest.raises(ConfigurationError, match="singular normal matrix"):
+        fam.reconstruct_batch(np.stack([good, np.zeros(4)]), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("kind", ["elastic_net", "fixed_point"])
+def test_stacked_iterative_reconstruction_is_one_theta_at_a_time(kind):
+    A = ForwardOperator.power_decay(2, 1.0)
+    fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal") \
+        if kind == "elastic_net" else FixedPointFamily(A, 0.5)
+    rng = np.random.default_rng(8)
+    thetas = rng.standard_normal((3, fam.dim)) * 0.5
+    Y = rng.standard_normal((4, 2))
+    R = fam.reconstruct_batch(thetas, Y)
+    assert R.shape == (3, 4, 2)
+    for theta, R_row in zip(thetas, R):
+        np.testing.assert_array_equal(R_row, fam.reconstruct_batch(theta, Y))
 
 
 def test_tikhonov_family_rejects_singular_normal_matrix():

@@ -4,14 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invlearn import (ErmOptions, ForwardOperator, GaussianSpec, ParamClass,
+from invlearn import (ElasticNetFamily, ErmOptions, FixedPointFamily,
+                      ForwardOperator, GaussianSpec, ParamClass,
                       ProblemDistribution, TikhonovFamily, draw_training_set,
                       empirical_risk, erm_solve, expected_loss_mc, mmse_affine,
                       optimal_target_proxy)
 from invlearn import hypotheses, risk
 from invlearn.errors import ConfigurationError, ConvergenceError
-from invlearn.risk import _batch_losses, _risk_and_grad_factory
+from invlearn.risk import (ERM_TOL, _batch_losses, _projected_gradient,
+                           _risk_and_grad_factory)
 from invlearn.stochastics import TrainingSet, substream
 
 
@@ -196,45 +200,161 @@ def vector_setup(structure):
 
 @pytest.mark.parametrize("structure", ["scale", "diagonal", "full"])
 def test_erm_risk_and_grad_match_reference(structure):
-    # the memoized ERM objective is the reference risk and gradient, bit for
-    # bit, whatever order the thetas are visited in
+    # each row of the stacked ERM objective is the reference risk and
+    # gradient of its theta, bit for bit, whatever stack it comes in
     dist, fam, pc = vector_setup(structure)
     ts = draw_training_set(dist, 40, seed=13)
     risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
     rng = np.random.default_rng(14)
     t1, t2 = pc.sample(rng), pc.sample(rng)
-    for theta in (t1, t1, t2, t1, t2, t2):
-        assert risk(theta) == empirical_risk(ts, theta, fam)
-        assert np.array_equal(grad(theta), fam.risk_gradient(theta, ts.x, ts.y))
-    assert np.array_equal(grad(t1), fam.risk_gradient(t1, ts.x, ts.y))
+    for stack in ([t1], [t1, t2], [t2, t1, t2]):
+        thetas = np.array(stack)
+        f, R = risk(thetas)
+        g = grad(thetas, R)
+        assert f.shape == (len(stack),) and g.shape == thetas.shape
+        for theta, f_row, R_row, g_row in zip(thetas, f, R, g):
+            assert f_row == empirical_risk(ts, theta, fam)
+            np.testing.assert_array_equal(
+                R_row, fam.reconstruct_batch(theta, ts.y))
+            np.testing.assert_array_equal(
+                g_row, fam.risk_gradient(theta, ts.x, ts.y))
 
 
 def test_erm_reconstructs_each_theta_once(monkeypatch):
-    # one solve per distinct theta: the line search's accepted risk is kept,
-    # and the gradient reuses the reconstruction the risk just computed
+    # one solve per distinct theta row: the line search's accepted risk is
+    # kept, the gradient reuses the reconstructions the risk just computed,
+    # and the starts share their reconstruct_batch calls
     dist, fam, pc = vector_setup("diagonal")
     ts = draw_training_set(dist, 60, seed=15)
-    thetas = []
-    solves = []
+    rows, calls, solves = [], [], []
     reconstruct_batch = fam.reconstruct_batch
     solve_normal = hypotheses._solve_normal
 
     def counting_reconstruct_batch(theta, Y, tol=None):
-        thetas.append(np.asarray(theta).tobytes())
+        calls.append(1)
+        rows.extend(t.tobytes() for t in np.atleast_2d(theta))
         return reconstruct_batch(theta, Y, tol)
 
-    def counting_solve(*args):
-        # the one checked solve of affine_map
-        solves.append(1)
-        return solve_normal(*args)
+    def counting_solve(M, rhs):
+        # the one checked solve of affine_map, per theta row
+        solves.append(int(np.prod(M.shape[:-2])))
+        return solve_normal(M, rhs)
 
     monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
     monkeypatch.setattr(hypotheses, "_solve_normal", counting_solve)
     res = erm_solve(pc, fam, ts, ErmOptions(seed=0, n_starts=3))
     assert res.converged
-    assert len(thetas) > 30
-    assert len(thetas) == len(set(thetas))
-    assert len(solves) == len(thetas)
+    assert len(rows) > 30
+    assert len(rows) == len(set(rows))
+    assert sum(solves) == len(rows)
+    assert len(calls) < len(rows)
+
+
+# -- lock-step multi-start: each row is its own run ------------------------
+
+def one_start_reference(theta0, risk, grad, pclass, opts):
+    """Projected gradient descent from one start, one theta at a time: the
+    reference the lock-step loop must reproduce."""
+    theta = pclass.project(theta0)
+    (f,), R = risk(theta[None])
+    step, residual = 1.0, np.inf
+    for _ in range(opts.max_iter):
+        g = grad(theta[None], R)[0]
+        residual = float(np.linalg.norm(theta - pclass.project(theta - g)))
+        if residual <= ERM_TOL:
+            break
+        step = min(step * 2.0, 1e8)
+        while True:
+            cand = pclass.project(theta - step * g)
+            move = cand - theta
+            (f_cand,), R_cand = risk(cand[None])
+            if f_cand <= f + float(g @ move) + \
+                    0.5 / step * float(move @ move) or step < 1e-14:
+                break
+            step *= 0.5
+        if np.array_equal(cand, theta):
+            break
+        theta, f, R = cand, f_cand, R_cand
+    return theta, f, residual
+
+
+def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
+    """Every row of the lock-step run from ``starts`` returns the theta,
+    objective and residual of its one-row run and of the one-start
+    reference, bit for bit.  Returns the number of risk evaluations of each
+    one-row run."""
+    risk, grad = _risk_and_grad_factory(fam, pc, X, Y)
+    thetas, f, residual = _projected_gradient(starts, risk, grad, pc, opts)
+    evaluations = []
+    for i, start in enumerate(starts):
+        calls = []
+
+        def counting_risk(t):
+            calls.append(1)
+            return risk(t)
+
+        solo = _projected_gradient(start[None], counting_risk, grad, pc,
+                                   opts)
+        ref = one_start_reference(start, risk, grad, pc, opts)
+        for run in ((a[0] for a in solo), ref):
+            theta_run, f_run, residual_run = run
+            np.testing.assert_array_equal(thetas[i], theta_run)
+            assert f[i] == f_run
+            assert residual[i] == residual_run
+        evaluations.append(len(calls))
+    return evaluations
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       shape=st.sampled_from([(2, 2), (3, 2), (3, 3)]),
+       k=st.integers(1, 4), max_iter=st.sampled_from([0, 1, 4, 60]))
+def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
+                                                   max_iter):
+    # random starts, one on the ball boundary, and one at the converged
+    # theta of a one-row run, which stops at the first iteration while the
+    # others go on
+    rng = np.random.default_rng(seed)
+    n_y, n_x = shape
+    A = ForwardOperator.from_matrix(rng.standard_normal(shape))
+    noise = GaussianSpec.iso(n_y, 0.5)
+    dist = ProblemDistribution(prior=GaussianSpec.iso(n_x, 1.0), noise=noise,
+                               forward=A)
+    fam = TikhonovFamily(A, noise, structure=structure)
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    ts = draw_training_set(dist, 24, seed=seed % 1000)
+    opts = ErmOptions(max_iter=max_iter)
+    z = rng.standard_normal(fam.dim)
+    starts = [z / np.linalg.norm(z)] + [pc.sample(rng) for _ in range(k)]
+    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    first = _projected_gradient(np.array(starts[1:2]), risk, grad, pc,
+                                ErmOptions())
+    starts.append(first[0][0])
+    assert abs(np.linalg.norm(starts[0]) - 1.0) <= 1e-15
+    evaluations = assert_rows_run_alone(fam, pc, ts.x, ts.y,
+                                        np.array(starts), opts)
+    if max_iter > 0 and first[2][0] <= ERM_TOL:
+        # the converged start stops at its first residual, on its first risk
+        assert evaluations[-1] == 1
+    if max_iter == 60:
+        assert len(set(evaluations)) > 1  # rows stopped at different points
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
+def test_lockstep_rows_equal_one_row_runs_finite_differences(kind):
+    # the finite-difference path, with a 3-iteration cap
+    A = ForwardOperator.power_decay(2, 1.0)
+    dist = ProblemDistribution(prior=GaussianSpec.iso(2, 1.0),
+                               noise=GaussianSpec.iso(2, 0.01), forward=A)
+    fam = FixedPointFamily(A, 0.5) if kind == "fixed_point" else \
+        ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal")
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    ts = draw_training_set(dist, 4, seed=16)
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal(fam.dim)
+    starts = np.array([pc.center, z / np.linalg.norm(z), pc.sample(rng)])
+    assert_rows_run_alone(fam, pc, ts.x, ts.y, starts, ErmOptions(max_iter=3))
 
 
 # -- optimal_target_proxy --------------------------------------------------
