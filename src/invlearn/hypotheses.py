@@ -27,6 +27,7 @@ from .errors import (ConfigurationError, ContractivityError, ConvergenceError,
 from .operators import ForwardOperator, GaussianSpec
 
 HOLDER_SMOOTHING = 1e-8  # mu in (||Bx-h||^2 + mu^2)^alpha for alpha < 1
+STACK_ROWS = 1 << 16  # (theta, row) pairs one iterative solve holds at most
 
 
 def _stacked_dot(a, b):
@@ -125,8 +126,8 @@ class TikhonovParams:
 
 @dataclass(frozen=True)
 class ElasticNetParams:
-    h: np.ndarray
-    B: np.ndarray
+    h: np.ndarray  # (..., n_x): one h, or one per theta of a stack
+    B: np.ndarray  # (..., n_x, n_x)
     alpha: float
     eta: float
 
@@ -143,8 +144,8 @@ class ElasticNetParams:
 
 @dataclass(frozen=True)
 class FixedPointParams:
-    W: np.ndarray  # (n_x, n_x), spectrally clipped to the budget on use
-    b: np.ndarray
+    W: np.ndarray  # (..., n_x, n_x), spectrally clipped to the budget on use
+    b: np.ndarray  # (..., n_x): one (W, b), or one per theta of a stack
     contraction_budget: float
 
     def __post_init__(self):
@@ -153,12 +154,16 @@ class FixedPointParams:
 
 
 def _spectral_clip(W: np.ndarray, limit: float) -> np.ndarray:
-    """Project onto {||W||_2 <= limit}; non-expansive in Frobenius norm."""
-    norm = np.linalg.norm(W, 2)
-    if norm <= limit:
+    """Project onto {||W||_2 <= limit}; non-expansive in Frobenius norm.
+
+    A (..., n, n) stack is clipped slice by slice."""
+    over = ~(np.linalg.norm(W, 2, axis=(-2, -1)) <= limit)
+    if not np.any(over):
         return W
-    U, s, Vt = np.linalg.svd(W)
-    return (U * np.minimum(s, limit)) @ Vt
+    U, s, Vt = np.linalg.svd(W[over])
+    W = W.copy()
+    W[over] = (U * np.minimum(s, limit)[..., None, :]) @ Vt
+    return W
 
 
 def reconstruct_tikhonov(params: TikhonovParams, A: ForwardOperator,
@@ -213,9 +218,10 @@ def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _rows(M, X):
-    """Rows M x_k for the rows x_k of X.  Unlike BLAS ``X @ M.T``, a row's
-    result does not depend on the other rows of X."""
-    return np.einsum("ij,kj->ki", M, X)
+    """Rows M x_k for the rows x_k of X, with one M or one M_k per row
+    (a (k, n, n) stack).  Unlike BLAS ``X @ M.T``, a row's result does not
+    depend on the other rows of X, nor on whether M is shared."""
+    return np.einsum("ij,kj->ki" if M.ndim == 2 else "kij,kj->ki", M, X)
 
 
 def _row_dot(U, V):
@@ -229,9 +235,12 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
 
     Accelerated gradient descent with backtracking and adaptive restart, run
     until the gradient norm (of the smoothed objective for alpha < 1) drops
-    below ``tol``.  ``y`` may be a (k, n_y) batch: each row keeps its own
-    step, momentum and restarts and is frozen once it reaches ``tol``, so it
-    equals its one-row solve bit for bit.
+    below ``tol``.  ``y`` may be a (m, n_y) batch, and ``params`` may hold
+    a stack of (h, B) (h of shape (k, n_x)), which gives (k, m, n_x).  Every
+    (theta, row) pair is its own problem: it keeps its own step, momentum
+    and restarts and is frozen once it reaches ``tol``, so it equals its
+    one-row, one-theta solve bit for bit.  The solve raises
+    ``ConvergenceError`` when any pair misses ``tol`` in ``max_iter``.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
@@ -239,52 +248,69 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     if y.shape[-1] != A.n_y:
         raise DimensionMismatchError("data length != operator output dim")
     Am = A.as_matrix()
-    B, h = params.B, params.h
+    n = A.n_x
     alpha, eta = params.alpha, params.eta
     mu2 = HOLDER_SMOOTHING**2
 
-    def f_grad(X, Y):
+    def f_grad(X, Y, B, h):
         """Objective and gradient at the rows of X."""
         R = _rows(Am, X) - Y
         V = _rows(B, X) - h
         s2 = _row_dot(V, V) + mu2
         f = (0.5 * _row_dot(R, R) + s2**alpha - mu2**alpha
              + eta * _row_dot(X, X))
-        g_pen = (2.0 * alpha * s2 ** (alpha - 1.0))[:, None] * _rows(B.T, V)
+        g_pen = ((2.0 * alpha * s2 ** (alpha - 1.0))[:, None]
+                 * _rows(np.swapaxes(B, -1, -2), V))
         return f, _rows(Am.T, R) + g_pen + 2.0 * eta * X
 
-    Y = np.atleast_2d(y)
-    out = np.empty((Y.shape[0], A.n_x))
+    # one row per (theta, row) pair, theta-major; a single theta's (B, h)
+    # serves all its rows
+    B, h = params.B.reshape(-1, n, n), params.h.reshape(-1, n)
+    k, m = len(B), len(Y := np.atleast_2d(y))
+    lip_A = np.linalg.norm(Am, 2) ** 2
+    # scalar powers, as a one-theta solve takes them: an array power may
+    # round differently
+    lip = np.array([lip_A + 2 * norm_B ** 2 + 2 * eta
+                    for norm_B in np.linalg.norm(B, 2, axis=(-2, -1))])
+    step = np.repeat(1.0 / (lip + 1e-12), m)
+    B, h = (B[0], h[0]) if k == 1 else (np.repeat(B, m, axis=0),
+                                        np.repeat(h, m, axis=0))
+    Y = np.broadcast_to(Y, (k,) + Y.shape).reshape(k * m, A.n_y)
+
+    def penalty_rows(sel):
+        """(B, h) of the pairs ``sel``: the shared one, or their own."""
+        return (B, h) if k == 1 else (B[sel], h[sel])
+
+    out = np.empty((Y.shape[0], n))
     live = np.arange(Y.shape[0])  # rows of ``out`` still iterating
     x = z = np.zeros_like(out)
     t_mom = np.ones(live.size)
-    lip = np.linalg.norm(Am, 2) ** 2 + 2 * np.linalg.norm(B, 2) ** 2 + 2 * eta
-    step = np.full(live.size, 1.0 / (lip + 1e-12))
     for it in range(max_iter + 1):
-        f_x, g = f_grad(x, Y)
+        f_x, g = f_grad(x, Y, B, h)
         gnorm = np.sqrt(_row_dot(g, g))
         if np.any(done := gnorm <= tol):
             out[live[done]] = x[done]
+            B, h = penalty_rows(~done)
             live, Y, x, z, t_mom, step, f_x = (
                 a[~done] for a in (live, Y, x, z, t_mom, step, f_x))
         if not live.size:
-            return out[0] if y.ndim == 1 else out
+            return out.reshape(params.h.shape[:-1] + y.shape[:-1] + (n,))
         if it == max_iter:
             raise ConvergenceError("elastic-net solver did not reach tolerance",
                                    residual=float(gnorm.max()),
                                    iterations=max_iter)
-        f_z, g = f_grad(z, Y)
+        f_z, g = f_grad(z, Y, B, h)
         gg = _row_dot(g, g)
         # backtracking from the momentum point; the relative slack keeps the
         # accept test meaningful once decreases fall below float resolution
         slack = 1e-12 * (np.abs(f_z) + 1.0)
         x_new = z - step[:, None] * g
-        f_new = f_grad(x_new, Y)[0]
+        f_new = f_grad(x_new, Y, B, h)[0]
         while np.any(back := ~(f_new <= f_z - 0.5 * step * gg + slack)
                      & (step >= 1e-16)):
             step[back] *= 0.5
             x_new[back] = z[back] - step[back, None] * g[back]
-            f_new[back] = f_grad(x_new[back], Y[back])[0]
+            f_new[back] = f_grad(x_new[back], Y[back], *penalty_rows(back))[0]
         t_new = 0.5 * (1 + np.sqrt(1 + 4 * t_mom**2))
         restart = f_new > f_x + slack  # where acceleration overshoots
         z = np.where(restart[:, None], x,
@@ -299,40 +325,63 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     """Picard iteration for p = tanh(W_eff p + b) + A* y from p0 = 0.
 
     ``W_eff`` is W spectrally clipped to the contraction budget L_z, so the
-    map is a certified contraction.  The rows of a (k, n_y) batch ``y``
+    map is a certified contraction.  The rows of a (m, n_y) batch ``y``
     iterate until every row's step is at most ``tol (1 - L_z)``, which
     bounds each row's a posteriori fixed-point gap by ``tol``.  A row whose
     step grows past L_z times its previous one, by more than the rounding of
     its new iterate (``4 eps ||p||``), raises ``ContractivityError`` unless
     the previous step was below the stopping step (float-level motion).
+
+    ``params`` may hold a stack of (W, b) (b of shape (k, n_x)), which
+    gives (k, m, n_x).  Each theta's rows stop on their own rule and leave
+    the stack, so each slice equals its one-theta solve bit for bit, and
+    the stack raises when a slice would raise alone.
     """
     y = np.asarray(y, dtype=float)
     L_z = params.contraction_budget
-    W_eff = _spectral_clip(params.W, L_z)
+    n = A.n_x
+    W_eff = _spectral_clip(params.W, L_z).reshape(-1, n, n)
+    b = params.b.reshape(-1, 1, n)
     base = A.adjoint_apply(np.atleast_2d(y))
     stop = tol * (1 - L_z)
-    P, prev = np.zeros_like(base), None
+    k = len(b)
+    live = np.arange(k)  # thetas still iterating
+    P, prev = np.zeros(live.shape + base.shape), None
+    stopped = []  # (thetas, their fixed points), as they stop
     for _ in range(max_iter):
-        P_next = np.tanh(P @ W_eff.T + params.b) + base
-        steps = np.linalg.norm(P_next - P, axis=1)
+        P_next = np.tanh(P @ np.swapaxes(W_eff, -1, -2) + b) + base
+        steps = np.linalg.norm(P_next - P, axis=-1)
         if prev is not None:
             bad = (steps > (L_z + 1e-6) * prev) & (prev > max(stop, 1e-14))
             if np.any(bad):
                 # the excess may be rounding of the new iterate; computed
                 # only here, off the per-iteration path
                 rounding = 4 * np.finfo(float).eps * np.linalg.norm(P_next,
-                                                                   axis=1)
+                                                                   axis=-1)
                 bad &= steps > (L_z + 1e-6) * prev + rounding
                 if np.any(bad):
                     ratio = np.max(steps[bad] / prev[bad])
                     raise ContractivityError(
                         f"observed contraction ratio {ratio:.6f} exceeds "
                         f"certified budget {L_z}")
-        if np.max(steps, initial=0.0) <= stop:
-            return P_next[0] if y.ndim == 1 else P_next
+        if np.any(done := np.max(steps, axis=-1, initial=0.0) <= stop):
+            stopped.append((live[done], P_next[done]))
+            live, P_next, steps, W_eff, b = (
+                a[~done] for a in (live, P_next, steps, W_eff, b))
+            if not live.size:
+                break
         P, prev = P_next, steps
-    raise ConvergenceError("fixed-point iteration did not converge",
-                           residual=float(np.max(prev)), iterations=max_iter)
+    else:
+        raise ConvergenceError("fixed-point iteration did not converge",
+                               residual=float(np.max(prev)),
+                               iterations=max_iter)
+    if len(stopped) == 1:  # every theta at once, in order
+        out = stopped[0][1]
+    else:
+        out = np.empty((k,) + base.shape)
+        for thetas, fixed in stopped:
+            out[thetas] = fixed
+    return out.reshape(params.b.shape[:-1] + y.shape[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +401,24 @@ class _Family:
         Y = np.asarray(y, dtype=float).reshape(1, -1)
         return self.reconstruct_batch(theta, Y, **solver)[0]
 
-    @staticmethod
-    def _each_theta(theta, solve):
-        """solve(theta) for one theta; the k solves of a (k, dim) stack,
-        one theta at a time, stacked."""
+    def _solve_stack(self, solver, theta, Y, tol):
+        """solver(params, op, Y) for one theta or a (k, dim) stack, the
+        stack in groups of at most ``STACK_ROWS`` (theta, row) pairs."""
         theta = np.asarray(theta, dtype=float)
+        Y = np.asarray(Y, dtype=float)
         if theta.ndim == 1:
-            return solve(theta)
-        return np.stack([solve(t) for t in theta])
+            return solver(self.unpack(theta), self.op, Y, tol=tol)
+        parts = [solver(self.unpack(theta[g]), self.op, Y, tol=tol)
+                 for g in theta_groups(len(theta), len(Y))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def theta_groups(k: int, m: int) -> list:
+    """Slices of a stack of k thetas on m data rows, each at most
+    ``STACK_ROWS`` (theta, row) pairs, or one theta when its rows alone
+    exceed that."""
+    size = max(1, STACK_ROWS // max(m, 1))
+    return [slice(i, i + size) for i in range(0, k, size)]
 
 
 class _HBFamily(_Family):
@@ -518,9 +577,7 @@ class ElasticNetFamily(_HBFamily):
         if self.alpha == 1.0:
             # smooth quadratic case: the optimality condition is linear
             return self._affine_batch(theta, Y)
-        Y = np.asarray(Y, dtype=float)
-        return self._each_theta(theta, lambda t: reconstruct_elastic_net(
-            self.unpack(t), self.op, Y, tol=tol))
+        return self._solve_stack(reconstruct_elastic_net, theta, Y, tol)
 
 
 class FixedPointFamily(_Family):
@@ -537,20 +594,21 @@ class FixedPointFamily(_Family):
         self.dim = op.n_x * op.n_x + op.n_x
 
     def unpack(self, theta) -> FixedPointParams:
+        """(W, b) of theta, or the stacked (W, b) of a (k, dim) stack."""
         theta = np.asarray(theta, dtype=float)
         n = self.op.n_x
-        if theta.size != self.dim:
+        if theta.shape[-1:] != (self.dim,):
             raise DimensionMismatchError("theta length mismatch")
-        return FixedPointParams(W=theta[:n * n].reshape(n, n), b=theta[n * n:],
-                                contraction_budget=self.L_z)
+        return FixedPointParams(
+            W=theta[..., :n * n].reshape(theta.shape[:-1] + (n, n)),
+            b=theta[..., n * n:], contraction_budget=self.L_z)
 
     def metric(self, theta1, theta2) -> float:
         return float(np.linalg.norm(np.asarray(theta1, float)
                                     - np.asarray(theta2, float)))
 
     def reconstruct_batch(self, theta, Y, tol=1e-10):
-        return self._each_theta(theta, lambda t: reconstruct_fixed_point(
-            self.unpack(t), self.op, Y, tol=tol))
+        return self._solve_stack(reconstruct_fixed_point, theta, Y, tol)
 
     def lipschitz_theta_bound(self, probe_ys) -> float:
         """Analytic Lipschitz-in-theta constant over the probe data.

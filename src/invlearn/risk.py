@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .hypotheses import _stacked_dot
+from .hypotheses import _stacked_dot, theta_groups
 from .stochastics import (ProblemDistribution, TrainingSet,
                           draw_training_set, substream)
 
@@ -108,13 +108,18 @@ def _risk_and_grad_factory(family, pclass, X, Y):
         step = FD_STEP_REL * pclass.diameter
 
         def grad(thetas, R):
-            g = np.empty(thetas.shape)
-            for i in range(thetas.shape[1]):
-                e = np.zeros(thetas.shape[1])
-                e[i] = step
-                g[:, i] = (risk(thetas + e)[0]
-                           - risk(thetas - e)[0]) / (2 * step)
-            return g
+            # the theta +- step e_i of every row and coordinate i, as one
+            # (2 k dim, dim) stack, evaluated in groups of at most
+            # STACK_ROWS (theta, row) pairs: entry (j, i) of the gradient
+            # is (R(theta_j + e_i) - R(theta_j - e_i)) / (2 step)
+            k, dim = thetas.shape
+            E = step * np.eye(dim)
+            shifted = np.concatenate([thetas[:, None] + E,
+                                      thetas[:, None] - E]).reshape(-1, dim)
+            f = np.concatenate([risk(shifted[g])[0]
+                                for g in theta_groups(len(shifted), len(Y))])
+            f_plus, f_minus = f.reshape(2, k, dim)
+            return (f_plus - f_minus) / (2 * step)
     return risk, grad
 
 

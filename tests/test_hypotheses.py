@@ -14,6 +14,7 @@ from invlearn import (ElasticNetFamily, ElasticNetParams, FixedPointFamily,
                       reconstruct_tikhonov)
 from invlearn.errors import (ConfigurationError, ContractivityError,
                              ConvergenceError, DimensionMismatchError)
+from invlearn import hypotheses
 from invlearn.hypotheses import _stacked_dot
 
 
@@ -294,18 +295,116 @@ def test_stacked_theta_with_one_singular_row_raises():
         fam.reconstruct_batch(np.stack([good, np.zeros(4)]), np.ones((3, 2)))
 
 
-@pytest.mark.parametrize("kind", ["elastic_net", "fixed_point"])
-def test_stacked_iterative_reconstruction_is_one_theta_at_a_time(kind):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["elastic_net", "fixed_point"]),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       n_x=st.integers(1, 4), n_y=st.integers(1, 4), k=st.integers(1, 4),
+       m=st.integers(1, 6), max_iter=st.sampled_from([5, 40, 400]),
+       clipped=st.booleans())
+def test_stacked_iterative_solves_equal_one_theta_solves(
+        seed, kind, structure, n_x, n_y, k, m, max_iter, clipped):
+    # every slice of a theta stack is its one-theta solve bit for bit, and
+    # the stack raises exactly when a slice raises alone.  The zero theta
+    # leads each stack: it stops in fewer iterations than the others.
+    # Capped iterations make ConvergenceError; an unclipped W beyond a
+    # small budget makes ContractivityError.
+    rng = np.random.default_rng(seed)
+    A = ForwardOperator.from_matrix(rng.standard_normal((n_y, n_x)))
+    if kind == "elastic_net":
+        fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure=structure)
+        solver, tol = reconstruct_elastic_net, 1e-8
+    else:
+        fam = FixedPointFamily(A, 0.5 if clipped else 0.05)
+        solver, tol = reconstruct_fixed_point, 1e-10
+    thetas = rng.standard_normal((k, fam.dim)) * rng.choice([0.3, 1.0])
+    thetas[0] = 0.0
+    Y = rng.standard_normal((m, n_y))
+
+    def solve(theta):
+        return solver(fam.unpack(theta), A, Y, tol=tol, max_iter=max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not clipped:
+            mp.setattr(hypotheses, "_spectral_clip", lambda W, limit: W)
+        alone = []
+        for theta in thetas:
+            try:
+                alone.append(solve(theta))
+            except (ConvergenceError, ContractivityError) as exc:
+                alone.append(type(exc))
+        errors = {a for a in alone if isinstance(a, type)}
+        if errors:
+            with pytest.raises(tuple(errors)) as raised:
+                solve(thetas)
+            if raised.type is ConvergenceError:
+                assert str(raised.value) in (
+                    "elastic-net solver did not reach tolerance",
+                    "fixed-point iteration did not converge")
+            return
+        stack = solve(thetas)
+        assert stack.shape == (k, m, n_x)
+        for i in range(k):
+            np.testing.assert_array_equal(stack[i], alone[i])
+
+
+def test_stacked_solve_stops_each_theta_on_its_own_rule(monkeypatch):
+    # the zero theta converges in two Picard steps, the other in many: the
+    # stack runs the second alone once the first has left, and the first
+    # is its one-theta solve although the second is still moving
+    A = ForwardOperator.identity(1)
+    fam = FixedPointFamily(A, 0.9)
+    thetas = np.array([[0.0, 0.0], [0.9, 0.3]])
+    Y = np.array([[0.0], [-1.0]])
+    iterations = []
+    tanh = np.tanh
+
+    def counting_tanh(x):
+        iterations.append(x.shape[0])
+        return tanh(x)
+
+    monkeypatch.setattr(hypotheses.np, "tanh", counting_tanh)
+    stack = fam.reconstruct_batch(thetas, Y, tol=1e-12)
+    assert iterations[:2] == [2, 2] and iterations[2:] == \
+        [1] * (len(iterations) - 2) and len(iterations) > 10
+    monkeypatch.setattr(hypotheses.np, "tanh", tanh)
+    for theta, R in zip(thetas, stack):
+        np.testing.assert_array_equal(R, fam.reconstruct_batch(theta, Y,
+                                                               tol=1e-12))
+
+
+@pytest.mark.parametrize("m", [100_000, 30_000])
+def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
+    # 8 thetas on m rows: each solve holds at most STACK_ROWS (theta, row)
+    # pairs, or one theta, and the joined groups are the one-theta solves
     A = ForwardOperator.power_decay(2, 1.0)
-    fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal") \
-        if kind == "elastic_net" else FixedPointFamily(A, 0.5)
-    rng = np.random.default_rng(8)
-    thetas = rng.standard_normal((3, fam.dim)) * 0.5
-    Y = rng.standard_normal((4, 2))
-    R = fam.reconstruct_batch(thetas, Y)
-    assert R.shape == (3, 4, 2)
-    for theta, R_row in zip(thetas, R):
-        np.testing.assert_array_equal(R_row, fam.reconstruct_batch(theta, Y))
+    fam = FixedPointFamily(A, 0.5)
+    rng = np.random.default_rng(9)
+    thetas = rng.standard_normal((8, fam.dim)) * 0.5
+    Y = rng.standard_normal((m, 2))
+    calls = []
+    solve = hypotheses.reconstruct_fixed_point
+
+    def counting_solve(params, *args, **kwargs):
+        calls.append(params.b.shape[:-1])
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(hypotheses, "reconstruct_fixed_point", counting_solve)
+    stack = fam.reconstruct_batch(thetas, Y)
+    size = max(1, hypotheses.STACK_ROWS // m)
+    assert calls == [(min(size, 8 - i),) for i in range(0, 8, size)]
+    calls.clear()
+    for theta, R in zip(thetas, stack):
+        np.testing.assert_array_equal(R, fam.reconstruct_batch(theta, Y))
+    assert calls == [()] * 8
+
+
+def test_theta_groups_at_bench_and_proxy_sizes():
+    # the finite-difference stack of 2 starts x 6 coordinates x 2 signs on
+    # 8 rows is one group; at proxy_m 409 600 every theta is alone
+    assert len(hypotheses.theta_groups(24, 8)) == 1
+    assert hypotheses.theta_groups(3, 409_600) == [slice(0, 1), slice(1, 2),
+                                                    slice(2, 3)]
 
 
 def test_tikhonov_family_rejects_singular_normal_matrix():

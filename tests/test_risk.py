@@ -341,20 +341,77 @@ def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
         assert len(set(evaluations)) > 1  # rows stopped at different points
 
 
-@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
-def test_lockstep_rows_equal_one_row_runs_finite_differences(kind):
-    # the finite-difference path, with a 3-iteration cap
+def fd_setup(kind, m, seed):
+    """A finite-difference family (alpha = 0.5 Elastic-Net or fixed point)
+    on a 2-d power-decay operator, its unit ball and a training set."""
     A = ForwardOperator.power_decay(2, 1.0)
     dist = ProblemDistribution(prior=GaussianSpec.iso(2, 1.0),
                                noise=GaussianSpec.iso(2, 0.01), forward=A)
     fam = FixedPointFamily(A, 0.5) if kind == "fixed_point" else \
         ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal")
     pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
-    ts = draw_training_set(dist, 4, seed=16)
+    return fam, pc, draw_training_set(dist, m, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
+def test_lockstep_rows_equal_one_row_runs_finite_differences(kind):
+    # the finite-difference path, with a 3-iteration cap
+    fam, pc, ts = fd_setup(kind, 4, seed=16)
     rng = np.random.default_rng(17)
     z = rng.standard_normal(fam.dim)
     starts = np.array([pc.center, z / np.linalg.norm(z), pc.sample(rng)])
     assert_rows_run_alone(fam, pc, ts.x, ts.y, starts, ErmOptions(max_iter=3))
+
+
+def fd_gradient_reference(risk, thetas, step):
+    """Central differences one coordinate at a time, two risk calls per
+    coordinate: the reference of the stacked finite-difference gradient."""
+    g = np.empty(thetas.shape)
+    for i in range(thetas.shape[1]):
+        e = np.zeros(thetas.shape[1])
+        e[i] = step
+        g[:, i] = (risk(thetas + e)[0] - risk(thetas - e)[0]) / (2 * step)
+    return g
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
+def test_stacked_fd_gradient_equals_per_coordinate_loop(kind):
+    fam, pc, ts = fd_setup(kind, 6, seed=18)
+    risk_fn, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    rng = np.random.default_rng(19)
+    step = risk.FD_STEP_REL * pc.diameter
+    for k in (1, 3):
+        thetas = np.array([pc.sample(rng) for _ in range(k)])
+        np.testing.assert_array_equal(
+            grad(thetas, None), fd_gradient_reference(risk_fn, thetas, step))
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
+def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
+                                                             kind):
+    # below the row limit the 2 k dim shifted thetas of k live starts are
+    # one reconstruct_batch call; above it, one call per group of at most
+    # STACK_ROWS (theta, row) pairs, with the same gradient
+    m, k = 5, 3
+    fam, pc, ts = fd_setup(kind, m, seed=18)
+    grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)[1]
+    thetas = np.array([pc.sample(np.random.default_rng(i)) for i in range(k)])
+    calls = []
+    reconstruct_batch = fam.reconstruct_batch
+
+    def counting_reconstruct_batch(theta, Y, **solver):
+        calls.append(len(theta))
+        return reconstruct_batch(theta, Y, **solver)
+
+    g = grad(thetas, None)
+    monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
+    np.testing.assert_array_equal(grad(thetas, None), g)
+    assert calls == [2 * k * fam.dim]
+    calls.clear()
+    monkeypatch.setattr(hypotheses, "STACK_ROWS", 4 * m)
+    np.testing.assert_array_equal(grad(thetas, None), g)
+    n = 2 * k * fam.dim
+    assert calls == [4] * (n // 4) + [n % 4] * (n % 4 > 0)
 
 
 # -- optimal_target_proxy --------------------------------------------------
