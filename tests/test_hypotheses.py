@@ -295,6 +295,20 @@ def test_stacked_theta_with_one_singular_row_raises():
         fam.reconstruct_batch(np.stack([good, np.zeros(4)]), np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("kind", ["elastic_net", "fixed_point"])
+def test_stacked_iterative_reconstruction_is_one_theta_at_a_time(kind):
+    A = ForwardOperator.power_decay(2, 1.0)
+    fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal") \
+        if kind == "elastic_net" else FixedPointFamily(A, 0.5)
+    rng = np.random.default_rng(8)
+    thetas = rng.standard_normal((3, fam.dim)) * 0.5
+    Y = rng.standard_normal((4, 2))
+    R = fam.reconstruct_batch(thetas, Y)
+    assert R.shape == (3, 4, 2)
+    for theta, R_row in zip(thetas, R):
+        np.testing.assert_array_equal(R_row, fam.reconstruct_batch(theta, Y))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["elastic_net", "fixed_point"]),
