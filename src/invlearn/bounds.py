@@ -171,7 +171,9 @@ def entropy_integral(cov: CoveringModel, alpha: float, q: int,
         beta = 1.0 / (alpha * cov.s * q)
         if beta >= 1.0 and lower <= 0:
             raise ConfigurationError(
-                "entropy integrand not improperly integrable: alpha*s*q <= 1")
+                "lower limit 0 (chaining r = 0) not admissible: "
+                "alpha*s*q <= 1, the entropy integral diverges; use r > 0 "
+                "(covering-style regime)")
         if abs(beta - 1.0) < 1e-12:
             # c^{-1} integrand, only reachable with lower > 0
             return cov.c**inv_q * math.log(upper / lower)
@@ -195,11 +197,6 @@ def chaining_bound(inputs: BoundInputs, cov: CoveringModel, r: float) -> float:
     if r < 0:
         raise ConfigurationError("r must be >= 0")
     lower = r ** inputs.alpha / 4.0 if r > 0 else 0.0
-    if r == 0 and cov.kind == "entropy_decay":
-        if inputs.alpha * cov.s * inputs.q <= 1.0:
-            raise ConfigurationError(
-                "r=0 not admissible: alpha*s*q <= 1, the entropy integral "
-                "diverges; use r > 0 (covering-style regime)")
     integral = entropy_integral(cov, inputs.alpha, inputs.q, lower, inputs.D)
     return (C1 * inputs.K / math.sqrt(inputs.m) * integral
             + C2 * inputs.K * r ** inputs.alpha)

@@ -262,9 +262,9 @@ def bound_inputs(cfg: ExperimentConfig) -> tuple:
 
 
 def derived_seed(master: int, *indices: int) -> int:
-    """Stable 63-bit child seed for (master, indices)."""
-    ss = np.random.SeedSequence(entropy=int(master) & (2**64 - 1),
-                                spawn_key=tuple(int(i) for i in indices))
+    """Stable 63-bit child seed for (master, indices), drawn from the seed
+    sequence of ``substream(master, *indices)``."""
+    ss = substream(master, *indices).bit_generator.seed_seq
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 

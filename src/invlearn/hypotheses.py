@@ -396,19 +396,20 @@ class _Family:
     bit the 1-d call.
     """
 
-    def reconstruct(self, theta, y, **solver):
-        """R_theta(y); ``solver`` (``tol``) goes to ``reconstruct_batch``."""
+    def reconstruct(self, theta, y):
+        """R_theta(y)."""
         Y = np.asarray(y, dtype=float).reshape(1, -1)
-        return self.reconstruct_batch(theta, Y, **solver)[0]
+        return self.reconstruct_batch(theta, Y)[0]
 
-    def _solve_stack(self, solver, theta, Y, tol):
-        """solver(params, op, Y) for one theta or a (k, dim) stack, the
-        stack in groups of at most ``STACK_ROWS`` (theta, row) pairs."""
+    def _solve_stack(self, solver, theta, Y):
+        """solver(params, op, Y) at the solver's own tolerance, for one
+        theta or a (k, dim) stack, the stack in groups of at most
+        ``STACK_ROWS`` (theta, row) pairs."""
         theta = np.asarray(theta, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if theta.ndim == 1:
-            return solver(self.unpack(theta), self.op, Y, tol=tol)
-        parts = [solver(self.unpack(theta[g]), self.op, Y, tol=tol)
+            return solver(self.unpack(theta), self.op, Y)
+        parts = [solver(self.unpack(theta[g]), self.op, Y)
                  for g in theta_groups(len(theta), len(Y))]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -424,11 +425,13 @@ def theta_groups(k: int, m: int) -> list:
 class _HBFamily(_Family):
     """Flat-parameter (h, B) interface shared by Tikhonov and Elastic-Net.
 
-    ``structure`` controls the parametrization:
+    ``structure`` controls the parametrization.  Row i of the (dim, s)
+    table ``slots`` lists the entries of the flat vector (h, vec B) that
+    theta_i fills, and it is the only place the structure enters:
 
     * "scale": theta = [b], B = b I, h = 0 (the 1-parameter family),
-    * "full":  theta = concat(h, vec(B)) with dense B,
-    * "diagonal": theta = concat(h, diag(B)).
+    * "diagonal": theta = concat(h, diag(B)),
+    * "full":  theta = concat(h, vec(B)) with dense B.
 
     A (k, dim) stack of thetas gives stacks of (h, B), affine maps,
     reconstructions and gradients.
@@ -436,27 +439,24 @@ class _HBFamily(_Family):
 
     def __init__(self, op: ForwardOperator, structure: str):
         n = op.n_x
-        dims = {"scale": 1, "diagonal": 2 * n, "full": n + n * n}
-        if structure not in dims:
+        diag = n + (n + 1) * np.arange(n)  # B_ii in (h, vec B)
+        slots = {"scale": diag[None], "diagonal": np.r_[:n, diag][:, None],
+                 "full": np.arange(n + n * n)[:, None]}
+        if structure not in slots:
             raise ConfigurationError(
                 f"unknown structure at family.structure: {structure!r}")
         self.op = op
-        self.structure = structure
-        self.dim = dims[structure]
+        self.slots = slots[structure]
+        self.dim = len(self.slots)
 
     def _h_B(self, theta):
         theta = np.asarray(theta, dtype=float)
         n = self.op.n_x
         if theta.shape[-1:] != (self.dim,):
             raise DimensionMismatchError("theta length mismatch")
-        stack = theta.shape[:-1]
-        if self.structure == "scale":
-            return np.zeros(stack + (n,)), theta[..., :1, None] * np.eye(n)
-        if self.structure == "diagonal":
-            B = np.zeros(stack + (n, n))
-            B[..., range(n), range(n)] = theta[..., n:]
-            return theta[..., :n], B
-        return theta[..., :n], theta[..., n:].reshape(stack + (n, n))
+        flat = np.zeros(theta.shape[:-1] + (n + n * n,))
+        flat[..., self.slots] = theta[..., None]
+        return flat[..., :n], flat[..., n:].reshape(theta.shape[:-1] + (n, n))
 
     def metric(self, theta1, theta2) -> float:
         """d((h,B),(h',B')) = ||h-h'|| + ||B-B'||_op."""
@@ -514,19 +514,18 @@ class TikhonovFamily(_HBFamily):
     def unpack(self, theta) -> TikhonovParams:
         return TikhonovParams(*self._h_B(theta))
 
-    def reconstruct_batch(self, theta, Y, tol=None):
+    def reconstruct_batch(self, theta, Y):
         return self._affine_batch(theta, Y)
 
-    def risk_gradient(self, theta, X, Y, R=None):
+    def risk_gradient(self, theta, X, Y, R):
         """Analytic gradient of the empirical quadratic risk at theta.
 
-        Differentiates R = M^{-1} rhs through the normal equations.  ``R``
-        is the reconstruction ``reconstruct_batch(theta, Y)`` when the
-        caller already has it; then only the n x n matrix M is rebuilt.  A
-        (k, dim) theta with its (k, m, n) R gives the (k, dim) gradients.
+        Differentiates R = M^{-1} rhs through the normal equations, given
+        the reconstruction ``R = reconstruct_batch(theta, Y)``, so only the
+        n x n matrix M is rebuilt.  The gradient in (h, vec B) sums onto
+        theta through ``slots``.  A (k, dim) theta with its (k, m, n) R
+        gives the (k, dim) gradients.
         """
-        if R is None:
-            R = self.reconstruct_batch(theta, Y)
         h, B = self._h_B(theta)
         BtB = np.swapaxes(B, -1, -2) @ B
         M = self._K + 2.0 * BtB
@@ -538,14 +537,9 @@ class TikhonovFamily(_HBFamily):
         HmR = h[..., None, :] - R                 # (..., m, n)
         grad_B = 2.0 / m * ((B @ np.swapaxes(HmR, -1, -2)) @ U
                             + (B @ np.swapaxes(U, -1, -2)) @ HmR)
-        if self.structure == "scale":
-            # B = b I: chain rule collapses grad_B onto its trace
-            return np.trace(grad_B, axis1=-2, axis2=-1)[..., None]
-        if self.structure == "diagonal":
-            return np.concatenate(
-                [grad_h, np.diagonal(grad_B, axis1=-2, axis2=-1)], axis=-1)
-        return np.concatenate(
+        flat = np.concatenate(
             [grad_h, grad_B.reshape(grad_h.shape[:-1] + (-1,))], axis=-1)
+        return flat[..., self.slots].sum(axis=-1)
 
 
 class ElasticNetFamily(_HBFamily):
@@ -573,11 +567,11 @@ class ElasticNetFamily(_HBFamily):
         h, B = self._h_B(theta)
         return ElasticNetParams(h=h, B=B, alpha=self.alpha, eta=self.eta)
 
-    def reconstruct_batch(self, theta, Y, tol=1e-8):
+    def reconstruct_batch(self, theta, Y):
         if self.alpha == 1.0:
             # smooth quadratic case: the optimality condition is linear
             return self._affine_batch(theta, Y)
-        return self._solve_stack(reconstruct_elastic_net, theta, Y, tol)
+        return self._solve_stack(reconstruct_elastic_net, theta, Y)
 
 
 class FixedPointFamily(_Family):
@@ -607,8 +601,8 @@ class FixedPointFamily(_Family):
         return float(np.linalg.norm(np.asarray(theta1, float)
                                     - np.asarray(theta2, float)))
 
-    def reconstruct_batch(self, theta, Y, tol=1e-10):
-        return self._solve_stack(reconstruct_fixed_point, theta, Y, tol)
+    def reconstruct_batch(self, theta, Y):
+        return self._solve_stack(reconstruct_fixed_point, theta, Y)
 
     def lipschitz_theta_bound(self, probe_ys) -> float:
         """Analytic Lipschitz-in-theta constant over the probe data.
@@ -667,12 +661,13 @@ def _fit_affine_envelope(y_norms, values):
 
 
 def certify_stability(family, pclass: ParamClass, probe_ys,
-                      probe_pairs, tol: float = 1e-10) -> StabilityCertificate:
+                      probe_pairs) -> StabilityCertificate:
     """Empirical stability/sublinearity certificate on probe sets.
 
     ``probe_pairs`` is a list of (theta, theta') with positive distance in
-    the family metric; ``probe_ys`` a list of data vectors.  The affine
-    envelopes are fitted by a small linear program.
+    the family metric; ``probe_ys`` a list of data vectors.  Each
+    reconstruction solves at its family's tolerance.  The affine envelopes
+    are fitted by a small linear program.
     """
     if not probe_ys or not probe_pairs:
         raise ConfigurationError("probe sets must be non-empty")
@@ -681,7 +676,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
     energy = family.kind == "elastic_net"
     ys, ratios, norms, worst = [], [], [], math.inf
     for theta, theta2 in probe_pairs:
-        R1 = family.reconstruct_batch(theta, Y, tol=tol)  # once per theta
+        R1 = family.reconstruct_batch(theta, Y)  # once per theta
         if energy:
             # energy bound from evaluating the objective at the minimizer and 0
             m_g = float(np.linalg.norm(family.unpack(theta).h)
@@ -692,7 +687,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
         d = family.metric(theta, theta2)
         if d <= 0:
             continue
-        R2 = family.reconstruct_batch(theta2, Y, tol=tol)
+        R2 = family.reconstruct_batch(theta2, Y)
         ys.extend(y_norms)
         ratios.extend(np.linalg.norm(R1 - R2, axis=1) / d**family.alpha)
         norms.extend(np.linalg.norm(R1, axis=1))

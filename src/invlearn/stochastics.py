@@ -174,27 +174,15 @@ def tail_check(samples, K: float, q: int) -> bool:
     t_grid = np.percentile(w, pct)
     exceedances = np.array([(w > t).sum() for t in t_grid], dtype=float)
     p_bound = np.minimum(1.0, 2.0 * np.exp(-(t_grid / K) ** q))
-    return bool(np.all(
-        exceedances <= _binom_ppf(TAIL_CONFIDENCE, w.size, p_bound)))
+    return bool(np.all(_within_quantile(exceedances, w.size, p_bound,
+                                        TAIL_CONFIDENCE)))
 
 
-def _binom_ppf(q: float, n: int, p: np.ndarray) -> np.ndarray:
-    """Smallest integer k with P(Bin(n, p) <= k) >= q, elementwise over p.
-
-    Integer bisection on the binomial CDF; equals ``scipy.stats.binom.ppf``
-    for 0 < q < 1 without importing ``scipy.stats``, except where q equals a
-    CDF value exactly and the two CDF implementations round apart.
-    """
-    p = np.asarray(p, dtype=float)
-    lo = np.full(p.shape, -1, dtype=np.int64)  # CDF(lo) < q (CDF(-1) = 0)
-    hi = np.full(p.shape, n, dtype=np.int64)   # CDF(hi) >= q (CDF(n) = 1)
-    while np.any(hi - lo > 1):
-        active = hi - lo > 1
-        mid = (lo + hi) // 2
-        ok = active & (bdtr(np.maximum(mid, 0), n, p) >= q)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(active & ~ok, mid, lo)
-    return hi.astype(float)
+def _within_quantile(k: np.ndarray, n: int, p, q: float) -> np.ndarray:
+    """Whether each count k is at most the q-quantile of Bin(n, p), the
+    smallest j with P(Bin(n, p) <= j) >= q: that is when k = 0 or
+    P(Bin(n, p) <= k - 1) < q."""
+    return (k == 0) | (bdtr(np.maximum(k - 1, 0), n, p) < q)
 
 
 @dataclass(frozen=True)

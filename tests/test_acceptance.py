@@ -18,7 +18,7 @@ from invlearn import (BoundInputs, CoveringModel, ElasticNetParams, ErmOptions,
                       empirical_average_contraction, erm_solve,
                       expected_loss_mc, greedy_cover, orlicz_norm,
                       predicted_exponent, reconstruct_elastic_net,
-                      run_rate_experiment, substream)
+                      reconstruct_fixed_point, run_rate_experiment, substream)
 from invlearn.bounds import entropy_integral
 from invlearn.experiment import SLOPE_BAND, bound_domination_check
 
@@ -168,8 +168,8 @@ def test_criterion_6_fixed_point_lipschitz_transfer():
         t1 = rng.standard_normal(fam.dim) * 0.6
         t2 = t1 + rng.standard_normal(fam.dim) * rng.choice([0.01, 0.1, 0.5])
         y = ys[k % len(ys)]
-        p1 = fam.reconstruct(t1, y, tol=tol)
-        p2 = fam.reconstruct(t2, y, tol=tol)
+        p1 = reconstruct_fixed_point(fam.unpack(t1), A, y, tol=tol)
+        p2 = reconstruct_fixed_point(fam.unpack(t2), A, y, tol=tol)
         if np.linalg.norm(p1 - p2) > L_transfer * fam.metric(t1, t2) + 2 * tol:
             violations += 1
     ok = violations == 0

@@ -160,7 +160,7 @@ def test_tikhonov_risk_gradient_matches_finite_differences():
             R = fam.reconstruct_batch(t, Y)
             return 0.5 * np.mean(np.sum((R - X) ** 2, axis=1))
 
-        g = fam.risk_gradient(theta, X, Y)
+        g = fam.risk_gradient(theta, X, Y, fam.reconstruct_batch(theta, Y))
         fd = np.empty_like(g)
         eps = 1e-6
         for i in range(theta.size):
@@ -277,11 +277,92 @@ def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
         np.testing.assert_array_equal(c[i], maps[i][1])
         np.testing.assert_array_equal(R[i], fam.reconstruct_batch(theta, Y))
     if kind == "tikhonov":
-        g = fam.risk_gradient(thetas, X, Y)
-        np.testing.assert_array_equal(g, fam.risk_gradient(thetas, X, Y, R=R))
+        g = fam.risk_gradient(thetas, X, Y, R)
         for i, theta in enumerate(thetas):
-            np.testing.assert_array_equal(g[i],
-                                          fam.risk_gradient(theta, X, Y))
+            np.testing.assert_array_equal(g[i], fam.risk_gradient(
+                theta, X, Y, fam.reconstruct_batch(theta, Y)))
+
+
+def _parent_h_B(structure, n, theta):
+    """(h, B) by the per-structure construction that ``slots`` replaced."""
+    stack = theta.shape[:-1]
+    if structure == "scale":
+        return np.zeros(stack + (n,)), theta[..., :1, None] * np.eye(n)
+    if structure == "diagonal":
+        B = np.zeros(stack + (n, n))
+        B[..., range(n), range(n)] = theta[..., n:]
+        return theta[..., :n], B
+    return theta[..., :n], theta[..., n:].reshape(stack + (n, n))
+
+
+def _parent_risk_gradient(fam, structure, theta, X, R):
+    """The Tikhonov risk gradient with the trace, diagonal and concatenate
+    chain rule that ``slots`` replaced."""
+    n = fam.op.n_x
+    h, B = _parent_h_B(structure, n, theta)
+    BtB = np.swapaxes(B, -1, -2) @ B
+    U = np.swapaxes(np.linalg.solve(fam._K + 2.0 * BtB,
+                                    np.swapaxes(R - X, -1, -2)), -1, -2)
+    m = R.shape[-2]
+    grad_h = 2.0 * (BtB @ U.mean(axis=-2)[..., None])[..., 0]
+    HmR = h[..., None, :] - R
+    grad_B = 2.0 / m * ((B @ np.swapaxes(HmR, -1, -2)) @ U
+                        + (B @ np.swapaxes(U, -1, -2)) @ HmR)
+    if structure == "scale":
+        return np.trace(grad_B, axis1=-2, axis2=-1)[..., None]
+    if structure == "diagonal":
+        return np.concatenate(
+            [grad_h, np.diagonal(grad_B, axis1=-2, axis2=-1)], axis=-1)
+    return np.concatenate(
+        [grad_h, grad_B.reshape(grad_h.shape[:-1] + (-1,))], axis=-1)
+
+
+def _slots_case(seed, structure, n_x, n_y, k, m=5):
+    """A Tikhonov family, a theta (k = 0) or (k, dim) stack, and random
+    X, Y and reconstructions R for a risk gradient."""
+    rng = np.random.default_rng(seed)
+    A = ForwardOperator.from_matrix(rng.standard_normal((n_y, n_x)))
+    fam = TikhonovFamily(A, GaussianSpec.iso(n_y, 0.5), structure=structure)
+    theta = rng.standard_normal((k, fam.dim) if k else fam.dim)
+    stack = theta.shape[:-1]
+    X = rng.standard_normal((m, n_x))
+    Y = rng.standard_normal((m, n_y))
+    return fam, theta, X, Y, rng.standard_normal(stack + (m, n_x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(["scale", "diagonal", "full"]),
+       n_x=st.integers(1, 4), n_y=st.integers(1, 4), k=st.integers(0, 4))
+def test_slots_table_equals_per_structure_layout(seed, structure, n_x, n_y,
+                                                 k):
+    # the one theta layout gives the (h, B) and the risk gradient of the
+    # per-structure branches it replaced, entry for entry (only the sign
+    # of an exact zero may differ: b I carries -0.0 off the diagonal for
+    # b < 0)
+    fam, theta, X, Y, R = _slots_case(seed, structure, n_x, n_y, k)
+    h, B = fam._h_B(theta)
+    h_ref, B_ref = _parent_h_B(structure, n_x, theta)
+    np.testing.assert_array_equal(h, h_ref)
+    np.testing.assert_array_equal(B, B_ref)
+    np.testing.assert_array_equal(
+        fam.risk_gradient(theta, X, Y, R),
+        _parent_risk_gradient(fam, structure, theta, X, R))
+
+
+@pytest.mark.parametrize("n_x", [5, 7, 8, 16, 32, 64])
+def test_scale_gradient_sum_against_trace(n_x):
+    # the scale gradient sums the diagonal of grad_B as a gathered copy,
+    # where np.trace summed it in place: the same up to n_x = 7, and from
+    # n_x = 8 apart by the summation order only (at most 8.2e-16 relative
+    # over 600 random gradients at each n_x = 8, 16, 32, 64)
+    fam, theta, X, Y, R = _slots_case(21, "scale", n_x, n_x, 3, m=20)
+    g = fam.risk_gradient(theta, X, Y, R)
+    ref = _parent_risk_gradient(fam, "scale", theta, X, R)
+    if n_x <= 7:
+        np.testing.assert_array_equal(g, ref)
+    else:
+        np.testing.assert_allclose(g, ref, rtol=2e-15, atol=0)
 
 
 def test_stacked_theta_with_one_singular_row_raises():
@@ -307,6 +388,10 @@ def test_stacked_iterative_reconstruction_is_one_theta_at_a_time(kind):
     assert R.shape == (3, 4, 2)
     for theta, R_row in zip(thetas, R):
         np.testing.assert_array_equal(R_row, fam.reconstruct_batch(theta, Y))
+    # a family solves at its solver's default tolerance
+    solver, tol = ((reconstruct_elastic_net, 1e-8) if kind == "elastic_net"
+                   else (reconstruct_fixed_point, 1e-10))
+    np.testing.assert_array_equal(R, solver(fam.unpack(thetas), A, Y, tol=tol))
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,14 +462,16 @@ def test_stacked_solve_stops_each_theta_on_its_own_rule(monkeypatch):
         iterations.append(x.shape[0])
         return tanh(x)
 
+    def solve(theta):
+        return reconstruct_fixed_point(fam.unpack(theta), A, Y, tol=1e-12)
+
     monkeypatch.setattr(hypotheses.np, "tanh", counting_tanh)
-    stack = fam.reconstruct_batch(thetas, Y, tol=1e-12)
+    stack = solve(thetas)
     assert iterations[:2] == [2, 2] and iterations[2:] == \
         [1] * (len(iterations) - 2) and len(iterations) > 10
     monkeypatch.setattr(hypotheses.np, "tanh", tanh)
     for theta, R in zip(thetas, stack):
-        np.testing.assert_array_equal(R, fam.reconstruct_batch(theta, Y,
-                                                               tol=1e-12))
+        np.testing.assert_array_equal(R, solve(theta))
 
 
 @pytest.mark.parametrize("m", [100_000, 30_000])
@@ -511,13 +598,17 @@ def test_elastic_net_unpack_rejects_wrong_length():
 @pytest.mark.parametrize("structure", ["scale", "diagonal", "full"])
 def test_elastic_net_family_batch_matches_reference(structure, alpha):
     # alpha = 1 solves the linear optimality system, the reference iterates
-    # to tol 1e-12; alpha < 1 runs the reference solver itself on each row
+    # to tol 1e-12; for alpha < 1 the reference solver's batch rows equal
+    # its one-row solves
     rng = np.random.default_rng(13)
     A = ForwardOperator.from_matrix(rng.standard_normal((3, 3)))
     fam = ElasticNetFamily(A, alpha=alpha, eta=0.5, structure=structure)
     theta = rng.standard_normal(fam.dim) * 0.4
     Y = rng.standard_normal((4, 3))
-    batch = fam.reconstruct_batch(theta, Y, tol=1e-12)
+    if alpha == 1.0:
+        batch = fam.reconstruct_batch(theta, Y)
+    else:
+        batch = reconstruct_elastic_net(fam.unpack(theta), A, Y, tol=1e-12)
     for j in range(4):
         ref = reconstruct_elastic_net(fam.unpack(theta), A, Y[j], tol=1e-12)
         if alpha == 1.0:
@@ -665,9 +756,11 @@ def test_fixed_point_family_batch_matches_single():
     rng = np.random.default_rng(6)
     theta = rng.standard_normal(fam.dim) * 0.4
     Y = rng.standard_normal((4, 2))
-    batch = fam.reconstruct_batch(theta, Y, tol=1e-12)
+    params = fam.unpack(theta)
+    batch = reconstruct_fixed_point(params, A, Y, tol=1e-12)
     for j in range(4):
-        assert np.allclose(batch[j], fam.reconstruct(theta, Y[j], tol=1e-12),
+        assert np.allclose(batch[j],
+                           reconstruct_fixed_point(params, A, Y[j], tol=1e-12),
                            atol=1e-10)
 
 
@@ -682,14 +775,14 @@ def test_fixed_point_batch_rows_are_fixed_points(seed, k, budget):
     theta = rng.standard_normal(fam.dim)
     Y = rng.standard_normal((k, 2))
     tol = 1e-10
-    batch = fam.reconstruct_batch(theta, Y, tol=tol)
     p = fam.unpack(theta)
+    batch = reconstruct_fixed_point(p, A, Y, tol=tol)
     W_eff = _spectral_clip(p.W, budget)
     for j in range(k):
         gap = np.linalg.norm(np.tanh(W_eff @ batch[j] + p.b)
                              + A.adjoint_apply(Y[j]) - batch[j])
         assert gap <= tol
-        single = fam.reconstruct(theta, Y[j], tol=tol)
+        single = reconstruct_fixed_point(p, A, Y[j], tol=tol)
         assert np.linalg.norm(batch[j] - single) <= 2 * tol
 
 
@@ -732,8 +825,7 @@ def test_fixed_point_batch_contractivity_error_from_one_row(monkeypatch):
                                     tol=1e-12)
     fam = FixedPointFamily(A, contraction_budget=0.05)
     with pytest.raises(ContractivityError):
-        fam.reconstruct_batch(np.array([0.9, 0.0]), np.array([[0.0], [5.0]]),
-                              tol=1e-12)
+        fam.reconstruct_batch(np.array([0.9, 0.0]), np.array([[0.0], [5.0]]))
 
 
 def test_fixed_point_lipschitz_transfer_probes():
@@ -748,8 +840,8 @@ def test_fixed_point_lipschitz_transfer_probes():
         t1 = rng.standard_normal(fam.dim) * 0.5
         t2 = t1 + rng.standard_normal(fam.dim) * 0.1
         for y in ys:
-            p1 = fam.reconstruct(t1, y, tol=tol)
-            p2 = fam.reconstruct(t2, y, tol=tol)
+            p1 = reconstruct_fixed_point(fam.unpack(t1), A, y, tol=tol)
+            p2 = reconstruct_fixed_point(fam.unpack(t2), A, y, tol=tol)
             lhs = np.linalg.norm(p1 - p2)
             assert lhs <= L_transfer * fam.metric(t1, t2) + 2 * tol
 
@@ -781,17 +873,42 @@ def test_certify_stability_tikhonov_alpha_one():
 
 
 def test_certify_stability_fixed_point_analytic_bound():
+    class TightFixedPoint(FixedPointFamily):
+        def reconstruct_batch(self, theta, Y):
+            return reconstruct_fixed_point(self.unpack(theta), self.op, Y,
+                                           tol=1e-11)
+
     A = ForwardOperator.identity(2)
-    fam = FixedPointFamily(A, contraction_budget=0.5)
+    fam = TightFixedPoint(A, contraction_budget=0.5)
     pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
     rng = np.random.default_rng(9)
     ys = [rng.standard_normal(2) for _ in range(5)]
     pairs = [(pc.sample(rng), pc.sample(rng)) for _ in range(8)]
-    cert = certify_stability(fam, pc, ys, pairs, tol=1e-11)
+    cert = certify_stability(fam, pc, ys, pairs)
     analytic = fam.lipschitz_theta_bound(ys) / (1 - fam.L_z)
     # empirical Lipschitz constant never exceeds the analytic transfer bound
     worst_norm = max(np.linalg.norm(y) for y in ys)
     assert cert.L_R * worst_norm + cert.Lp_R <= analytic * (1 + 0.05)
+
+
+def test_certify_stability_holder_elastic_net():
+    # alpha = 0.5: the certificate solves at the family tolerance, and its
+    # Holder envelope dominates every probe ratio
+    A = ForwardOperator.power_decay(2, 1.0)
+    fam = ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal")
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    rng = np.random.default_rng(12)
+    ys = [rng.standard_normal(2) for _ in range(5)]
+    pairs = [(pc.sample(rng), pc.sample(rng)) for _ in range(6)]
+    cert = certify_stability(fam, pc, ys, pairs)
+    assert cert.alpha == 0.5
+    assert np.isfinite([cert.L_R, cert.Lp_R, cert.M_R, cert.Mp_R]).all()
+    for theta, theta2 in pairs:
+        d = fam.metric(theta, theta2) ** fam.alpha
+        for y in ys:
+            lhs = np.linalg.norm(fam.reconstruct(theta, y)
+                                 - fam.reconstruct(theta2, y)) / d
+            assert lhs <= cert.L_R * np.linalg.norm(y) + cert.Lp_R + 1e-8
 
 
 def test_certify_stability_constant_family():
@@ -802,7 +919,7 @@ def test_certify_stability_constant_family():
         def metric(self, a, b):
             return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
-        def reconstruct_batch(self, theta, Y, tol=None):
+        def reconstruct_batch(self, theta, Y):
             return np.zeros((len(Y), 2))
 
     pc = ParamClass(kind="euclidean_ball", dim=2, radius=1.0)
@@ -821,7 +938,7 @@ def test_certify_stability_elastic_net_energy_bound():
     rng = np.random.default_rng(11)
     ys = [rng.standard_normal(2) for _ in range(4)]
     pairs = [(pc.sample(rng), pc.sample(rng)) for _ in range(4)]
-    cert = certify_stability(fam, pc, ys, pairs, tol=1e-10)
+    cert = certify_stability(fam, pc, ys, pairs)
     assert cert.extras["energy_bound_slack"] >= 0
 
 
@@ -840,7 +957,7 @@ def test_certify_stability_zero_energy_slack_is_kept():
             return ElasticNetParams(h=np.zeros(2), B=np.eye(2), alpha=1.0,
                                     eta=0.5)
 
-        def reconstruct_batch(self, theta, Y, tol=None):
+        def reconstruct_batch(self, theta, Y):
             Y = np.asarray(Y, float)
             return np.where(Y[:, :1] > 0, Y, 0.5 * Y)
 

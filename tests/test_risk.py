@@ -217,7 +217,7 @@ def test_erm_risk_and_grad_match_reference(structure):
             np.testing.assert_array_equal(
                 R_row, fam.reconstruct_batch(theta, ts.y))
             np.testing.assert_array_equal(
-                g_row, fam.risk_gradient(theta, ts.x, ts.y))
+                g_row, fam.risk_gradient(theta, ts.x, ts.y, R_row))
 
 
 def test_erm_reconstructs_each_theta_once(monkeypatch):
@@ -230,10 +230,10 @@ def test_erm_reconstructs_each_theta_once(monkeypatch):
     reconstruct_batch = fam.reconstruct_batch
     solve_normal = hypotheses._solve_normal
 
-    def counting_reconstruct_batch(theta, Y, tol=None):
+    def counting_reconstruct_batch(theta, Y):
         calls.append(1)
         rows.extend(t.tobytes() for t in np.atleast_2d(theta))
-        return reconstruct_batch(theta, Y, tol)
+        return reconstruct_batch(theta, Y)
 
     def counting_solve(M, rhs):
         # the one checked solve of affine_map, per theta row

@@ -10,7 +10,7 @@ from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       empirical_average_contraction, orlicz_norm, substream,
                       tail_check)
 from invlearn.errors import ConfigurationError
-from invlearn.stochastics import _binom_ppf
+from invlearn.stochastics import _within_quantile
 
 
 def scalar_problem(noise_var=1.0, delta=None):
@@ -167,17 +167,22 @@ def test_tail_gaussian_with_tiny_k_fails():
     assert tail_check(w, K=0.1, q=2) is False
 
 
-def test_binom_ppf_matches_scipy_stats():
-    # the confidence levels a tail check uses; at a q that equals a CDF value
-    # exactly (e.g. q = 0.5, n = 7, p = 0.5) the two CDF implementations may
-    # round to opposite sides of q and give answers one apart
+def test_tail_decisions_match_scipy_stats_binom_ppf():
+    # a count k passes a threshold iff k <= binom.ppf(q, n, p), checked at
+    # the counts around each quantile and at both ends; at a q that equals
+    # a CDF value exactly (e.g. q = 0.5, n = 7, p = 0.5) the two CDF
+    # implementations may round to opposite sides of q
     from scipy.stats import binom
     p = np.concatenate([[0.0, 1.0], np.logspace(-90, 0, 61),
                         np.linspace(0.0, 1.0, 41)])
     for n in (1, 2, 7, 100, 1_001, 50_000, 1_000_000):
         for q in (0.9, 0.95, 0.99, 0.999):
-            mine = _binom_ppf(q, n, p)
-            assert np.array_equal(mine, binom.ppf(q, n, p)), (n, q)
+            ppf = binom.ppf(q, n, p)
+            for k in (np.zeros_like(ppf), ppf - 1, ppf, ppf + 1,
+                      np.full_like(ppf, n)):
+                k = np.clip(k, 0, n)
+                assert np.array_equal(_within_quantile(k, n, p, q),
+                                      k <= ppf), (n, q)
 
 
 def test_tail_check_input_validation():
