@@ -312,9 +312,12 @@ def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
        k=st.integers(1, 4), max_iter=st.sampled_from([0, 1, 4, 60]))
 def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
                                                    max_iter):
-    # random starts, one on the ball boundary, and one at the converged
-    # theta of a one-row run, which stops at the first iteration while the
-    # others go on
+    # random starts, one on the ball boundary, the ball's center, and one
+    # at the last theta of a one-row run.  Every Tikhonov risk gradient
+    # term carries a factor B, so it vanishes at the center (B = 0): that
+    # row stops at its first residual while the others go on.  The one-row
+    # run need not converge in its 500 iterations on an ill-conditioned
+    # draw; when it does, its row stops at once too.
     rng = np.random.default_rng(seed)
     n_y, n_x = shape
     A = ForwardOperator.from_matrix(rng.standard_normal(shape))
@@ -330,10 +333,12 @@ def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
     risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
     first = _projected_gradient(np.array(starts[1:2]), risk, grad, pc,
                                 ErmOptions())
-    starts.append(first[0][0])
+    starts += [pc.center, first[0][0]]
     assert abs(np.linalg.norm(starts[0]) - 1.0) <= 1e-15
     evaluations = assert_rows_run_alone(fam, pc, ts.x, ts.y,
                                         np.array(starts), opts)
+    if max_iter > 0:
+        assert evaluations[-2] == 1  # the center stops on its first risk
     if max_iter > 0 and first[2][0] <= ERM_TOL:
         # the converged start stops at its first residual, on its first risk
         assert evaluations[-1] == 1
