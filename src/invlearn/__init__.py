@@ -14,8 +14,8 @@ from .hypotheses import (ElasticNetFamily, ElasticNetParams, FixedPointFamily,
 from .risk import (ErmOptions, ErmResult, empirical_risk, erm_solve,
                    expected_loss_mc, optimal_target_proxy)
 from .bounds import (BoundInputs, CoveringModel, RatePrediction, chaining_bound,
-                     covering_ball, covering_bound, covering_sobolev_log,
-                     greedy_cover, predicted_exponent)
+                     covering_ball, covering_bound, greedy_cover,
+                     predicted_exponent)
 from .experiment import (ExperimentConfig, RateFit, bound_domination_check,
                          run_rate_experiment, run_verification_suite)
 

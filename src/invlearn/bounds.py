@@ -37,15 +37,6 @@ def covering_ball(d: int, D: float, r: float) -> float:
     return max(1.0, (2.0 * D * math.sqrt(d) / r) ** d)
 
 
-def covering_sobolev_log(s: float, r: float, c: float) -> float:
-    """Entropy model log N(r) = c * r^{-1/s} for a compactly embedded ball."""
-    if r <= 0:
-        raise ConfigurationError("radius r must be positive")
-    if s <= 0 or c <= 0:
-        raise ConfigurationError("s > 0 and c > 0 required")
-    return c * r ** (-1.0 / s)
-
-
 def greedy_cover(points, r: float) -> int:
     """Cardinality of a greedy cover of a finite point set by radius-r balls.
 
@@ -75,7 +66,9 @@ def greedy_cover(points, r: float) -> int:
 
 @dataclass(frozen=True)
 class CoveringModel:
-    """r -> log N(Theta, r) upper bound for one of the two compact classes."""
+    """r -> log N(Theta, r) upper bound for one of the two compact classes:
+    a radius-D ball in R^d, or a compactly embedded ball whose entropy
+    decays as log N(r) = c * r^{-1/s}."""
 
     kind: str  # "euclidean_ball" | "entropy_decay"
     d: int | None = None
@@ -88,15 +81,17 @@ class CoveringModel:
             if self.d is None or self.d < 1:
                 raise ConfigurationError("euclidean_ball needs d >= 1")
         elif self.kind == "entropy_decay":
-            if self.s is None or self.s <= 0:
-                raise ConfigurationError("entropy_decay needs s > 0")
+            if self.s is None or self.s <= 0 or self.c <= 0:
+                raise ConfigurationError("entropy_decay needs s > 0 and c > 0")
         else:
             raise ConfigurationError(f"unknown covering model {self.kind!r}")
 
     def log_n(self, r: float) -> float:
         if self.kind == "euclidean_ball":
             return math.log(covering_ball(self.d, self.D, r))
-        return covering_sobolev_log(self.s, r, self.c)
+        if r <= 0:
+            raise ConfigurationError("radius r must be positive")
+        return self.c * r ** (-1.0 / self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +209,10 @@ class RatePrediction:
     note: str = ""
 
 
-def predicted_exponent(class_kind: str, alpha: float, q: int, s_or_d,
+def predicted_exponent(cov: CoveringModel, alpha: float, q: int,
                        method: str = "chaining") -> RatePrediction:
-    """Predicted m-exponent of the sample-error decay for a compact class.
+    """Predicted m-exponent of the sample-error decay for the class that
+    ``cov`` covers.
 
     Finite-dimensional balls: the covering route gives m^{-1/2} up to a
     log(m)^{1/q} factor, the chaining route a clean m^{-1/2}.  For the
@@ -228,28 +224,21 @@ def predicted_exponent(class_kind: str, alpha: float, q: int, s_or_d,
         raise ConfigurationError("method must be 'covering' or 'chaining'")
     if q not in (1, 2) or not (0 < alpha <= 1):
         raise ConfigurationError("need q in {1,2} and alpha in (0,1]")
-    if class_kind == "euclidean_ball":
-        d = int(s_or_d)
-        if d < 1:
-            raise ConfigurationError("dimension must be >= 1")
+    if cov.kind == "euclidean_ball":
         if method == "covering":
             return RatePrediction(method, -0.5, "finite-dimensional",
                                   f"times log(m)^{{1/{q}}} d^{{1/{q}}}")
         return RatePrediction(method, -0.5, "finite-dimensional",
                               f"constant factor (d log d)^{{1/{q}}}")
-    if class_kind == "entropy_decay":
-        s = float(s_or_d)
-        if s <= 0:
-            raise ConfigurationError("s must be positive")
-        if method == "covering":
-            expo = -0.5 * (1.0 - 1.0 / (1.0 + alpha * s * q))
-            note = ""
-            if s < (1.0 - alpha) / (alpha**2 * q):
-                note = "covering route faster than chaining in this regime"
-            return RatePrediction(method, expo, "entropy-decay", note)
-        if s > 1.0 / (alpha * q):
-            return RatePrediction(method, -0.5, "saturated",
-                                  "embedding compact enough for the optimal rate")
-        return RatePrediction(method, -0.5 * alpha**2 * s * q,
-                              "sub-saturation", "")
-    raise ConfigurationError(f"unknown class kind {class_kind!r}")
+    s = cov.s
+    if method == "covering":
+        expo = -0.5 * (1.0 - 1.0 / (1.0 + alpha * s * q))
+        note = ""
+        if s < (1.0 - alpha) / (alpha**2 * q):
+            note = "covering route faster than chaining in this regime"
+        return RatePrediction(method, expo, "entropy-decay", note)
+    if s > 1.0 / (alpha * q):
+        return RatePrediction(method, -0.5, "saturated",
+                              "embedding compact enough for the optimal rate")
+    return RatePrediction(method, -0.5 * alpha**2 * s * q,
+                          "sub-saturation", "")

@@ -68,8 +68,7 @@ _FAMILIES = {cls.kind: cls for cls in (TikhonovFamily, ElasticNetFamily,
                                         FixedPointFamily)}
 _PARAM_CLASS_KEYS = {"kind": None, "dim": _INT, "radius": _NUM,
                      "smoothness": _NUM}
-_PROBLEM_KEYS = {"forward": None, "prior": None, "noise": None,
-                 "delta": _NUM}
+_PROBLEM_KEYS = {"forward": None, "prior": None, "noise": None}
 _FORWARD_KEYS = {"n_x": _INT, "n_y": _INT, "singular_values": _VEC,
                  "basis": None}
 _GAUSSIAN_KEYS = {"type": None, "mean": _VEC, "cov_eigenvalues": _VEC,
@@ -171,8 +170,7 @@ def _read_problem(problem) -> ProblemDistribution:
         else:
             laws[name] = _build(f"problem.{name}", BoundedSpec,
                                 dim=law["dim"], radius=law["radius"])
-    return _build("problem", ProblemDistribution, forward=op,
-                  delta=problem.get("delta"), **laws)
+    return _build("problem", ProblemDistribution, forward=op, **laws)
 
 
 @dataclass(frozen=True)
@@ -387,10 +385,8 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
              for m, mean, se, v in zip(cfg.m_grid, means, ses, vals)]
 
     inputs, cov = bound_inputs(cfg)
-    # a covering model sets one of d and s
     predicted = bounds_mod.predicted_exponent(
-        cov.kind, alpha=inputs[0].alpha, q=inputs[0].q, s_or_d=cov.d or cov.s,
-        method="chaining").exponent
+        cov, alpha=inputs[0].alpha, q=inputs[0].q, method="chaining").exponent
 
     usable = means > 0
     if pclass.radius == 0 or np.max(np.abs(means)) < 1e-14 or \
@@ -418,14 +414,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
 
 def _weighted_loglog_fit(ms, means, ses):
     """Weighted least squares of log(mean) on log(m); returns slope, 95% CI."""
-    x = np.log(ms)
-    y = np.log(means)
     sigma = np.clip(ses / means, 1e-6, None)  # delta method on log scale
-    w = 1.0 / sigma**2
-    X = np.column_stack([x, np.ones_like(x)])
-    WX = X * w[:, None]
-    cov = np.linalg.inv(X.T @ WX)
-    beta = cov @ (WX.T @ y)
+    # polyfit weights the residuals, not their squares: w = 1/sigma
+    beta, cov = np.polyfit(np.log(ms), np.log(means), 1, w=1.0 / sigma,
+                           cov="unscaled")
     slope = float(beta[0])
     se_slope = float(np.sqrt(cov[0, 0]))
     return slope, (slope - 1.96 * se_slope, slope + 1.96 * se_slope)
@@ -508,8 +500,7 @@ def run_verification_suite(cfg: ExperimentConfig,
         theta0 = pclass.sample(substream(cfg.master_seed, 503))
         p = family.unpack(theta0)
         g_rep = check_g_hypotheses(p.B, p.h, family.alpha, probe_xs)
-        ok = g_rep.nonnegative and np.isfinite(g_rep.M_g) and \
-            (g_rep.convex_midpoint_ok is not False)
+        ok = np.isfinite(g_rep.M_g) and g_rep.convex_midpoint_ok is not False
         record("penalty_hypotheses", ok, alpha=family.alpha,
                M_g=g_rep.M_g, holder_constant=g_rep.holder_constant,
                convexity_checked=g_rep.convexity_checked)

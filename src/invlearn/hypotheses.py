@@ -169,8 +169,12 @@ def _spectral_clip(W: np.ndarray, limit: float) -> np.ndarray:
 def reconstruct_tikhonov(params: TikhonovParams, A: ForwardOperator,
                          noise: GaussianSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer (A* Se^{-1} A + 2 B*B)^{-1}(A* Se^{-1} y + 2 B*B h)."""
-    sol = _tikhonov_solve(params.h, params.B, *_normal_constants(A, noise),
-                          np.atleast_2d(np.asarray(y, float)))
+    P, K = _normal_constants(A, noise)
+    Y = np.atleast_2d(np.asarray(y, float))
+    if Y.shape[-1] != P.shape[1]:
+        raise DimensionMismatchError("data length != operator output dim")
+    BtB = params.B.T @ params.B
+    sol = _solve_normal(K + 2.0 * BtB, Y @ P.T + 2.0 * (BtB @ params.h))
     return sol[0] if np.asarray(y).ndim == 1 else sol
 
 
@@ -186,14 +190,6 @@ def _normal_constants(A: ForwardOperator, noise: GaussianSpec):
     Am = A.as_matrix()
     P = Am.T @ np.linalg.inv(noise.covariance_matrix())
     return P, P @ Am
-
-
-def _tikhonov_solve(h, B, P, K, Y: np.ndarray) -> np.ndarray:
-    """Batched Tikhonov solve: rows X with X (K + 2 B*B)^T = Y P^T + 2 B*B h."""
-    if Y.shape[-1] != P.shape[1]:
-        raise DimensionMismatchError("data length != operator output dim")
-    BtB = B.T @ B
-    return _solve_normal(K + 2.0 * BtB, Y @ P.T + 2.0 * (BtB @ h))
 
 
 def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -705,7 +701,6 @@ class GHypothesesReport:
     """Empirical check of the learned-penalty conditions for g = ||B.-h||^{2a}."""
 
     alpha: float
-    nonnegative: bool
     M_g: float  # g at x = 0
     holder_constant: float | None
     convex_midpoint_ok: bool | None
@@ -714,7 +709,7 @@ class GHypothesesReport:
 
 def check_g_hypotheses(B, h, alpha: float, probe_xs,
                        probe_pairs=None) -> GHypothesesReport:
-    """Verify sign, boundedness at 0, Holder-in-theta, and convexity probes
+    """Verify boundedness at 0, Holder-in-theta, and convexity probes
     of the penalty g(x) = ||B x - h||^{2 alpha} on the probe points x.
 
     ``probe_pairs`` defaults to 16 random perturbations of (h, B) of scale
@@ -731,8 +726,6 @@ def check_g_hypotheses(B, h, alpha: float, probe_xs,
         return float(np.linalg.norm(Bm @ x - hv) ** (2 * alpha))
 
     xs = [np.asarray(x, float) for x in probe_xs]
-    vals = [g(B, h, x) for x in xs]
-    nonneg = all(v >= 0 for v in vals)
     g0 = g(B, h, np.zeros(h.size))
 
     if probe_pairs is None:
@@ -760,7 +753,7 @@ def check_g_hypotheses(B, h, alpha: float, probe_xs,
         convex_ok = not any(
             g(B, h, 0.5 * (a + b)) > 0.5 * (g(B, h, a) + g(B, h, b)) + 1e-10
             for a, b in combinations(xs, 2))
-    return GHypothesesReport(alpha=alpha, nonnegative=nonneg, M_g=g0,
+    return GHypothesesReport(alpha=alpha, M_g=g0,
                              holder_constant=c_g,
                              convex_midpoint_ok=convex_ok,
                              convexity_checked=alpha == 1.0)

@@ -169,10 +169,6 @@ class GaussianSpec:
     def dim(self) -> int:
         return self.mean.size
 
-    @property
-    def trace(self) -> float:
-        return float(self.covariance_eigenvalues.sum())
-
     def covariance_matrix(self) -> np.ndarray:
         lam = self.covariance_eigenvalues
         if self.covariance_basis is None:

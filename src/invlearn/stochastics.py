@@ -57,7 +57,6 @@ class ProblemDistribution:
     prior: GaussianSpec | BoundedSpec
     noise: GaussianSpec
     forward: ForwardOperator
-    delta: float | None = None  # stated noise budget: trace(cov_eps) <= delta^2
 
     def __post_init__(self):
         if self.prior.dim != self.forward.n_x:
@@ -66,9 +65,6 @@ class ProblemDistribution:
             raise DimensionMismatchError("noise dimension != operator output dim")
         if np.any(self.noise.mean != 0):
             raise ConfigurationError("noise must be zero-mean")
-        if self.delta is not None and self.noise.trace > self.delta**2 + 1e-12:
-            raise ConfigurationError(
-                f"noise trace {self.noise.trace:.4g} exceeds delta^2={self.delta**2:.4g}")
 
     def sample(self, rng: np.random.Generator, size: int):
         """Draw (x, eps) and return (x, y) with y = A x + eps."""

@@ -234,7 +234,9 @@ def test_criterion_9_regime_logic():
     assert len(cases) >= 50
     bad = []
     for kind, alpha, q, sd, method in cases:
-        got = predicted_exponent(kind, alpha, q, sd, method).exponent
+        cov = (CoveringModel(kind, d=sd) if kind == "euclidean_ball"
+               else CoveringModel(kind, s=sd))
+        got = predicted_exponent(cov, alpha, q, method).exponent
         want = hand_formula(kind, alpha, q, sd, method)
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             bad.append((kind, alpha, q, sd, method, got, want))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlearn import (BoundInputs, CoveringModel, chaining_bound,
-                      covering_ball, covering_bound, covering_sobolev_log,
-                      greedy_cover, predicted_exponent)
+                      covering_ball, covering_bound, greedy_cover,
+                      predicted_exponent)
 from invlearn.bounds import C2, entropy_integral
 from invlearn.errors import ConfigurationError
 
@@ -104,12 +104,26 @@ def test_greedy_cover_matches_reference_on_random_clouds():
             assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
 
 
-# -- covering_sobolev_log --------------------------------------------------
+# -- CoveringModel ---------------------------------------------------------
 
-def test_covering_sobolev_log_values():
-    assert covering_sobolev_log(1.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert covering_sobolev_log(1.0, 0.5, 1.0) == pytest.approx(2.0)
-    assert covering_sobolev_log(0.5, 0.1, 3.0) == pytest.approx(300.0)
+def test_entropy_decay_log_n_values():
+    def log_n(s, r, c):
+        return CoveringModel(kind="entropy_decay", s=s, c=c).log_n(r)
+
+    assert log_n(1.0, 1.0, 1.0) == pytest.approx(1.0)
+    assert log_n(1.0, 0.5, 1.0) == pytest.approx(2.0)
+    assert log_n(0.5, 0.1, 3.0) == pytest.approx(300.0)
+
+
+def test_entropy_decay_rejects_bad_inputs():
+    for c in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="c > 0"):
+            CoveringModel(kind="entropy_decay", s=1.0, c=c)
+    for s in (None, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="s > 0"):
+            CoveringModel(kind="entropy_decay", s=s)
+    with pytest.raises(ConfigurationError, match="positive"):
+        CoveringModel(kind="entropy_decay", s=1.0).log_n(0.0)
 
 
 def test_covering_model_log_n_non_increasing():
@@ -227,38 +241,43 @@ def test_chaining_larger_r_dominates_r_zero():
 
 # -- predicted_exponent ----------------------------------------------------
 
+def _decay(s):
+    return CoveringModel(kind="entropy_decay", s=s)
+
+
 def test_predicted_exponent_finite_dim():
     for d in (1, 2, 5, 20):
         for q in (1, 2):
-            assert predicted_exponent("euclidean_ball", 1.0, q, d,
+            cov = CoveringModel(kind="euclidean_ball", d=d)
+            assert predicted_exponent(cov, 1.0, q,
                                       "chaining").exponent == -0.5
-            assert predicted_exponent("euclidean_ball", 1.0, q, d,
+            assert predicted_exponent(cov, 1.0, q,
                                       "covering").exponent == -0.5
 
 
 def test_predicted_exponent_saturation_boundary():
     # s = 1/(alpha q) with alpha = 1: -alpha^2 s q / 2 = -1/2, continuous
-    p = predicted_exponent("entropy_decay", 1.0, 1, 1.0, "chaining")
+    p = predicted_exponent(_decay(1.0), 1.0, 1, "chaining")
     assert p.exponent == pytest.approx(-0.5)
-    p = predicted_exponent("entropy_decay", 1.0, 2, 0.5, "chaining")
+    p = predicted_exponent(_decay(0.5), 1.0, 2, "chaining")
     assert p.exponent == pytest.approx(-0.5)
 
 
 def test_predicted_exponent_saturated_regime():
-    p = predicted_exponent("entropy_decay", 1.0, 1, 2.0, "chaining")
+    p = predicted_exponent(_decay(2.0), 1.0, 1, "chaining")
     assert p.exponent == -0.5
     assert p.regime == "saturated"
 
 
 def test_predicted_exponent_sub_saturation():
-    p = predicted_exponent("entropy_decay", 0.5, 2, 0.4, "chaining")
+    p = predicted_exponent(_decay(0.4), 0.5, 2, "chaining")
     assert p.exponent == pytest.approx(-0.5 * 0.5**2 * 0.4 * 2)
     assert p.regime == "sub-saturation"
 
 
 def test_predicted_exponent_covering_infinite_dim():
     s, alpha, q = 0.8, 0.9, 1
-    p = predicted_exponent("entropy_decay", alpha, q, s, "covering")
+    p = predicted_exponent(_decay(s), alpha, q, "covering")
     assert p.exponent == pytest.approx(-0.5 * (1 - 1 / (1 + alpha * s * q)))
 
 
@@ -266,14 +285,22 @@ def test_predicted_exponent_crossover_note():
     # s < (1 - alpha) / (alpha^2 q): covering route faster
     alpha, q = 0.5, 1
     s = 0.5 * (1 - alpha) / (alpha**2 * q)
-    p = predicted_exponent("entropy_decay", alpha, q, s, "covering")
+    p = predicted_exponent(_decay(s), alpha, q, "covering")
     assert "faster" in p.note
 
 
 def test_predicted_exponent_validation():
+    cov = CoveringModel(kind="euclidean_ball", d=2)
     with pytest.raises(ConfigurationError):
-        predicted_exponent("entropy_decay", 1.0, 1, -1.0)
+        predicted_exponent(cov, 1.0, 3)
     with pytest.raises(ConfigurationError):
-        predicted_exponent("euclidean_ball", 1.0, 3, 2)
+        predicted_exponent(cov, 1.5, 1)
     with pytest.raises(ConfigurationError):
-        predicted_exponent("unknown", 1.0, 1, 2)
+        predicted_exponent(cov, 1.0, 1, "local")
+    # the class checks are the covering model's
+    with pytest.raises(ConfigurationError):
+        CoveringModel(kind="entropy_decay", s=-1.0)
+    with pytest.raises(ConfigurationError):
+        CoveringModel(kind="euclidean_ball", d=0)
+    with pytest.raises(ConfigurationError):
+        CoveringModel(kind="unknown", d=2)

@@ -296,7 +296,9 @@ SCHEMA_CASES = {
     "non-orthonormal prior basis": (
         _edit("problem.prior.cov_basis", [[2.0]]), "problem.prior"),
     "non-zero noise mean": (_edit("problem.noise.mean", [1.0]), "problem"),
-    "delta below root trace": (_edit("problem.delta", 0.5), "problem"),
+    # `delta` is not a config key, whatever its value
+    "delta below root trace": (_edit("problem.delta", 0.5),
+                               "unknown config key: problem.delta"),
     "negative radius": (_edit("param_class.radius", -1), "param_class"),
     "unknown class kind": (_edit("param_class.kind", "cube"), "param_class"),
     "sobolev without smoothness": (

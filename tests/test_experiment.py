@@ -10,11 +10,12 @@ import pytest
 from invlearn import (ElasticNetFamily, ExperimentConfig, FixedPointFamily,
                       TikhonovFamily, erm_solve, experiment,
                       run_rate_experiment, run_verification_suite)
-from invlearn.bounds import BoundInputs, CoveringModel
+from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
 from invlearn.errors import ConfigurationError
-from invlearn.experiment import (_FAMILY_KEYS, bound_domination_check,
-                                 bound_inputs, canonical_json, derived_seed,
-                                 fnv1a64, q_route)
+from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
+                                 bound_domination_check, bound_inputs,
+                                 canonical_json, derived_seed, fnv1a64,
+                                 q_route)
 
 
 def scalar_config(**overrides):
@@ -114,13 +115,11 @@ def test_config_schema_accepts_every_documented_key():
         "noise": {"type": "gaussian", "mean": [0.0, 0.0],
                   "cov_eigenvalues": [0.1, 0.1],
                   "cov_basis": [[1.0, 0.0], [0.0, 1.0]]},
-        "delta": 1.0,
     }
     cfg = ExperimentConfig.from_dict(scalar_config(
         problem=problem,
         family={"kind": "tikhonov", "structure": "diagonal"},
         param_class={"kind": "euclidean_ball", "dim": 4}))
-    assert cfg.problem.delta == 1.0
     assert cfg.problem.forward.left_basis is not None
 
 
@@ -219,6 +218,55 @@ def test_rate_experiment_requires_enough_trials():
     cfg = ExperimentConfig.from_dict(scalar_config(trials_per_m=5))
     with pytest.raises(ConfigurationError):
         run_rate_experiment(cfg)
+
+
+def _normal_equations_fit(ms, means, ses, weight_power=2):
+    # reference: weighted least squares of log(mean) on log(m) by the
+    # explicit normal equations, weights 1/sigma^weight_power
+    x, y = np.log(ms), np.log(means)
+    sigma = np.clip(ses / means, 1e-6, None)
+    w = 1.0 / sigma**weight_power
+    X = np.column_stack([x, np.ones_like(x)])
+    WX = X * w[:, None]
+    cov = np.linalg.inv(X.T @ WX)
+    slope = (cov @ (WX.T @ y))[0]
+    half = 1.96 * np.sqrt(cov[0, 0])
+    return np.array([slope, slope - half, slope + half])
+
+
+def test_loglog_fit_matches_weighted_normal_equations():
+    # doubling m-grids, as the rate experiment's; on grids of nearly equal
+    # m the reference's explicit inverse loses more than 1e-12 itself
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        ms = rng.integers(8, 65) * 2.0 ** np.arange(rng.integers(4, 10))
+        means = ms ** rng.uniform(-1.5, -0.5) * np.exp(
+            0.2 * rng.standard_normal(ms.size))
+        ses = means * rng.uniform(0.01, 0.3, size=ms.size)
+        slope, (lo, hi) = _weighted_loglog_fit(ms, means, ses)
+        got = np.array([slope, lo, hi])
+        np.testing.assert_allclose(
+            got, _normal_equations_fit(ms, means, ses), rtol=1e-12, atol=0)
+        # weights of 1/sigma^4 (1/sigma^2 passed as polyfit's w) differ
+        assert not np.allclose(
+            got, _normal_equations_fit(ms, means, ses, weight_power=4),
+            rtol=1e-12, atol=0)
+
+
+def test_rate_experiment_on_an_entropy_decay_class():
+    # a Sobolev class of smoothness 0.4 with alpha = q = 1 lies below the
+    # saturation threshold 1/(alpha q): -alpha^2 s q / 2 = -0.2
+    sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+               "smoothness": 0.4}
+    fit = run_rate_experiment(ExperimentConfig.from_dict(
+        scalar_config(param_class=sobolev)))
+    assert fit.predicted_exponent == -0.2
+    # at smoothness 2 the chaining exponent saturates at -1/2
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
+        param_class={**sobolev, "smoothness": 2.0})))
+    assert cov == CoveringModel("entropy_decay", s=2.0)
+    assert predicted_exponent(cov, inputs[0].alpha, inputs[0].q).exponent \
+        == -0.5
 
 
 def test_bound_domination_after_calibration(small_fit):

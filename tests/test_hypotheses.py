@@ -982,7 +982,6 @@ def test_certify_stability_empty_probes_rejected():
 def test_g_hypotheses_identity_penalty():
     ys = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])]
     rep = check_g_hypotheses(np.eye(2), np.zeros(2), 1.0, ys)
-    assert rep.nonnegative
     assert rep.M_g == 0.0
     assert rep.convex_midpoint_ok
 

@@ -13,12 +13,11 @@ from invlearn.errors import ConfigurationError
 from invlearn.stochastics import _within_quantile
 
 
-def scalar_problem(noise_var=1.0, delta=None):
+def scalar_problem(noise_var=1.0):
     return ProblemDistribution(
         prior=GaussianSpec.iso(1, 1.0),
         noise=GaussianSpec.iso(1, noise_var),
-        forward=ForwardOperator.identity(1),
-        delta=delta)
+        forward=ForwardOperator.identity(1))
 
 
 # -- draw_training_set -----------------------------------------------------
@@ -61,19 +60,13 @@ def test_empty_training_set_rejected():
 
 
 def test_noise_marginals_within_budget():
-    delta = 0.6
-    dist = scalar_problem(noise_var=0.25, delta=delta)
+    dist = scalar_problem(noise_var=0.25)
     ts = draw_training_set(dist, 10**5, seed=9)
     eps = ts.y - ts.x
     se = eps.std() / np.sqrt(eps.size)
     assert abs(eps.mean()) <= 4 * se
-    trace_se = np.sqrt(2 * 0.25**2 / eps.size)
-    assert eps.var() <= delta**2 * (1 + 3 * trace_se)
-
-
-def test_noise_budget_enforced():
-    with pytest.raises(ConfigurationError):
-        scalar_problem(noise_var=1.0, delta=0.5)
+    var_se = np.sqrt(2 * 0.25**2 / eps.size)  # std error of the variance
+    assert abs(eps.var() - 0.25) <= 4 * var_se
 
 
 def test_csv_dump_header(tmp_path):
