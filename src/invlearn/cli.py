@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import pathlib
 import sys
 
@@ -124,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override master_seed from the config")
     parser.add_argument("--out", help="output directory")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="root logging level, to stderr (INFO: the rate "
+                             "experiment's progress per m)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw a training set, write CSV")
@@ -148,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(args.log_level)
     try:
         return args.func(args)
     except ConfigurationError as exc:

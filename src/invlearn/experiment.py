@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +22,13 @@ from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
-from .risk import ErmOptions, erm_solve, optimal_target_proxy, _batch_losses
+from .risk import (ErmOptions, _batch_losses, erm_solve, erm_solve_trials,
+                   optimal_target_proxy, trial_groups)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
                           substream, tail_check)
+
+log = logging.getLogger(__name__)
 
 SLOPE_BAND = 0.15  # acceptance band around the predicted exponent
 MAX_FAILURE_FRACTION = 0.05  # failed trials above this invalidate a rate run
@@ -327,7 +332,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     """The central experiment: mean excess loss versus m, with a rate fit.
 
     Fully deterministic given the config: each trial draws from seeds keyed
-    by (m, trial).
+    by (m, trial).  The trials of one m are fitted in lock-step stacks
+    (``risk.trial_groups``); a stack that raises ``ConvergenceError`` is
+    refitted one trial at a time, and a trial that raises alone is marked
+    failed.  Progress goes to this module's logger at INFO.
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
@@ -337,34 +345,51 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     # and the proxy's gate
     x_eval, y_eval = cfg.problem.sample(substream(cfg.master_seed, 9999),
                                         cfg.n_mc)
+    start = time.perf_counter()
     theta_star, per_star = optimal_target_proxy(
         pclass, family, cfg.problem, cfg.proxy_m,
         derived_seed(cfg.master_seed, 11), x_eval, y_eval,
         ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
     loss_star = float(per_star.mean())
+    log.info("proxy fit seconds=%.3f", time.perf_counter() - start)
 
-    def run_trial(m, t):
-        seed = derived_seed(cfg.master_seed, m, t)
-        ts = draw_training_set(cfg.problem, m, seed)
-        t_opts = ErmOptions(seed=derived_seed(cfg.master_seed, 1, m, t))
-        try:
-            res = erm_solve(pclass, family, ts, t_opts)
-        except ConvergenceError:
-            return TrialRecord(m, t, math.nan, math.nan, math.nan, loss_star,
-                               math.inf, seed, failed=True)
-        per_hat = _batch_losses(family, res.theta, x_eval, y_eval)
-        return TrialRecord(
-            m=m, trial=t,
-            sample_error=float((per_hat - per_star).mean()),
-            emp_risk_hat=res.objective,
-            exp_loss_hat=float(per_hat.mean()),
-            exp_loss_star=loss_star,
-            erm_residual=res.residual,
-            seed=seed,
-            failed=not res.converged)
-
-    records = [run_trial(m, t) for m in cfg.m_grid
-               for t in range(cfg.trials_per_m)]
+    records = []
+    opts = ErmOptions()
+    for m in cfg.m_grid:
+        start = time.perf_counter()
+        trials = range(cfg.trials_per_m)
+        seeds = [derived_seed(cfg.master_seed, m, t) for t in trials]
+        erm_seeds = [derived_seed(cfg.master_seed, 1, m, t) for t in trials]
+        groups = trial_groups(len(trials), m, opts)
+        fits = []
+        for g in groups:
+            sets = [draw_training_set(cfg.problem, m, s) for s in seeds[g]]
+            try:
+                fits += erm_solve_trials(pclass, family, sets, erm_seeds[g],
+                                         opts)
+            except ConvergenceError:
+                # one trial's error must not fail the others: refit alone
+                fits += [_fit_alone(pclass, family, ts, seed)
+                         for ts, seed in zip(sets, erm_seeds[g])]
+        for t, seed, res in zip(trials, seeds, fits):
+            if res is None:
+                records.append(TrialRecord(m, t, math.nan, math.nan, math.nan,
+                                           loss_star, math.inf, seed,
+                                           failed=True))
+                continue
+            per_hat = _batch_losses(family, res.theta, x_eval, y_eval)
+            records.append(TrialRecord(
+                m=m, trial=t,
+                sample_error=float((per_hat - per_star).mean()),
+                emp_risk_hat=res.objective,
+                exp_loss_hat=float(per_hat.mean()),
+                exp_loss_star=loss_star,
+                erm_residual=res.residual,
+                seed=seed,
+                failed=not res.converged))
+        log.info("m=%d trials=%d failed=%d groups=%d seconds=%.3f", m,
+                 len(trials), sum(r.failed for r in records[-len(trials):]),
+                 len(groups), time.perf_counter() - start)
 
     n_failed = sum(r.failed for r in records)
     if n_failed > MAX_FAILURE_FRACTION * len(records):
@@ -410,6 +435,15 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     if out_dir is not None:
         fit.write(out_dir)
     return fit
+
+
+def _fit_alone(pclass, family, ts, seed):
+    """One trial's ``erm_solve``, or None where it raises
+    ``ConvergenceError``."""
+    try:
+        return erm_solve(pclass, family, ts, ErmOptions(seed=seed))
+    except ConvergenceError:
+        return None
 
 
 def _weighted_loglog_fit(ms, means, ses):

@@ -232,11 +232,12 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     Accelerated gradient descent with backtracking and adaptive restart, run
     until the gradient norm (of the smoothed objective for alpha < 1) drops
     below ``tol``.  ``y`` may be a (m, n_y) batch, and ``params`` may hold
-    a stack of (h, B) (h of shape (k, n_x)), which gives (k, m, n_x).  Every
-    (theta, row) pair is its own problem: it keeps its own step, momentum
-    and restarts and is frozen once it reaches ``tol``, so it equals its
-    one-row, one-theta solve bit for bit.  The solve raises
-    ``ConvergenceError`` when any pair misses ``tol`` in ``max_iter``.
+    a stack of (h, B) (h of shape (k, n_x)), which gives (k, m, n_x); a
+    (k, m, n_y) ``y`` gives each theta its own batch.  Every (theta, row)
+    pair is its own problem: it keeps its own step, momentum and restarts
+    and is frozen once it reaches ``tol``, so it equals its one-row,
+    one-theta solve bit for bit.  The solve raises ``ConvergenceError``
+    when any pair misses ``tol`` in ``max_iter``.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
@@ -262,7 +263,8 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     # one row per (theta, row) pair, theta-major; a single theta's (B, h)
     # serves all its rows
     B, h = params.B.reshape(-1, n, n), params.h.reshape(-1, n)
-    k, m = len(B), len(Y := np.atleast_2d(y))
+    Y = np.atleast_2d(y)
+    k, m = len(B), Y.shape[-2]
     lip_A = np.linalg.norm(Am, 2) ** 2
     # scalar powers, as a one-theta solve takes them: an array power may
     # round differently
@@ -271,7 +273,7 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     step = np.repeat(1.0 / (lip + 1e-12), m)
     B, h = (B[0], h[0]) if k == 1 else (np.repeat(B, m, axis=0),
                                         np.repeat(h, m, axis=0))
-    Y = np.broadcast_to(Y, (k,) + Y.shape).reshape(k * m, A.n_y)
+    Y = np.broadcast_to(Y, (k, m, A.n_y)).reshape(k * m, A.n_y)
 
     def penalty_rows(sel):
         """(B, h) of the pairs ``sel``: the shared one, or their own."""
@@ -290,7 +292,7 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
             live, Y, x, z, t_mom, step, f_x = (
                 a[~done] for a in (live, Y, x, z, t_mom, step, f_x))
         if not live.size:
-            return out.reshape(params.h.shape[:-1] + y.shape[:-1] + (n,))
+            return out.reshape(_stack_shape(params.h, y) + (n,))
         if it == max_iter:
             raise ConvergenceError("elastic-net solver did not reach tolerance",
                                    residual=float(gnorm.max()),
@@ -329,20 +331,21 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     the previous step was below the stopping step (float-level motion).
 
     ``params`` may hold a stack of (W, b) (b of shape (k, n_x)), which
-    gives (k, m, n_x).  Each theta's rows stop on their own rule and leave
-    the stack, so each slice equals its one-theta solve bit for bit, and
-    the stack raises when a slice would raise alone.
+    gives (k, m, n_x); a (k, m, n_y) ``y`` gives each theta its own batch.
+    Each theta's rows stop on their own rule and leave the stack, so each
+    slice equals its one-theta solve bit for bit, and the stack raises when
+    a slice would raise alone.
     """
     y = np.asarray(y, dtype=float)
     L_z = params.contraction_budget
     n = A.n_x
     W_eff = _spectral_clip(params.W, L_z).reshape(-1, n, n)
     b = params.b.reshape(-1, 1, n)
-    base = A.adjoint_apply(np.atleast_2d(y))
+    base = A.adjoint_apply(np.atleast_2d(y))  # (m, n_x), or (k, m, n_x)
     stop = tol * (1 - L_z)
     k = len(b)
     live = np.arange(k)  # thetas still iterating
-    P, prev = np.zeros(live.shape + base.shape), None
+    P, prev = np.zeros((k,) + base.shape[-2:]), None
     stopped = []  # (thetas, their fixed points), as they stop
     for _ in range(max_iter):
         P_next = np.tanh(P @ np.swapaxes(W_eff, -1, -2) + b) + base
@@ -364,6 +367,8 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
             stopped.append((live[done], P_next[done]))
             live, P_next, steps, W_eff, b = (
                 a[~done] for a in (live, P_next, steps, W_eff, b))
+            if base.ndim == 3:
+                base = base[~done]
             if not live.size:
                 break
         P, prev = P_next, steps
@@ -374,10 +379,16 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     if len(stopped) == 1:  # every theta at once, in order
         out = stopped[0][1]
     else:
-        out = np.empty((k,) + base.shape)
+        out = np.empty((k,) + base.shape[-2:])
         for thetas, fixed in stopped:
             out[thetas] = fixed
-    return out.reshape(params.b.shape[:-1] + y.shape[:-1] + (n,))
+    return out.reshape(_stack_shape(params.b, y) + (n,))
+
+
+def _stack_shape(param, y) -> tuple:
+    """Leading output shape of an iterative solve of the (..., n_x)
+    parameter stack ``param`` on the batch, or on the per-theta batches, y."""
+    return y.shape[:-1] if y.ndim == 3 else param.shape[:-1] + y.shape[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +400,8 @@ class _Family:
 
     ``reconstruct_batch(theta, Y)`` maps the (m, n_y) batch Y to (m, n_x)
     rows; a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for
-    bit the 1-d call.
+    bit the 1-d call.  With a (k, m, n_y) Y, one batch per theta, slice i
+    is bit for bit the call on (theta_i, Y_i).
     """
 
     def reconstruct(self, theta, y):
@@ -405,16 +417,17 @@ class _Family:
         Y = np.asarray(Y, dtype=float)
         if theta.ndim == 1:
             return solver(self.unpack(theta), self.op, Y)
-        parts = [solver(self.unpack(theta[g]), self.op, Y)
-                 for g in theta_groups(len(theta), len(Y))]
+        parts = [solver(self.unpack(theta[g]), self.op,
+                        Y[g] if Y.ndim == 3 else Y)
+                 for g in theta_groups(len(theta), Y.shape[-2])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def theta_groups(k: int, m: int) -> list:
-    """Slices of a stack of k thetas on m data rows, each at most
-    ``STACK_ROWS`` (theta, row) pairs, or one theta when its rows alone
-    exceed that."""
-    size = max(1, STACK_ROWS // max(m, 1))
+def theta_groups(k: int, m: int, pairs: int | None = None) -> list:
+    """Slices of a stack of k thetas on m data rows, each at most ``pairs``
+    (default ``STACK_ROWS``) (theta, row) pairs, or one theta when its rows
+    alone exceed that."""
+    size = max(1, (pairs or STACK_ROWS) // max(m, 1))
     return [slice(i, i + size) for i in range(0, k, size)]
 
 

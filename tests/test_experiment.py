@@ -3,19 +3,23 @@
 import dataclasses
 import inspect
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
 
-from invlearn import (ElasticNetFamily, ExperimentConfig, FixedPointFamily,
-                      TikhonovFamily, erm_solve, experiment,
-                      run_rate_experiment, run_verification_suite)
+from invlearn import (ElasticNetFamily, ErmOptions, ExperimentConfig,
+                      FixedPointFamily, TikhonovFamily, draw_training_set,
+                      erm_solve, experiment, run_rate_experiment,
+                      run_verification_suite)
 from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
-from invlearn.errors import ConfigurationError
+from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
                                  bound_domination_check, bound_inputs,
                                  canonical_json, derived_seed, fnv1a64,
                                  q_route)
+from invlearn.risk import erm_solve_trials, trial_groups
 
 
 def scalar_config(**overrides):
@@ -183,14 +187,15 @@ def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
     # m = 32 is made to stop short of ERM_TOL, and is left out and counted
     short = set()
 
-    def first_trials_short(pclass, family, ts, opts):
-        res = erm_solve(pclass, family, ts, opts)
-        if ts.m in (16, 32) and ts.m not in short:
-            short.add(ts.m)
-            return dataclasses.replace(res, converged=False)
-        return res
+    def first_trials_short(pclass, family, sets, seeds, opts):
+        fits = erm_solve_trials(pclass, family, sets, seeds, opts)
+        m = sets[0].m
+        if m in (16, 32) and m not in short:
+            short.add(m)
+            fits[0] = dataclasses.replace(fits[0], converged=False)
+        return fits
 
-    monkeypatch.setattr(experiment, "erm_solve", first_trials_short)
+    monkeypatch.setattr(experiment, "erm_solve_trials", first_trials_short)
     fit = run_rate_experiment(ExperimentConfig.from_dict(
         scalar_config(trials_per_m=50)))
     assert [p["n"] for p in fit.per_m] == [49, 49, 50, 50]
@@ -203,6 +208,58 @@ def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
         assert p["mean"] == pytest.approx(vals.mean(), rel=1e-12)
         assert p["stderr"] == pytest.approx(
             vals.std(ddof=1) / np.sqrt(vals.size), rel=1e-12)
+
+
+class FailsOnOneTrial(TikhonovFamily):
+    """Scalar Tikhonov that raises ``ConvergenceError`` whenever it
+    reconstructs the data ``marked`` of one training set, alone or as one
+    slice of a stack of training sets."""
+
+    def __init__(self, cfg, marked):
+        super().__init__(cfg.problem.forward, cfg.problem.noise, "scale")
+        self.marked = marked
+
+    def reconstruct_batch(self, theta, Y):
+        if Y.shape[-2:] == self.marked.shape and \
+                np.all(Y == self.marked, axis=(-2, -1)).any():
+            raise ConvergenceError("the marked trial's data")
+        return super().reconstruct_batch(theta, Y)
+
+
+def test_rate_experiment_isolates_a_trial_that_raises(monkeypatch):
+    # trial 3 of m = 32 raises inside its stack of 10 trials: it alone is
+    # recorded failed, and every other trial keeps the record of the
+    # per-trial run, in which erm_solve fits each trial alone
+    cfg = ExperimentConfig.from_dict(scalar_config())
+    marked = draw_training_set(cfg.problem, 32,
+                               derived_seed(cfg.master_seed, 32, 3)).y
+    cfg = dataclasses.replace(cfg, family=FailsOnOneTrial(cfg, marked))
+    assert len(trial_groups(10, 32, ErmOptions())) == 1
+    fit = run_rate_experiment(cfg)
+
+    def one_trial_at_a_time(pclass, family, sets, seeds, opts):
+        return [erm_solve(pclass, family, ts, dataclasses.replace(opts, seed=s))
+                for ts, s in zip(sets, seeds)]
+
+    monkeypatch.setattr(experiment, "erm_solve_trials", one_trial_at_a_time)
+    per_trial = run_rate_experiment(cfg)
+    failed = [r for r in fit.trials if r.failed]
+    assert [(r.m, r.trial) for r in failed] == [(32, 3)]
+    assert failed[0].erm_residual == math.inf
+    assert [p["failed"] for p in fit.per_m] == [0, 1, 0, 0]
+    for r, ref in zip(fit.trials, per_trial.trials, strict=True):
+        assert r == ref or r is failed[0]
+    assert fit.csv_text() == per_trial.csv_text()
+
+
+def test_rate_experiment_logs_one_progress_line_per_m(caplog):
+    caplog.set_level(logging.INFO, logger="invlearn.experiment")
+    run_rate_experiment(ExperimentConfig.from_dict(scalar_config()))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "invlearn.experiment"]
+    assert [line.split()[0] for line in lines] == \
+        ["proxy", "m=16", "m=32", "m=64", "m=128"]
+    assert lines[1].startswith("m=16 trials=10 failed=0 groups=1 seconds=")
 
 
 def test_rate_experiment_singleton_degenerate():

@@ -500,6 +500,33 @@ def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
     assert calls == [()] * 8
 
 
+@pytest.mark.parametrize("kind", ["scale", "diagonal", "full",
+                                  "elastic_net_1", "elastic_net_0.5",
+                                  "fixed_point"])
+def test_reconstruct_batch_reads_one_batch_per_theta(monkeypatch, kind):
+    # a (k, m, n_y) batch gives theta i its own batch Y_i: slice i is the
+    # one-theta call on Y_i bit for bit, also across the groups of at most
+    # STACK_ROWS (theta, row) pairs that an iterative solve is split into
+    rng = np.random.default_rng(10)
+    A = ForwardOperator.from_matrix(rng.standard_normal((3, 2)))
+    if kind == "fixed_point":
+        fam = FixedPointFamily(A, 0.5)
+    elif kind.startswith("elastic_net"):
+        fam = ElasticNetFamily(A, alpha=float(kind.rsplit("_", 1)[1]),
+                               eta=0.5, structure="diagonal")
+    else:
+        fam = TikhonovFamily(A, GaussianSpec.iso(3, 0.5), structure=kind)
+    k, m = 5, 4
+    thetas = rng.standard_normal((k, fam.dim)) * 0.5
+    Y = rng.standard_normal((k, m, 3))
+    monkeypatch.setattr(hypotheses, "STACK_ROWS", 2 * m)
+    R = fam.reconstruct_batch(thetas, Y)
+    assert R.shape == (k, m, 2)
+    for i in range(k):
+        np.testing.assert_array_equal(R[i],
+                                      fam.reconstruct_batch(thetas[i], Y[i]))
+
+
 def test_theta_groups_at_bench_and_proxy_sizes():
     # the finite-difference stack of 2 starts x 6 coordinates x 2 signs on
     # 8 rows is one group; at proxy_m 409 600 every theta is alone

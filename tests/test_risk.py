@@ -15,7 +15,7 @@ from invlearn import (ElasticNetFamily, ErmOptions, FixedPointFamily,
 from invlearn import hypotheses, risk
 from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.risk import (ERM_TOL, _batch_losses, _projected_gradient,
-                           _risk_and_grad_factory)
+                           _risk_and_grad_factory, erm_solve_trials)
 from invlearn.stochastics import TrainingSet, substream
 
 
@@ -209,8 +209,9 @@ def test_erm_risk_and_grad_match_reference(structure):
     t1, t2 = pc.sample(rng), pc.sample(rng)
     for stack in ([t1], [t1, t2], [t2, t1, t2]):
         thetas = np.array(stack)
-        f, R = risk(thetas)
-        g = grad(thetas, R)
+        rows = np.arange(len(stack))
+        f, R = risk(thetas, rows)
+        g = grad(thetas, R, rows)
         assert f.shape == (len(stack),) and g.shape == thetas.shape
         for theta, f_row, R_row, g_row in zip(thetas, f, R, g):
             assert f_row == empirical_risk(ts, theta, fam)
@@ -256,10 +257,11 @@ def one_start_reference(theta0, risk, grad, pclass, opts):
     """Projected gradient descent from one start, one theta at a time: the
     reference the lock-step loop must reproduce."""
     theta = pclass.project(theta0)
-    (f,), R = risk(theta[None])
+    row = np.zeros(1, int)
+    (f,), R = risk(theta[None], row)
     step, residual = 1.0, np.inf
     for _ in range(opts.max_iter):
-        g = grad(theta[None], R)[0]
+        g = grad(theta[None], R, row)[0]
         residual = float(np.linalg.norm(theta - pclass.project(theta - g)))
         if residual <= ERM_TOL:
             break
@@ -267,7 +269,7 @@ def one_start_reference(theta0, risk, grad, pclass, opts):
         while True:
             cand = pclass.project(theta - step * g)
             move = cand - theta
-            (f_cand,), R_cand = risk(cand[None])
+            (f_cand,), R_cand = risk(cand[None], row)
             if f_cand <= f + float(g @ move) + \
                     0.5 / step * float(move @ move) or step < 1e-14:
                 break
@@ -289,9 +291,9 @@ def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
     for i, start in enumerate(starts):
         calls = []
 
-        def counting_risk(t):
+        def counting_risk(t, rows):
             calls.append(1)
-            return risk(t)
+            return risk(t, rows)
 
         solo = _projected_gradient(start[None], counting_risk, grad, pc,
                                    opts)
@@ -346,15 +348,21 @@ def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
         assert len(set(evaluations)) > 1  # rows stopped at different points
 
 
-def fd_setup(kind, m, seed):
+def fd_problem(kind):
     """A finite-difference family (alpha = 0.5 Elastic-Net or fixed point)
-    on a 2-d power-decay operator, its unit ball and a training set."""
+    on a 2-d power-decay operator, its unit ball and its data law."""
     A = ForwardOperator.power_decay(2, 1.0)
     dist = ProblemDistribution(prior=GaussianSpec.iso(2, 1.0),
                                noise=GaussianSpec.iso(2, 0.01), forward=A)
     fam = FixedPointFamily(A, 0.5) if kind == "fixed_point" else \
         ElasticNetFamily(A, alpha=0.5, eta=0.5, structure="diagonal")
-    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    return fam, ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0), \
+        dist
+
+
+def fd_setup(kind, m, seed):
+    """``fd_problem`` with a training set of size m."""
+    fam, pc, dist = fd_problem(kind)
     return fam, pc, draw_training_set(dist, m, seed=seed)
 
 
@@ -372,10 +380,12 @@ def fd_gradient_reference(risk, thetas, step):
     """Central differences one coordinate at a time, two risk calls per
     coordinate: the reference of the stacked finite-difference gradient."""
     g = np.empty(thetas.shape)
+    rows = np.arange(len(thetas))
     for i in range(thetas.shape[1]):
         e = np.zeros(thetas.shape[1])
         e[i] = step
-        g[:, i] = (risk(thetas + e)[0] - risk(thetas - e)[0]) / (2 * step)
+        g[:, i] = (risk(thetas + e, rows)[0]
+                   - risk(thetas - e, rows)[0]) / (2 * step)
     return g
 
 
@@ -388,7 +398,8 @@ def test_stacked_fd_gradient_equals_per_coordinate_loop(kind):
     for k in (1, 3):
         thetas = np.array([pc.sample(rng) for _ in range(k)])
         np.testing.assert_array_equal(
-            grad(thetas, None), fd_gradient_reference(risk_fn, thetas, step))
+            grad(thetas, None, np.arange(k)),
+            fd_gradient_reference(risk_fn, thetas, step))
 
 
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
@@ -401,6 +412,7 @@ def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
     fam, pc, ts = fd_setup(kind, m, seed=18)
     grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)[1]
     thetas = np.array([pc.sample(np.random.default_rng(i)) for i in range(k)])
+    rows = np.arange(k)
     calls = []
     reconstruct_batch = fam.reconstruct_batch
 
@@ -408,15 +420,74 @@ def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
         calls.append(len(theta))
         return reconstruct_batch(theta, Y, **solver)
 
-    g = grad(thetas, None)
+    g = grad(thetas, None, rows)
     monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
-    np.testing.assert_array_equal(grad(thetas, None), g)
+    np.testing.assert_array_equal(grad(thetas, None, rows), g)
     assert calls == [2 * k * fam.dim]
     calls.clear()
     monkeypatch.setattr(hypotheses, "STACK_ROWS", 4 * m)
-    np.testing.assert_array_equal(grad(thetas, None), g)
+    np.testing.assert_array_equal(grad(thetas, None, rows), g)
     n = 2 * k * fam.dim
     assert calls == [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+
+
+# -- trial-stacked ERM: each trial is its own erm_solve -------------------
+
+def assert_trials_fit_alone(pc, fam, dist, m, n_trials, opts, seed):
+    """Fitted in stacks of two trials, as ``trial_groups`` splits them under
+    a budget of two trials, every trial returns the theta, objective,
+    residual and convergence flag of its own ``erm_solve``, bit for bit.
+    An odd count ends on a one-trial stack, which reads its batch as it
+    is."""
+    sets = [draw_training_set(dist, m, seed + t) for t in range(n_trials)]
+    seeds = [seed + 100 + t for t in range(n_trials)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(risk, "TRIAL_STACK_ROWS", 2 * max(1, opts.n_starts) * m)
+        groups = risk.trial_groups(n_trials, m, opts)
+    assert len(groups) == (n_trials + 1) // 2 >= 2
+    fits = [fit for g in groups
+            for fit in erm_solve_trials(pc, fam, sets[g], seeds[g], opts)]
+    assert len(fits) == n_trials
+    for ts, s, fit in zip(sets, seeds, fits):
+        solo = erm_solve(pc, fam, ts, dataclasses.replace(opts, seed=s))
+        np.testing.assert_array_equal(fit.theta, solo.theta)
+        assert fit.objective == solo.objective
+        assert fit.residual == solo.residual
+        assert fit.converged == solo.converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["scale", "diagonal", "full", "elastic_net"]),
+       shape=st.sampled_from([(1, 1), (2, 2), (3, 2)]),
+       m=st.sampled_from([1, 5, 16]), n_trials=st.integers(3, 5),
+       n_starts=st.integers(1, 3), max_iter=st.sampled_from([1, 4, 40]))
+def test_trial_stack_equals_one_erm_solve_per_trial(seed, kind, shape, m,
+                                                    n_trials, n_starts,
+                                                    max_iter):
+    # Tikhonov with its analytic gradient, and alpha = 1 Elastic-Net,
+    # affine but with the finite-difference gradient
+    rng = np.random.default_rng(seed)
+    n_y, n_x = shape
+    A = ForwardOperator.from_matrix(rng.standard_normal(shape))
+    noise = GaussianSpec.iso(n_y, 0.5)
+    dist = ProblemDistribution(prior=GaussianSpec.iso(n_x, 1.0), noise=noise,
+                               forward=A)
+    fam = ElasticNetFamily(A, alpha=1.0, eta=0.5, structure="diagonal") \
+        if kind == "elastic_net" else TikhonovFamily(A, noise, structure=kind)
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    assert_trials_fit_alone(pc, fam, dist, m, n_trials,
+                            ErmOptions(max_iter=max_iter, n_starts=n_starts),
+                            seed % 1000)
+
+
+@pytest.mark.parametrize("kind", ["elastic_net", "fixed_point"])
+def test_trial_stack_equals_one_erm_solve_per_trial_iterative(kind):
+    # the alpha = 0.5 Elastic-Net and fixed-point solvers on a batch per
+    # theta, with a 3-iteration cap
+    fam, pc, dist = fd_problem(kind)
+    assert_trials_fit_alone(pc, fam, dist, 3, 3,
+                            ErmOptions(max_iter=3, n_starts=2), 21)
 
 
 # -- optimal_target_proxy --------------------------------------------------
