@@ -22,8 +22,9 @@ from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
-from .risk import (ErmOptions, _batch_losses, erm_solve, erm_solve_trials,
-                   optimal_target_proxy, trial_groups)
+from .risk import (ErmOptions, _batch_losses, affine_moments, erm_solve,
+                   erm_solve_trials, excess_loss, optimal_target_proxy,
+                   trial_groups)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
                           substream, tail_check)
@@ -333,9 +334,12 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
 
     Fully deterministic given the config: each trial draws from seeds keyed
     by (m, trial).  The trials of one m are fitted in lock-step stacks
-    (``risk.trial_groups``); a stack that raises ``ConvergenceError`` is
-    refitted one trial at a time, and a trial that raises alone is marked
-    failed.  Progress goes to this module's logger at INFO.
+    (``risk.trial_groups``; an affine family reads its data moments, not
+    m rows, so its trials form one stack at every m); a stack that raises
+    ``ConvergenceError`` is refitted one trial at a time, and a trial that
+    raises alone is marked failed.  Each fit's loss and sample error are
+    read on the shared evaluation sample (``risk.excess_loss``).  Progress
+    goes to this module's logger at INFO.
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("rate fits need trials_per_m >= 10")
@@ -351,6 +355,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         derived_seed(cfg.master_seed, 11), x_eval, y_eval,
         ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
     loss_star = float(per_star.mean())
+    loss = excess_loss(family, x_eval, y_eval, theta_star, per_star)
     log.info("proxy fit seconds=%.3f", time.perf_counter() - start)
 
     records = []
@@ -360,7 +365,9 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         trials = range(cfg.trials_per_m)
         seeds = [derived_seed(cfg.master_seed, m, t) for t in trials]
         erm_seeds = [derived_seed(cfg.master_seed, 1, m, t) for t in trials]
-        groups = trial_groups(len(trials), m, opts)
+        # an affine family's trial reads its moments, not its m data rows
+        groups = trial_groups(len(trials),
+                              1 if affine_moments(family) else m, opts)
         fits = []
         for g in groups:
             sets = [draw_training_set(cfg.problem, m, s) for s in seeds[g]]
@@ -377,12 +384,12 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
                                            loss_star, math.inf, seed,
                                            failed=True))
                 continue
-            per_hat = _batch_losses(family, res.theta, x_eval, y_eval)
+            exp_loss_hat, sample_error = loss(res.theta)
             records.append(TrialRecord(
                 m=m, trial=t,
-                sample_error=float((per_hat - per_star).mean()),
+                sample_error=sample_error,
                 emp_risk_hat=res.objective,
-                exp_loss_hat=float(per_hat.mean()),
+                exp_loss_hat=exp_loss_hat,
                 exp_loss_star=loss_star,
                 erm_residual=res.residual,
                 seed=seed,

@@ -12,6 +12,13 @@ The sample error L(theta_hat) - L(theta_star) itself is measured by the
 rate experiment, on one shared Monte Carlo sample so that the difference
 cancels common noise; the proxy's gate and theta_star's losses read that
 same sample.
+
+An affine family (alpha = 1 with an ``affine_map``, R_theta(y) = G y + c)
+reads its data only through their first and second moments (``_Moments``):
+its ERM risk, gradient and sample error are quadratic forms in G and c,
+independent of m.  The other families evaluate per sample, the reference
+path.  Either way the line search decides on the risk change computed in
+difference form, not on the difference of two rounded risk levels.
 """
 
 from __future__ import annotations
@@ -44,6 +51,62 @@ def _losses(R, X) -> np.ndarray:
 
 def _batch_losses(family, theta, X, Y) -> np.ndarray:
     return _losses(family.reconstruct_batch(theta, Y), X)
+
+
+def affine_moments(family) -> bool:
+    """Whether ``family`` fits and evaluates on data moments: its
+    reconstruction is the affine map G y + c (alpha = 1)."""
+    return family.alpha == 1.0 and hasattr(family, "affine_map")
+
+
+def _affine_rows(family, theta):
+    """V = [G c]^T of theta's affine map, (..., n_y + 1, n_x), so that
+    R_theta(y) = (y, 1) V."""
+    G, c = family.affine_map(theta)
+    return np.concatenate([np.swapaxes(G, -1, -2), c[..., None, :]], axis=-2)
+
+
+def _flat_dot(A, B):
+    """<A, B> of each (..., a, b) slice, one BLAS dot per slice."""
+    return _stacked_dot(A.reshape(A.shape[:-2] + (-1,)),
+                        B.reshape(B.shape[:-2] + (-1,)))
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """The moments of (x, y) data that the quadratic risk of an affine map
+    reads: with y~ = (y, 1), S = E[y~ y~^T], C = E[y~ x^T] and
+    xx = E||x||^2, of one data set or stacked one per trial.
+
+    For V = [G c]^T the risk is 1/2 tr(V^T S V) - tr(V^T C) + xx / 2.
+    """
+
+    S: np.ndarray
+    C: np.ndarray
+    xx: np.ndarray
+
+    @classmethod
+    def of(cls, X, Y) -> "_Moments":
+        """The moments of (m, n) data, or of each trial of (T, m, n) data
+        (each bit for bit its own trial's)."""
+        if X.ndim == 3:
+            return cls(*map(np.stack, zip(*(
+                (mo.S, mo.C, mo.xx) for mo in map(cls.of, X, Y)))))
+        m = len(X)
+        Yt = np.concatenate([Y, np.ones((m, 1))], axis=1)
+        return cls(Yt.T @ Yt / m, Yt.T @ X / m, np.vdot(X, X) / m)
+
+    def take(self, trials) -> "_Moments":
+        return _Moments(self.S[trials], self.C[trials], self.xx[trials])
+
+    def risk(self, V):
+        return _flat_dot(V, 0.5 * (self.S @ V) - self.C) + 0.5 * self.xx
+
+    def change(self, V_c, V):
+        """risk(V_c) - risk(V) as 1/2 tr(dV^T S (V_c + V)) - tr(dV^T C),
+        dV = V_c - V: the rounding is that of the change, not of the two
+        risk levels."""
+        return _flat_dot(V_c - V, 0.5 * (self.S @ (V_c + V)) - self.C)
 
 
 def _mean_halfwidth(per) -> tuple:
@@ -96,16 +159,39 @@ class ErmResult:
 
 
 def _risk_and_grad_factory(family, pclass, X, Y, n_starts=1):
-    """The empirical risk and its gradient on a (k, dim) stack of thetas.
+    """The empirical risk, its gradient and its change on a (k, dim) stack
+    of thetas.
 
     X and Y hold one training set's (m, n) data, which every theta reads,
     or the (T, m, n) data of T trials, of which row i of the ERM stack
     reads trial ``i // n_starts``.  ``risk(thetas, rows)`` returns the k
-    risks and the (k, m, n_x) reconstructions of the thetas at the stack
-    rows ``rows``; ``grad(thetas, R, rows)`` their (k, dim) gradients,
-    reusing their reconstructions R.  Each row equals its one-row stack on
-    its own trial's (m, n) data bit for bit.
+    risks at the stack rows ``rows`` and the thetas' states: their affine
+    maps V (``_affine_rows``) for an affine family, which reads only the
+    data moments, else their (k, m, n_x) reconstructions.
+    ``grad(thetas, states, rows)`` returns the (k, dim) gradients, reusing
+    the states: analytic (``risk_gradient``) for an affine family, else
+    central differences.  ``change(states_c, states, rows)`` returns the
+    k changes L(theta_c) - L(theta) in difference form.  Each row equals
+    its one-row stack on its own trial's (m, n) data bit for bit.
     """
+    if affine_moments(family):
+        moments = _Moments.of(X, Y)
+
+        def at(rows):
+            return moments if X.ndim == 2 else moments.take(rows // n_starts)
+
+        def risk(thetas, rows):
+            V = _affine_rows(family, thetas)
+            return at(rows).risk(V), V
+
+        def grad(thetas, V, rows):
+            mo = at(rows)
+            return family.risk_gradient(thetas, V, mo.S, mo.C)
+
+        def change(V_c, V, rows):
+            return at(rows).change(V_c, V)
+        return risk, grad, change
+
     def data(rows):
         if X.ndim == 2:
             return X, Y
@@ -117,45 +203,49 @@ def _risk_and_grad_factory(family, pclass, X, Y, n_starts=1):
         R = family.reconstruct_batch(thetas, Y_rows)
         return _losses(R, X_rows).mean(axis=-1), R
 
-    if hasattr(family, "risk_gradient"):
-        def grad(thetas, R, rows):
-            return family.risk_gradient(thetas, *data(rows), R=R)
-    else:
-        step = FD_STEP_REL * pclass.diameter
+    def change(R_c, R, rows):
+        # 1/2 ||r_c - x||^2 - 1/2 ||r - x||^2 = 1/2 (r_c - r).(r_c + r - 2x)
+        D = R_c - R
+        D *= R_c + R - 2.0 * data(rows)[0]
+        return 0.5 * np.sum(D, axis=-1).mean(axis=-1)
 
-        def grad(thetas, R, rows):
-            # the theta +- step e_i of every row and coordinate i, as one
-            # (2 k dim, dim) stack that keeps each row's stack index,
-            # evaluated in groups of at most STACK_ROWS (theta, row) pairs:
-            # entry (j, i) of the gradient is
-            # (R(theta_j + e_i) - R(theta_j - e_i)) / (2 step)
-            k, dim = thetas.shape
-            E = step * np.eye(dim)
-            shifted = np.concatenate([thetas[:, None] + E,
-                                      thetas[:, None] - E]).reshape(-1, dim)
-            shifted_rows = np.tile(np.repeat(rows, dim), 2)
-            f = np.concatenate([
-                risk(shifted[g], shifted_rows[g])[0]
-                for g in theta_groups(len(shifted), X.shape[-2])])
-            f_plus, f_minus = f.reshape(2, k, dim)
-            return (f_plus - f_minus) / (2 * step)
-    return risk, grad
+    step = FD_STEP_REL * pclass.diameter
+
+    def grad(thetas, R, rows):
+        # the theta +- step e_i of every row and coordinate i, as one
+        # (2 k dim, dim) stack that keeps each row's stack index,
+        # evaluated in groups of at most STACK_ROWS (theta, row) pairs:
+        # entry (j, i) of the gradient is
+        # (R(theta_j + e_i) - R(theta_j - e_i)) / (2 step)
+        k, dim = thetas.shape
+        E = step * np.eye(dim)
+        shifted = np.concatenate([thetas[:, None] + E,
+                                  thetas[:, None] - E]).reshape(-1, dim)
+        shifted_rows = np.tile(np.repeat(rows, dim), 2)
+        f = np.concatenate([
+            risk(shifted[g], shifted_rows[g])[0]
+            for g in theta_groups(len(shifted), X.shape[-2])])
+        f_plus, f_minus = f.reshape(2, k, dim)
+        return (f_plus - f_minus) / (2 * step)
+    return risk, grad, change
 
 
-def _projected_gradient(theta0, risk, grad, pclass, opts):
+def _projected_gradient(theta0, risk, grad, change, pclass, opts):
     """Projected gradient descent from each row of theta0, in lock-step.
 
     Every row keeps its own step, Armijo test and iteration count, and
     leaves the stack when its residual reaches ``ERM_TOL``, when its line
     search ends without a move, or at ``max_iter``.  Each iteration takes
     one stacked gradient of the live rows, and each line-search round one
-    stacked risk of the rows still searching; both are told the rows'
-    indices in the stack.  Returns the (k, dim) thetas and the k
-    objectives and residuals.
+    stacked risk of the rows still searching; all three functions are told
+    the rows' indices in the stack.  The Armijo test reads the risk change
+    in difference form (``change``), so that a decrease below the
+    rounding of the risk level still counts.  Returns the (k, dim) thetas
+    and the k objectives and residuals.
     """
     theta = pclass.project(np.asarray(theta0, float))
     live = np.arange(len(theta))  # rows of the outputs still iterating
-    f, R = risk(theta, live)
+    f, state = risk(theta, live)
     out_theta, out_f = np.empty_like(theta), np.empty_like(f)
     residual = np.full(len(theta), np.inf)
     step = np.ones(len(theta))
@@ -164,30 +254,30 @@ def _projected_gradient(theta0, risk, grad, pclass, opts):
         """Write the rows that leave to the outputs and return the state
         of the rows that stay (the same arrays when none leaves)."""
         if keep.all():
-            return live, theta, f, R, step
+            return live, theta, f, state, step
         out_theta[live[~keep]], out_f[live[~keep]] = theta[~keep], f[~keep]
-        return (a[keep] for a in (live, theta, f, R, step))
+        return (a[keep] for a in (live, theta, f, state, step))
 
     for _ in range(opts.max_iter):
         if not live.size:
             break
-        g = grad(theta, R, live)
+        g = grad(theta, state, live)
         # projected-gradient residual at unit reference step
         d = theta - pclass.project(theta - g)
         residual[live] = np.sqrt(_stacked_dot(d, d))
         keep = ~(residual[live] <= ERM_TOL)
         g = g[keep]
-        live, theta, f, R, step = leave(keep)
+        live, theta, f, state, step = leave(keep)
         step = np.minimum(step * 2.0, 1e8)
-        cand, f_cand, R_cand = map(np.empty_like, (theta, f, R))
+        cand, f_cand, state_cand = map(np.empty_like, (theta, f, state))
         search = np.arange(live.size)  # rows whose line search goes on
         while search.size:
             c = pclass.project(theta[search] - step[search, None] * g[search])
             move = c - theta[search]
-            cand[search] = c
-            f_cand[search], R_cand[search] = risk(c, live[search])
-            accept = (f_cand[search] <= f[search]
-                      + _stacked_dot(g[search], move)
+            f_c, state_c = risk(c, live[search])
+            cand[search], f_cand[search], state_cand[search] = c, f_c, state_c
+            accept = (change(state_c, state[search], live[search])
+                      <= _stacked_dot(g[search], move)
                       + 0.5 / step[search] * _stacked_dot(move, move)) \
                 | (step[search] < 1e-14)
             search = search[~accept]
@@ -195,8 +285,8 @@ def _projected_gradient(theta0, risk, grad, pclass, opts):
         moved = np.any(cand != theta, axis=1)
         # a row that did not move leaves: its cand is its theta, bit for
         # bit, and so its f_cand is its f
-        theta, f, R = cand, f_cand, R_cand
-        live, theta, f, R, step = leave(moved)
+        theta, f, state = cand, f_cand, state_cand
+        live, theta, f, state, step = leave(moved)
     leave(np.zeros(live.size, bool))
     return out_theta, out_f, residual
 
@@ -206,8 +296,9 @@ def erm_solve(pclass, family, ts: TrainingSet,
     """Multi-start projected gradient descent on the empirical risk.
 
     Starts at the class center plus projected random points, all run in
-    lock-step as one stack.  Gradients are analytic when the family
-    provides them (Tikhonov), otherwise central finite differences.  Ties
+    lock-step as one stack.  Gradients are analytic on the data moments
+    for an affine family (Tikhonov, alpha = 1 Elastic-Net), otherwise
+    central finite differences of the per-sample risk.  Ties
     are broken by lowest objective, then by lexicographically smallest
     parameter vector.  The one-trial call of ``erm_solve_trials``.
     """
@@ -223,8 +314,9 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
     (T n_starts, dim) stack whose row i reads the data of trial
     ``i // n_starts``.  Returns one ``ErmResult`` per trial, each bit for
     bit its own ``erm_solve``.  One trial reads its (m, n) batch as it is;
-    several are gathered per row, so the caller bounds a stack with
-    ``trial_groups``.  A ``ConvergenceError`` of any trial fails the stack.
+    several are gathered per row (their moments, for an affine family), so
+    the caller bounds a stack with ``trial_groups``.  A
+    ``ConvergenceError`` of any trial fails the stack.
     """
     k = max(1, opts.n_starts)
     starts = []
@@ -238,8 +330,8 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
     else:
         X = np.stack([ts.x for ts in training_sets])
         Y = np.stack([ts.y for ts in training_sets])
-    risk, grad = _risk_and_grad_factory(family, pclass, X, Y, k)
-    thetas, fs, residuals = _projected_gradient(np.array(starts), risk, grad,
+    objective = _risk_and_grad_factory(family, pclass, X, Y, k)
+    thetas, fs, residuals = _projected_gradient(np.array(starts), *objective,
                                                 pclass, opts)
     results = []
     for i in range(0, len(starts), k):  # the rows of one trial
@@ -278,3 +370,27 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
             "optimal-target proxy unstable across seeds: "
             f"|{la:.6g} - {lb:.6g}| > {halfwidth:.3g}")
     return thetas[0], losses[0]
+
+
+def excess_loss(family, x_eval, y_eval, theta_star, per_star):
+    """``loss(theta)``: (L(theta), L(theta) - L(theta_star)) on the
+    evaluation sample (x_eval, y_eval), on which theta_star has the
+    per-sample losses ``per_star``.
+
+    For an affine family both are quadratic forms on the sample's moments,
+    the excess in difference form; otherwise they are means of per-sample
+    losses.
+    """
+    if affine_moments(family):
+        moments = _Moments.of(x_eval, y_eval)
+        V_star = _affine_rows(family, theta_star)
+
+        def loss(theta):
+            V = _affine_rows(family, theta)
+            return float(moments.risk(V)), float(moments.change(V, V_star))
+        return loss
+
+    def loss(theta):
+        per = _batch_losses(family, theta, x_eval, y_eval)
+        return float(per.mean()), float((per - per_star).mean())
+    return loss

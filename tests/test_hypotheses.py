@@ -16,6 +16,16 @@ from invlearn.errors import (ConfigurationError, ContractivityError,
                              ConvergenceError, DimensionMismatchError)
 from invlearn import hypotheses
 from invlearn.hypotheses import _stacked_dot
+from invlearn.risk import (_affine_rows, _batch_losses, _Moments,
+                           _risk_and_grad_factory)
+
+
+def moment_gradient(fam, theta, X, Y):
+    """``fam.risk_gradient`` of the empirical risk on (X, Y) at theta, or
+    at each row of a theta stack."""
+    moments = _Moments.of(np.asarray(X, float), np.asarray(Y, float))
+    return fam.risk_gradient(theta, _affine_rows(fam, theta), moments.S,
+                             moments.C)
 
 
 # -- ParamClass ------------------------------------------------------------
@@ -160,7 +170,7 @@ def test_tikhonov_risk_gradient_matches_finite_differences():
             R = fam.reconstruct_batch(t, Y)
             return 0.5 * np.mean(np.sum((R - X) ** 2, axis=1))
 
-        g = fam.risk_gradient(theta, X, Y, fam.reconstruct_batch(theta, Y))
+        g = moment_gradient(fam, theta, X, Y)
         fd = np.empty_like(g)
         eps = 1e-6
         for i in range(theta.size):
@@ -257,8 +267,8 @@ def test_affine_map_checks_its_solve(monkeypatch, kind):
 def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
                                                     shape, k):
     # each row of a (k, dim) stack of thetas gets the affine map,
-    # reconstructions and risk gradient of its 1-d call, bit for bit; a
-    # stack with a singular row raises as that row does alone
+    # reconstructions and moment-form risk gradient of its 1-d call, bit
+    # for bit; a stack with a singular row raises as that row does alone
     fam, _, Y, *_ = _affine_case(seed, kind, structure, shape, 5)
     rng = np.random.default_rng(seed)
     thetas = rng.standard_normal((k, fam.dim)) * 0.7
@@ -276,11 +286,9 @@ def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
         np.testing.assert_array_equal(G[i], maps[i][0])
         np.testing.assert_array_equal(c[i], maps[i][1])
         np.testing.assert_array_equal(R[i], fam.reconstruct_batch(theta, Y))
-    if kind == "tikhonov":
-        g = fam.risk_gradient(thetas, X, Y, R)
-        for i, theta in enumerate(thetas):
-            np.testing.assert_array_equal(g[i], fam.risk_gradient(
-                theta, X, Y, fam.reconstruct_batch(theta, Y)))
+    g = moment_gradient(fam, thetas, X, Y)
+    for i, theta in enumerate(thetas):
+        np.testing.assert_array_equal(g[i], moment_gradient(fam, theta, X, Y))
 
 
 def _parent_h_B(structure, n, theta):
@@ -296,8 +304,9 @@ def _parent_h_B(structure, n, theta):
 
 
 def _parent_risk_gradient(fam, structure, theta, X, R):
-    """The Tikhonov risk gradient with the trace, diagonal and concatenate
-    chain rule that ``slots`` replaced."""
+    """The per-sample Tikhonov risk gradient, given the reconstructions R
+    of theta, with the trace, diagonal and concatenate chain rule that
+    ``slots`` replaced: a second reference of the moment-form gradient."""
     n = fam.op.n_x
     h, B = _parent_h_B(structure, n, theta)
     BtB = np.swapaxes(B, -1, -2) @ B
@@ -317,17 +326,36 @@ def _parent_risk_gradient(fam, structure, theta, X, R):
         [grad_h, grad_B.reshape(grad_h.shape[:-1] + (-1,))], axis=-1)
 
 
+def _parent_layout(structure, n, flat):
+    """The theta gradient of a structure from the (h, vec B) gradient
+    ``flat``, by the trace, diagonal and concatenate layout that ``slots``
+    replaced."""
+    grad_h, grad_B = flat[..., :n], flat[..., n:].reshape(
+        flat.shape[:-1] + (n, n))
+    if structure == "scale":
+        return np.trace(grad_B, axis1=-2, axis2=-1)[..., None]
+    if structure == "diagonal":
+        return np.concatenate(
+            [grad_h, np.diagonal(grad_B, axis1=-2, axis2=-1)], axis=-1)
+    return flat
+
+
 def _slots_case(seed, structure, n_x, n_y, k, m=5):
-    """A Tikhonov family, a theta (k = 0) or (k, dim) stack, and random
-    X, Y and reconstructions R for a risk gradient."""
+    """A Tikhonov family, a theta (k = 0) or (k, dim) stack and random X
+    and Y for a risk gradient, and that gradient by the parent layout: the
+    (h, vec B) gradient of the ``full`` family at the same (h, B)."""
     rng = np.random.default_rng(seed)
     A = ForwardOperator.from_matrix(rng.standard_normal((n_y, n_x)))
     fam = TikhonovFamily(A, GaussianSpec.iso(n_y, 0.5), structure=structure)
     theta = rng.standard_normal((k, fam.dim) if k else fam.dim)
-    stack = theta.shape[:-1]
     X = rng.standard_normal((m, n_x))
     Y = rng.standard_normal((m, n_y))
-    return fam, theta, X, Y, rng.standard_normal(stack + (m, n_x))
+    full = TikhonovFamily(A, fam.noise, structure="full")
+    h, B = fam._h_B(theta)
+    flat = moment_gradient(
+        full, np.concatenate([h, B.reshape(h.shape[:-1] + (-1,))], axis=-1),
+        X, Y)
+    return fam, theta, X, Y, _parent_layout(structure, n_x, flat)
 
 
 @settings(max_examples=80, deadline=None)
@@ -340,14 +368,12 @@ def test_slots_table_equals_per_structure_layout(seed, structure, n_x, n_y,
     # per-structure branches it replaced, entry for entry (only the sign
     # of an exact zero may differ: b I carries -0.0 off the diagonal for
     # b < 0)
-    fam, theta, X, Y, R = _slots_case(seed, structure, n_x, n_y, k)
+    fam, theta, X, Y, ref = _slots_case(seed, structure, n_x, n_y, k)
     h, B = fam._h_B(theta)
     h_ref, B_ref = _parent_h_B(structure, n_x, theta)
     np.testing.assert_array_equal(h, h_ref)
     np.testing.assert_array_equal(B, B_ref)
-    np.testing.assert_array_equal(
-        fam.risk_gradient(theta, X, Y, R),
-        _parent_risk_gradient(fam, structure, theta, X, R))
+    np.testing.assert_array_equal(moment_gradient(fam, theta, X, Y), ref)
 
 
 @pytest.mark.parametrize("n_x", [5, 7, 8, 16, 32, 64])
@@ -356,13 +382,106 @@ def test_scale_gradient_sum_against_trace(n_x):
     # where np.trace summed it in place: the same up to n_x = 7, and from
     # n_x = 8 apart by the summation order only (at most 8.2e-16 relative
     # over 600 random gradients at each n_x = 8, 16, 32, 64)
-    fam, theta, X, Y, R = _slots_case(21, "scale", n_x, n_x, 3, m=20)
-    g = fam.risk_gradient(theta, X, Y, R)
-    ref = _parent_risk_gradient(fam, "scale", theta, X, R)
+    fam, theta, X, Y, ref = _slots_case(21, "scale", n_x, n_x, 3, m=20)
+    g = moment_gradient(fam, theta, X, Y)
     if n_x <= 7:
         np.testing.assert_array_equal(g, ref)
     else:
         np.testing.assert_allclose(g, ref, rtol=2e-15, atol=0)
+
+
+# the moment path against the per-sample reference: over 400 random cases
+# of this test's law the risk and its change agreed to 3.9e-16 (1 + L),
+# the gradient with the per-sample chain rule to 7.3e-15 (1 + max |g|),
+# and with central differences at step 1e-6 to 2.1e-7 (1 + L)
+MOMENT_RISK_TOL = 1e-14
+PARENT_GRADIENT_TOL = 1e-13
+FD_GRADIENT_TOL = 2e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["scale", "diagonal", "full", "elastic_net"]),
+       shape=st.sampled_from([(1, 1)] + AFFINE_SHAPES),
+       n_trials=st.integers(1, 3), n_starts=st.integers(1, 3))
+def test_moment_path_matches_per_sample_reference(seed, kind, shape,
+                                                  n_trials, n_starts):
+    # every row of an ERM stack -- one theta, the starts of one trial, or
+    # those of several trials, row i reading trial i // n_starts -- gets
+    # the per-sample risk, risk change and gradient on its own trial's
+    # data, within the tolerances above; Tikhonov's gradient also matches
+    # the per-sample chain rule
+    rng = np.random.default_rng(seed)
+    n_y, n_x = shape
+    A = ForwardOperator.from_matrix(rng.standard_normal(shape))
+    if kind == "elastic_net":
+        fam = ElasticNetFamily(A, alpha=1.0, eta=0.5, structure="diagonal")
+    else:
+        noise = GaussianSpec(mean=np.zeros(n_y),
+                             covariance_eigenvalues=rng.uniform(0.2, 2.0, n_y))
+        fam = TikhonovFamily(A, noise, structure=kind)
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
+    X = rng.standard_normal((n_trials, 7, n_x))
+    Y = rng.standard_normal((n_trials, 7, n_y))
+    k = n_trials * n_starts
+    thetas = np.array([pc.sample(rng) for _ in range(k)])
+    thetas_c = pc.project(thetas + 1e-3 * rng.standard_normal(thetas.shape))
+    data = (X[0], Y[0]) if n_trials == 1 else (X, Y)
+    risk, grad, change = _risk_and_grad_factory(fam, pc, *data, n_starts)
+    rows = np.arange(k)
+    try:
+        (f, V), (f_c, V_c) = risk(thetas, rows), risk(thetas_c, rows)
+    except ConfigurationError:  # a singular M: the per-sample path raises too
+        with pytest.raises(ConfigurationError, match="singular"):
+            fam.reconstruct_batch(np.concatenate([thetas, thetas_c]), Y[0])
+        return
+    g, d = grad(thetas, V, rows), change(V_c, V, rows)
+
+    def per_sample(theta, t):
+        return _batch_losses(fam, theta, X[t], Y[t]).mean()
+
+    for i, (theta, theta_c) in enumerate(zip(thetas, thetas_c)):
+        t = i // n_starts
+        ref, ref_c = per_sample(theta, t), per_sample(theta_c, t)
+        tol = MOMENT_RISK_TOL * (1 + ref)
+        assert abs(f[i] - ref) <= tol
+        assert abs(d[i] - (ref_c - ref)) <= tol
+        assert abs(d[i] - (f_c[i] - f[i])) <= tol
+        fd = np.array([(per_sample(theta + e, t) - per_sample(theta - e, t))
+                       / 2e-6 for e in 1e-6 * np.eye(fam.dim)])
+        assert np.max(np.abs(g[i] - fd)) <= FD_GRADIENT_TOL * (1 + ref)
+        if kind != "elastic_net":
+            parent = _parent_risk_gradient(
+                fam, kind, theta, X[t], fam.reconstruct_batch(theta, Y[t]))
+            assert np.max(np.abs(g[i] - parent)) \
+                <= PARENT_GRADIENT_TOL * (1 + np.max(np.abs(parent)))
+
+
+def test_spd_cond_matches_numpy_cond():
+    # the eigenvalue condition number of random SPD stacks is numpy's
+    # SVD-based one within 1e-6 relative, for condition numbers up to 1e8
+    # (beyond, both lose digits of the smallest eigenvalue: eps cond)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 5):
+        Q = np.linalg.qr(rng.standard_normal((40, n, n)))[0]
+        ev = 10.0 ** rng.uniform(-8, 0, (40, n))
+        M = (Q * ev[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        np.testing.assert_allclose(hypotheses._spd_cond(M),
+                                   np.linalg.cond(M), rtol=1e-6)
+        np.testing.assert_allclose(hypotheses._spd_cond(M[0]),
+                                   np.linalg.cond(M[0]), rtol=1e-6)
+
+
+@pytest.mark.parametrize("M", [np.zeros((2, 2)), np.ones((2, 2)),
+                               np.diag([1.0, 1e-14]), np.diag([1.0, -1e-3])])
+def test_solve_normal_rejects_a_singular_matrix(M):
+    with pytest.raises(ConfigurationError,
+                       match=r"singular normal matrix \(cond=.*\); the "
+                             "penalty does not control ker A"):
+        hypotheses._solve_normal(M, np.ones((1, 2)))
+    with pytest.raises(ConfigurationError, match="singular normal matrix"):
+        hypotheses._solve_normal(np.stack([np.eye(2), M]), np.ones((2, 1, 2)))
 
 
 def test_stacked_theta_with_one_singular_row_raises():

@@ -14,8 +14,9 @@ from invlearn import (ElasticNetFamily, ErmOptions, FixedPointFamily,
                       optimal_target_proxy)
 from invlearn import hypotheses, risk
 from invlearn.errors import ConfigurationError, ConvergenceError
-from invlearn.risk import (ERM_TOL, _batch_losses, _projected_gradient,
-                           _risk_and_grad_factory, erm_solve_trials)
+from invlearn.risk import (ERM_TOL, _affine_rows, _batch_losses, _Moments,
+                           _projected_gradient, _risk_and_grad_factory,
+                           erm_solve_trials)
 from invlearn.stochastics import TrainingSet, substream
 
 
@@ -200,48 +201,51 @@ def vector_setup(structure):
 
 @pytest.mark.parametrize("structure", ["scale", "diagonal", "full"])
 def test_erm_risk_and_grad_match_reference(structure):
-    # each row of the stacked ERM objective is the reference risk and
-    # gradient of its theta, bit for bit, whatever stack it comes in
+    # each row of the stacked ERM objective is the moment-form risk, affine
+    # map and gradient of its theta, bit for bit, whatever stack it comes
+    # in; the risk is the per-sample empirical risk up to rounding
     dist, fam, pc = vector_setup(structure)
     ts = draw_training_set(dist, 40, seed=13)
-    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    risk, grad, _ = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    moments = _Moments.of(ts.x, ts.y)
     rng = np.random.default_rng(14)
     t1, t2 = pc.sample(rng), pc.sample(rng)
     for stack in ([t1], [t1, t2], [t2, t1, t2]):
         thetas = np.array(stack)
         rows = np.arange(len(stack))
-        f, R = risk(thetas, rows)
-        g = grad(thetas, R, rows)
+        f, V = risk(thetas, rows)
+        g = grad(thetas, V, rows)
         assert f.shape == (len(stack),) and g.shape == thetas.shape
-        for theta, f_row, R_row, g_row in zip(thetas, f, R, g):
-            assert f_row == empirical_risk(ts, theta, fam)
+        for theta, f_row, V_row, g_row in zip(thetas, f, V, g):
+            assert f_row == moments.risk(_affine_rows(fam, theta))
+            assert f_row == pytest.approx(empirical_risk(ts, theta, fam),
+                                          rel=1e-13)
+            np.testing.assert_array_equal(V_row, _affine_rows(fam, theta))
             np.testing.assert_array_equal(
-                R_row, fam.reconstruct_batch(theta, ts.y))
-            np.testing.assert_array_equal(
-                g_row, fam.risk_gradient(theta, ts.x, ts.y, R_row))
+                g_row, fam.risk_gradient(theta, V_row, moments.S, moments.C))
 
 
 def test_erm_reconstructs_each_theta_once(monkeypatch):
     # one solve per distinct theta row: the line search's accepted risk is
-    # kept, the gradient reuses the reconstructions the risk just computed,
-    # and the starts share their reconstruct_batch calls
+    # kept, the gradient and the risk change reuse the affine maps the risk
+    # just computed, and the starts share their affine_map calls
     dist, fam, pc = vector_setup("diagonal")
     ts = draw_training_set(dist, 60, seed=15)
     rows, calls, solves = [], [], []
-    reconstruct_batch = fam.reconstruct_batch
+    affine_map = fam.affine_map
     solve_normal = hypotheses._solve_normal
 
-    def counting_reconstruct_batch(theta, Y):
+    def counting_affine_map(theta):
         calls.append(1)
         rows.extend(t.tobytes() for t in np.atleast_2d(theta))
-        return reconstruct_batch(theta, Y)
+        return affine_map(theta)
 
     def counting_solve(M, rhs):
         # the one checked solve of affine_map, per theta row
         solves.append(int(np.prod(M.shape[:-2])))
         return solve_normal(M, rhs)
 
-    monkeypatch.setattr(fam, "reconstruct_batch", counting_reconstruct_batch)
+    monkeypatch.setattr(fam, "affine_map", counting_affine_map)
     monkeypatch.setattr(hypotheses, "_solve_normal", counting_solve)
     res = erm_solve(pc, fam, ts, ErmOptions(seed=0, n_starts=3))
     assert res.converged
@@ -253,9 +257,10 @@ def test_erm_reconstructs_each_theta_once(monkeypatch):
 
 # -- lock-step multi-start: each row is its own run ------------------------
 
-def one_start_reference(theta0, risk, grad, pclass, opts):
-    """Projected gradient descent from one start, one theta at a time: the
-    reference the lock-step loop must reproduce."""
+def one_start_reference(theta0, risk, grad, change, pclass, opts):
+    """Projected gradient descent from one start, one theta at a time, with
+    the Armijo test on the risk change in difference form: the reference
+    the lock-step loop must reproduce."""
     theta = pclass.project(theta0)
     row = np.zeros(1, int)
     (f,), R = risk(theta[None], row)
@@ -270,7 +275,7 @@ def one_start_reference(theta0, risk, grad, pclass, opts):
             cand = pclass.project(theta - step * g)
             move = cand - theta
             (f_cand,), R_cand = risk(cand[None], row)
-            if f_cand <= f + float(g @ move) + \
+            if change(R_cand, R, row)[0] <= float(g @ move) + \
                     0.5 / step * float(move @ move) or step < 1e-14:
                 break
             step *= 0.5
@@ -285,8 +290,9 @@ def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
     objective and residual of its one-row run and of the one-start
     reference, bit for bit.  Returns the number of risk evaluations of each
     one-row run."""
-    risk, grad = _risk_and_grad_factory(fam, pc, X, Y)
-    thetas, f, residual = _projected_gradient(starts, risk, grad, pc, opts)
+    risk, grad, change = _risk_and_grad_factory(fam, pc, X, Y)
+    thetas, f, residual = _projected_gradient(starts, risk, grad, change, pc,
+                                              opts)
     evaluations = []
     for i, start in enumerate(starts):
         calls = []
@@ -295,9 +301,9 @@ def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
             calls.append(1)
             return risk(t, rows)
 
-        solo = _projected_gradient(start[None], counting_risk, grad, pc,
-                                   opts)
-        ref = one_start_reference(start, risk, grad, pc, opts)
+        solo = _projected_gradient(start[None], counting_risk, grad, change,
+                                   pc, opts)
+        ref = one_start_reference(start, risk, grad, change, pc, opts)
         for run in ((a[0] for a in solo), ref):
             theta_run, f_run, residual_run = run
             np.testing.assert_array_equal(thetas[i], theta_run)
@@ -332,9 +338,9 @@ def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
     opts = ErmOptions(max_iter=max_iter)
     z = rng.standard_normal(fam.dim)
     starts = [z / np.linalg.norm(z)] + [pc.sample(rng) for _ in range(k)]
-    risk, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
-    first = _projected_gradient(np.array(starts[1:2]), risk, grad, pc,
-                                ErmOptions())
+    first = _projected_gradient(
+        np.array(starts[1:2]), *_risk_and_grad_factory(fam, pc, ts.x, ts.y),
+        pc, ErmOptions())
     starts += [pc.center, first[0][0]]
     assert abs(np.linalg.norm(starts[0]) - 1.0) <= 1e-15
     evaluations = assert_rows_run_alone(fam, pc, ts.x, ts.y,
@@ -367,6 +373,24 @@ def fd_setup(kind, m, seed):
 
 
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
+def test_per_sample_risk_change_is_the_risk_difference(kind):
+    # 1/2 mean((R_c - R).(R_c + R - 2X)) of every row of a stack, against
+    # f_c - f, on one training set and on the trials of a stack
+    fam, pc, dist = fd_problem(kind)
+    rng = np.random.default_rng(22)
+    sets = [draw_training_set(dist, 5, seed=s) for s in (23, 24)]
+    X, Y = np.stack([ts.x for ts in sets]), np.stack([ts.y for ts in sets])
+    thetas = np.array([pc.sample(rng) for _ in range(4)])
+    thetas_c = pc.project(thetas + 1e-3 * rng.standard_normal(thetas.shape))
+    rows = np.arange(4)
+    for data in ((X[0], Y[0]), (X, Y)):
+        risk, _, change = _risk_and_grad_factory(fam, pc, *data, n_starts=2)
+        (f, R), (f_c, R_c) = risk(thetas, rows), risk(thetas_c, rows)
+        np.testing.assert_allclose(change(R_c, R, rows), f_c - f,
+                                   rtol=0, atol=1e-15 * (1 + f.max()))
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
 def test_lockstep_rows_equal_one_row_runs_finite_differences(kind):
     # the finite-difference path, with a 3-iteration cap
     fam, pc, ts = fd_setup(kind, 4, seed=16)
@@ -392,7 +416,7 @@ def fd_gradient_reference(risk, thetas, step):
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
 def test_stacked_fd_gradient_equals_per_coordinate_loop(kind):
     fam, pc, ts = fd_setup(kind, 6, seed=18)
-    risk_fn, grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    risk_fn, grad, _ = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
     rng = np.random.default_rng(19)
     step = risk.FD_STEP_REL * pc.diameter
     for k in (1, 3):
