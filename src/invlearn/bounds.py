@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
 
 COVERING_GRID = 200  # log-grid points over which covering_bound is minimized
+COVER_BLOCK = 64  # rows of greedy_cover's distance matrix held at once
 C = C1 = C2 = 1.0  # absolute constants of the covering and chaining bounds
 
 
@@ -37,6 +36,33 @@ def covering_ball(d: int, D: float, r: float) -> float:
     return max(1.0, (2.0 * D * math.sqrt(d) / r) ** d)
 
 
+def _cover_matrix(pts: np.ndarray, r: float) -> np.ndarray:
+    """covers[i, j]: the radius-r ball at point i covers point j.
+
+    The tolerance absorbs floating-point noise for points exactly on a
+    ball's boundary.  Squared distances are summed coordinate by coordinate
+    in order, ``COVER_BLOCK`` rows at a time, so no n x n float matrix is
+    held; they equal ``cdist(pts, pts, "sqeuclidean")`` bit for bit, and
+    the matrix is symmetric.
+    """
+    n = pts.shape[0]
+    covers = np.empty((n, n), dtype=bool)
+    acc_buf = np.empty((min(n, COVER_BLOCK), n))
+    tmp_buf = np.empty_like(acc_buf)
+    for start in range(0, n, COVER_BLOCK):
+        rows = pts[start:start + COVER_BLOCK]
+        acc, tmp = acc_buf[:len(rows)], tmp_buf[:len(rows)]
+        np.subtract(rows[:, :1], pts[:, 0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for k in range(1, pts.shape[1]):
+            np.subtract(rows[:, k, None], pts[:, k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(acc, tmp, out=acc)
+        np.less_equal(acc, (r * r) * (1 + 1e-9),
+                      out=covers[start:start + COVER_BLOCK])
+    return covers
+
+
 def greedy_cover(points, r: float) -> int:
     """Cardinality of a greedy cover of a finite point set by radius-r balls.
 
@@ -48,10 +74,8 @@ def greedy_cover(points, r: float) -> int:
     n = pts.shape[0]
     if n == 0:
         raise ConfigurationError("point set must be non-empty")
-    # covers[i, j]: ball at point i covers point j (tolerance absorbs
-    # floating-point noise for points exactly on the ball boundary); the
-    # matrix is symmetric, so row j lists the balls that cover point j
-    covers = cdist(pts, pts, "sqeuclidean") <= (r * r) * (1 + 1e-9)
+    # the matrix is symmetric, so row j lists the balls that cover point j
+    covers = _cover_matrix(pts, r)
     gains = covers.sum(axis=1)  # still-uncovered points in each ball
     uncovered = np.ones(n, dtype=bool)
     count = 0
@@ -153,11 +177,16 @@ def covering_bound(inputs: BoundInputs, cov: CoveringModel,
 
 def entropy_integral(cov: CoveringModel, alpha: float, q: int,
                      lower: float, upper: float) -> float:
-    """Integral of (log N(Theta, c^{1/alpha}))^{1/q} dc over [lower, upper].
+    """Integral of (log N(Theta, c^{1/alpha}))^{1/q} dc over [lower, upper],
+    in closed form for both covering models.
 
     For the polynomial-entropy model the integrand is a power of the
-    integration variable, with exponent -beta = -1/(alpha s q), and the
-    integral is taken in closed form; other models use quadrature.
+    integration variable, with exponent -beta = -1/(alpha s q).  For the
+    radius-D ball in R^d it is (d u)^{1/q} with u = log K - (1/alpha) log c
+    and K = 2 D sqrt(d), up to its jump to 0 at c = D^alpha, where one ball
+    covers; the antiderivative is d c (u + 1/alpha) for q = 1 and, by the
+    substitution c = K^alpha e^{-alpha u}, sqrt(d) (c sqrt(u) +
+    sqrt(pi/(4 alpha)) K^alpha erfc(sqrt(alpha u))) for q = 2.
     """
     if upper <= lower:
         return 0.0
@@ -175,10 +204,20 @@ def entropy_integral(cov: CoveringModel, alpha: float, q: int,
         # the antiderivative of c^{-beta} is c^{1-beta} / (1 - beta)
         one = 1.0 - beta
         return cov.c**inv_q * (upper**one - lower**one) / one
-    integrand = lambda c: cov.log_n(c ** (1.0 / alpha)) ** inv_q
-    val, err = quad(integrand, lower, upper, epsrel=1e-6, limit=400,
-                    points=[lower] if lower > 0 else None)
-    return val
+    d, K = cov.d, 2.0 * cov.D * math.sqrt(cov.d)
+    top = cov.D ** alpha
+
+    def antiderivative(c):
+        if c <= 0:
+            return 0.0
+        u = math.log(K) - math.log(c) / alpha
+        if q == 1:
+            return d * c * (u + 1.0 / alpha)
+        tail = (math.sqrt(math.pi / (4 * alpha)) * K**alpha
+                * math.erfc(math.sqrt(alpha * u)))
+        return math.sqrt(d) * (c * math.sqrt(u) + tail)
+
+    return antiderivative(min(upper, top)) - antiderivative(min(lower, top))
 
 
 def chaining_bound(inputs: BoundInputs, cov: CoveringModel, r: float) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (ConfigurationError, ContractivityError, ConvergenceError,
                      DimensionMismatchError)
@@ -691,15 +690,39 @@ class StabilityCertificate:
 
 
 def _fit_affine_envelope(y_norms, values):
-    """Smallest (a, b), a||y||+b >= v on all probes, minimizing a + b."""
+    """Smallest (a, b), a||y||+b >= v on all probes, minimizing a + b.
+
+    The linear program in two unknowns is solved exactly.  For a given
+    a >= 0 the cheapest feasible b is max(0, max_i (v_i - a ||y_i||)), so
+    the cost a + b is convex and piecewise linear in a; its minimum lies at
+    a = 0, at the a where every line v_i - a ||y_i|| has fallen to 0 (the
+    vertex on b = 0), or where two lines cross.  Each is tried, and the
+    cheapest is made to hold in floating point too.
+    """
     y_norms = np.asarray(y_norms, dtype=float)
     values = np.asarray(values, dtype=float)
-    res = linprog(c=[1.0, 1.0],
-                  A_ub=np.column_stack([-y_norms, -np.ones_like(y_norms)]),
-                  b_ub=-values, bounds=[(0, None), (0, None)], method="highs")
-    if not res.success:
+    if not (np.all(np.isfinite(y_norms)) and np.all(np.isfinite(values))):
         raise ConvergenceError("affine envelope fit failed")
-    return float(res.x[0]), float(res.x[1])
+    if values.size == 0:
+        return 0.0, 0.0
+    # only the largest value at each distinct norm can bind
+    ys, where = np.unique(y_norms, return_inverse=True)
+    vs = np.full(ys.shape, -np.inf)
+    np.maximum.at(vs, where, values)
+    pos = ys > 0
+    a_axis = max(0.0, float(np.max(vs[pos] / ys[pos]))) if pos.any() else 0.0
+    while np.any(a_axis * ys[pos] < vs[pos]):  # rounding: raise by ulps
+        a_axis = float(np.nextafter(a_axis, np.inf))
+    i, j = np.triu_indices(ys.size, k=1)
+    crossings = (vs[i] - vs[j]) / (ys[i] - ys[j])
+    kinks = np.concatenate([[0.0, a_axis], crossings[crossings > 0]])
+    b = np.maximum(0.0, np.max(vs - kinks[:, None] * ys, axis=1))
+    k = int(np.argmin(kinks + b))
+    a, b = float(kinks[k]), float(b[k])
+    # at a crossing, rounding can leave a||y_i|| + b an ulp short of v_i
+    while (short := float(np.max(vs - (a * ys + b)))) > 0:
+        b = max(b + short, float(np.nextafter(b, np.inf)))
+    return a, b
 
 
 def certify_stability(family, pclass: ParamClass, probe_ys,
@@ -709,7 +732,7 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
     ``probe_pairs`` is a list of (theta, theta') with positive distance in
     the family metric; ``probe_ys`` a list of data vectors.  Each
     reconstruction solves at its family's tolerance.  The affine envelopes
-    are fitted by a small linear program.
+    are fitted by an exact two-variable linear program.
     """
     if not probe_ys or not probe_pairs:
         raise ConfigurationError("probe sets must be non-empty")

@@ -8,10 +8,10 @@ trial draws the same numbers however the trials are ordered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, logsumexp
 
 from .errors import ConfigurationError, DimensionMismatchError
 from .operators import ForwardOperator, GaussianSpec
@@ -115,6 +115,23 @@ def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingS
 # Orlicz-norm estimation
 # ---------------------------------------------------------------------------
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-d array, shifted by its maximum.
+
+    The k maximal entries are taken out of the sum and added back as
+    log(k), so the result is log1p(s / k) + log(k) + max(a), with s the
+    sum of the other entries' exp(a - max(a)) (Blanchard, Higham & Higham
+    2021).  The arithmetic is that of ``scipy.special.logsumexp``: the
+    results are equal bit for bit.
+    """
+    a_max = a.max()
+    top = a == a_max
+    k = np.count_nonzero(top)
+    shifted = a - a_max
+    shifted[top] = -np.inf
+    return np.log1p(np.exp(shifted).sum() / k) + np.log(k) + a_max
+
+
 def orlicz_norm(samples, q: int) -> float:
     """Variational psi_q norm estimate: inf{t>0 : mean exp(|W|^q/t^q) <= 2}.
 
@@ -135,7 +152,7 @@ def orlicz_norm(samples, q: int) -> float:
     log2n = np.log(2.0) + np.log(w.size)
 
     def feasible(t):
-        return logsumexp(wq / t**q) - log2n <= 0
+        return _logsumexp(wq / t**q) - log2n <= 0
 
     lo, hi = 1e-8, 1e3 * float(np.max(np.abs(w)))
     if feasible(lo):
@@ -178,7 +195,105 @@ def _within_quantile(k: np.ndarray, n: int, p, q: float) -> np.ndarray:
     """Whether each count k is at most the q-quantile of Bin(n, p), the
     smallest j with P(Bin(n, p) <= j) >= q: that is when k = 0 or
     P(Bin(n, p) <= k - 1) < q."""
-    return (k == 0) | (bdtr(np.maximum(k - 1, 0), n, p) < q)
+    return (k == 0) | (_binom_cdf(np.maximum(k - 1, 0), n, p) < q)
+
+
+# log(j!) - log(sqrt(2 pi j) (j/e)^j) for j = 0..15, with 0 at j = 0
+_STIRLERR = np.array([0.0] + [
+    math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j
+    - 0.5 * math.log(2 * math.pi) for j in range(1, 16)])
+
+
+def _stirlerr(j: np.ndarray) -> np.ndarray:
+    """Stirling's error log(j!) - log(sqrt(2 pi j) (j/e)^j) at integers j:
+    a table up to 15, its asymptotic series beyond."""
+    jj = np.maximum(j, 1.0) ** 2
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj)
+                        / jj) / jj) / np.maximum(j, 1.0)
+    return np.where(j > 15, series, _STIRLERR[np.minimum(j, 15).astype(int)])
+
+
+def _bd0(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Deviance x log(x / M) + M - x, by its series in v = (x - M)/(x + M)
+    where x is within 10 % of M and the direct form would cancel."""
+    out = x * np.log(x / M) + M - x
+    near = np.abs(x - M) < 0.1 * (x + M)
+    x, M = x[near], M[near]
+    v = (x - M) / (x + M)
+    s = (x - M) * v
+    term = 2 * x * v
+    for j in range(1, 40):  # |v| < 0.1: each term is < 1 % of the last
+        term = term * v * v
+        s_next = s + term / (2 * j + 1)
+        if np.array_equal(s_next, s):
+            break
+        s = s_next
+    out[near] = s
+    return out
+
+
+def _binom_pmf(j: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """P(Bin(n, p) = j) for integers 0 <= j <= n and 0 < p < 1, in Loader's
+    saddle-point form (2000): its exponent has no cancelling lgamma terms,
+    so it keeps its relative accuracy at n = 10^6."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lc = (_stirlerr(np.float64(n)) - _stirlerr(j) - _stirlerr(n - j)
+              - _bd0(j, n * p) - _bd0(n - j, n * (1.0 - p)))
+        inner = np.exp(lc) / np.sqrt(2 * math.pi * j * (1.0 - j / n))
+    return np.select([j == 0, j == n],
+                     [np.exp(n * np.log1p(-p)), np.exp(n * np.log(p))], inner)
+
+
+def _lentz(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction of the incomplete beta I_x(a, b), elementwise, by
+    the modified Lentz method (Numerical Recipes, section 6.4); it converges
+    fast where x < (a + 1)/(a + b + 2).  Each entry stops at its own
+    relative step 1e-15."""
+    tiny = 1e-300
+
+    def guard(v):
+        return np.where(np.abs(v) < tiny, tiny, v)
+
+    c = np.ones_like(x)
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    h = d.copy()
+    active = np.ones(x.shape, dtype=bool)
+    m = 0
+    while active.any():
+        m += 1
+        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) * x
+                      / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / guard(1.0 + coeff * d)
+            c = guard(1.0 + coeff / c)
+            step = d * c
+            h = np.where(active, h * step, h)
+        active &= np.abs(step - 1.0) > 1e-15
+    return h
+
+
+def _binom_cdf(k, n: int, p) -> np.ndarray:
+    """P(Bin(n, p) <= k) elementwise over integer counts k and p in [0, 1].
+
+    For k < n and 0 < p < 1 this is I_{1-p}(n - k, k + 1).  Where
+    1 - p < (n - k + 1)/(n + 3) the continued fraction gives it directly,
+    as pmf(k) p cf; elsewhere it gives the complement I_p(k + 1, n - k) =
+    pmf(k + 1) (1 - p) cf.  These pmf terms are the prefactors
+    x^a (1 - x)^b / (a B(a, b)) of the two sides.
+    """
+    k, p = np.broadcast_arrays(np.asarray(k, dtype=float),
+                               np.asarray(p, dtype=float))
+    out = np.where((k >= n) | (p == 0), 1.0, np.where(p == 1, 0.0, np.nan))
+    inner = (k < n) & (p > 0) & (p < 1)
+    k, p = k[inner], p[inner]
+    direct = p > (k + 2) / (n + 3)
+    tail = (_binom_pmf(np.where(direct, k, k + 1), n, p)
+            * np.where(direct, p, 1.0 - p)
+            * _lentz(np.where(direct, n - k, k + 1),
+                     np.where(direct, k + 1, n - k),
+                     np.where(direct, 1.0 - p, p)))
+    out[inner] = np.where(direct, tail, 1.0 - tail)
+    return out
 
 
 @dataclass(frozen=True)

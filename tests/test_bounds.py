@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from invlearn import (BoundInputs, CoveringModel, chaining_bound,
                       covering_ball, covering_bound, greedy_cover,
                       predicted_exponent)
-from invlearn.bounds import C2, entropy_integral
+from invlearn.bounds import C2, COVER_BLOCK, _cover_matrix, entropy_integral
 from invlearn.errors import ConfigurationError
 
 
@@ -102,6 +102,23 @@ def test_greedy_cover_matches_reference_on_random_clouds():
         pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
         for r in (1.0, 0.5, 0.25, 0.125):
             assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
+
+
+def test_cover_matrix_equals_cdist():
+    # the oracle is scipy's cdist; lattice points with spacing 1/4 sit
+    # exactly on ball boundaries at r = 1/2 and 1, and 2 * COVER_BLOCK + 7
+    # random points end in a partial block
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3, 5):
+        axes = [np.arange(-2, 3) * 0.25] * min(d, 3) + [[0.0]] * (d - 3)
+        lattice = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, d)
+        cloud = rng.uniform(-1.0, 1.0, size=(2 * COVER_BLOCK + 7, d))
+        for pts in (lattice, cloud, np.vstack([cloud, lattice])):
+            d2 = cdist(pts, pts, "sqeuclidean")
+            for r in (0.125, 0.25, 0.5, 1.0, 2 ** 0.5 / 4):
+                assert np.array_equal(_cover_matrix(pts, r),
+                                      d2 <= (r * r) * (1 + 1e-9))
 
 
 # -- CoveringModel ---------------------------------------------------------
@@ -209,6 +226,31 @@ def test_chaining_euclidean_integrand_vs_antiderivative():
     num = entropy_integral(cov, alpha=1.0, q=1, lower=lower, upper=upper)
     exact = anti(upper) - anti(lower)
     assert num == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("q", [1, 2])
+def test_ball_entropy_integral_closed_form_vs_quadrature(d, alpha, q):
+    # the oracle is scipy's quad at epsrel 1e-13, told of the integrand's
+    # jump to 0 at c = D^alpha (one ball covers beyond it); the limits
+    # put 0 or a positive lower limit below the jump, and the upper limit
+    # below or above it
+    from scipy.integrate import quad
+    for D in (1.0, 2.0):
+        cov = CoveringModel(kind="euclidean_ball", d=d, D=D)
+        top = D ** alpha
+
+        def integrand(c):
+            return cov.log_n(c ** (1.0 / alpha)) ** (1.0 / q)
+
+        for lower in (0.0, top / 1024, 0.3 * top):
+            for upper in (0.5 * top, top, 2.0 * D):
+                exact = quad(integrand, lower, upper, epsrel=1e-13,
+                             epsabs=0.0, limit=400,
+                             points=[top] if lower < top < upper else None)[0]
+                assert entropy_integral(cov, alpha, q, lower, upper) == \
+                    pytest.approx(exact, rel=1e-12)
 
 
 def test_chaining_r_zero_regime_check():

@@ -1123,6 +1123,51 @@ def test_certify_stability_empty_probes_rejected():
         certify_stability(fam, pc, [], [])
 
 
+def envelope_reference(y_norms, values):
+    """The envelope linear program solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+    y_norms = np.asarray(y_norms, dtype=float)
+    res = linprog(c=[1.0, 1.0],
+                  A_ub=np.column_stack([-y_norms, -np.ones_like(y_norms)]),
+                  b_ub=-np.asarray(values, dtype=float),
+                  bounds=[(0, None), (0, None)], method="highs")
+    assert res.success
+    return res.x
+
+
+def test_affine_envelope_matches_highs():
+    # random probe sets, all-equal norms (below and above 1, where the
+    # optimum puts everything on b or on a), zero norms and single probes;
+    # the fit must hold on every probe as computed, with no slack
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(2, 65))
+        y = rng.uniform(0.0, 3.0, n) * rng.choice([0.01, 1.0, 100.0])
+        v = rng.normal(0.0, 1.0, n) + rng.uniform(0.0, 2.0) * y
+        cases.append((y, v))
+    for norm in (0.5, 2.0):
+        cases.append((np.full(12, norm), rng.uniform(-1.0, 3.0, 12)))
+    y = rng.uniform(0.0, 3.0, 20)
+    y[:3] = 0.0
+    cases += [(y, rng.normal(1.0, 1.0, 20)), (np.array([0.7]), [2.0]),
+              (np.array([1.5]), [2.0]), (np.array([0.0]), [-1.0])]
+    for y, v in cases:
+        a, b = hypotheses._fit_affine_envelope(y, v)
+        assert a >= 0 and b >= 0
+        assert np.all(a * y + b >= v)
+        a_ref, b_ref = envelope_reference(y, v)
+        tol = 1e-9 * (a_ref + b_ref)
+        assert abs(a - a_ref) <= tol and abs(b - b_ref) <= tol, (y, v)
+
+
+def test_affine_envelope_rejects_non_finite_probes():
+    with pytest.raises(ConvergenceError):
+        hypotheses._fit_affine_envelope([1.0, np.nan], [1.0, 2.0])
+    with pytest.raises(ConvergenceError):
+        hypotheses._fit_affine_envelope([1.0, 2.0], [1.0, np.inf])
+
+
 # -- penalty hypotheses ----------------------------------------------------
 
 def test_g_hypotheses_identity_penalty():

@@ -10,7 +10,7 @@ from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       empirical_average_contraction, orlicz_norm, substream,
                       tail_check)
 from invlearn.errors import ConfigurationError
-from invlearn.stochastics import _within_quantile
+from invlearn.stochastics import _binom_cdf, _logsumexp, _within_quantile
 
 
 def scalar_problem(noise_var=1.0):
@@ -176,6 +176,51 @@ def test_tail_decisions_match_scipy_stats_binom_ppf():
                 k = np.clip(k, 0, n)
                 assert np.array_equal(_within_quantile(k, n, p, q),
                                       k <= ppf), (n, q)
+
+
+def test_binom_cdf_matches_scipy():
+    # the oracle is scipy.stats.binom.cdf, accurate to about 1e-15; at
+    # n = 10^6 scipy.special.bdtr itself is off from it by up to 1.2e-9
+    # near the mean (its lgamma prefactor loses digits), so bdtr is held
+    # to 1e-9 only up to n = 10^5
+    from scipy.special import bdtr
+    from scipy.stats import binom
+    p = np.concatenate([[0.0, 1e-300, 1e-9, 1.0 - 1e-12, 1.0],
+                        np.linspace(0.0, 1.0, 21), np.logspace(-4, -1, 7)])
+    for n in (2_000, 100_000, 1_000_000):
+        k = np.unique(np.r_[np.arange(0, n + 1, n // 1_000), n - 1, n])
+        for pj in p:
+            got = _binom_cdf(k, n, pj)
+            np.testing.assert_allclose(got, binom.cdf(k, n, pj),
+                                       rtol=0, atol=1e-12)
+            if n <= 100_000:
+                np.testing.assert_allclose(got, bdtr(k, n, pj),
+                                           rtol=0, atol=1e-9)
+
+
+def test_binom_cdf_endpoints():
+    # k >= n is certain, p = 0 puts all mass at 0 and p = 1 all at n
+    assert np.array_equal(_binom_cdf([0, 5, 7], 5, [0.0, 0.5, 1.0]),
+                          [1.0, 1.0, 1.0])
+    # P(Bin(5, 1/2) <= 3) = 26/32
+    assert _binom_cdf(3, 5, 0.5)[()] == pytest.approx(0.8125, rel=1e-15)
+    assert np.array_equal(_binom_cdf([0, 4], 5, 1.0), [0.0, 0.0])
+    assert np.isnan(_binom_cdf(1, 5, np.nan))
+
+
+def test_logsumexp_equals_scipy():
+    # bit for bit, so every Orlicz bisection decision is scipy's
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(4)
+    arrays = [np.array([2.5]), np.zeros(7), np.array([1e300, 1e300])]
+    for size in (1, 2, 3, 100, 1_000, 10_007):
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal(size) ** 2 * scale
+            tied = a.copy()
+            tied[rng.integers(0, size, 3)] = a.max()
+            arrays += [a, tied, np.round(a)]
+    for a in arrays:
+        assert _logsumexp(a) == logsumexp(a)
 
 
 def test_tail_check_input_validation():
