@@ -22,9 +22,8 @@ from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
-from .risk import (ErmOptions, _batch_losses, affine_moments, erm_solve,
-                   erm_solve_trials, excess_loss, optimal_target_proxy,
-                   trial_groups)
+from .risk import (ErmOptions, _batch_losses, erm_solve, erm_solve_trials,
+                   excess_loss, optimal_target_proxy, trial_groups)
 from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
                           substream, tail_check)
@@ -334,10 +333,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
 
     Fully deterministic given the config: each trial draws from seeds keyed
     by (m, trial).  The trials of one m are fitted in lock-step stacks
-    (``risk.trial_groups``; an affine family reads its data moments, not
-    m rows, so its trials form one stack at every m); a stack that raises
-    ``ConvergenceError`` is refitted one trial at a time, and a trial that
-    raises alone is marked failed.  Each fit's loss and sample error are
+    (``risk.trial_groups``: one stack of an affine family's trials, one
+    trial at a time otherwise); a stack that raises ``ConvergenceError`` is
+    refitted one trial at a time, and a trial that raises alone is marked
+    failed.  Each fit's loss and sample error are
     read on the shared evaluation sample (``risk.excess_loss``).  Progress
     goes to this module's logger at INFO.
     """
@@ -365,9 +364,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         trials = range(cfg.trials_per_m)
         seeds = [derived_seed(cfg.master_seed, m, t) for t in trials]
         erm_seeds = [derived_seed(cfg.master_seed, 1, m, t) for t in trials]
-        # an affine family's trial reads its moments, not its m data rows
-        groups = trial_groups(len(trials),
-                              1 if affine_moments(family) else m, opts)
+        groups = trial_groups(len(trials), family, opts)
         fits = []
         for g in groups:
             sets = [draw_training_set(cfg.problem, m, s) for s in seeds[g]]
@@ -375,9 +372,11 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
                 fits += erm_solve_trials(pclass, family, sets, erm_seeds[g],
                                          opts)
             except ConvergenceError:
-                # one trial's error must not fail the others: refit alone
-                fits += [_fit_alone(pclass, family, ts, seed)
-                         for ts, seed in zip(sets, erm_seeds[g])]
+                # one trial's error must not fail the others: refit alone,
+                # unless the stack was one trial
+                fits += [None] if len(sets) == 1 else [
+                    _fit_alone(pclass, family, ts, seed)
+                    for ts, seed in zip(sets, erm_seeds[g])]
         for t, seed, res in zip(trials, seeds, fits):
             if res is None:
                 records.append(TrialRecord(m, t, math.nan, math.nan, math.nan,

@@ -88,17 +88,45 @@ class ParamClass:
         return bool(self._constraint_norm(theta) <= self.radius * (1 + tol))
 
     def project(self, theta) -> np.ndarray:
-        """Radial projection onto the ball; idempotent and non-expansive.
+        """The nearest point of the class; idempotent and non-expansive.
 
-        A (k, dim) stack is projected row by row."""
+        A (k, dim) stack is projected row by row, each row bit for bit its
+        1-d call."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape[-1:] != (self.dim,):
             raise DimensionMismatchError("parameter length != class dimension")
         norm = self._constraint_norm(theta)
         inside = norm <= self.radius
-        scale = np.divide(self.radius, norm, out=np.ones_like(norm),
-                          where=~inside)
-        return theta * scale[..., None]
+        if self.kind == "euclidean_ball" or self.radius == 0:
+            scale = np.divide(self.radius, norm, out=np.ones_like(norm),
+                              where=~inside)
+            return theta * scale[..., None]
+        out = theta.copy()
+        out[~inside] = self._onto_ellipsoid(theta[~inside])
+        return out
+
+    def _onto_ellipsoid(self, theta):
+        """x = theta / (1 + lam w^2), w_k = k^s, for each row of a (k, dim)
+        stack outside the sobolev_ball, at the lam > 0 where ||w x|| =
+        radius.  Newton steps on 1 / ||w x(lam)||, concave and increasing
+        in lam, climb from lam = 0 towards that root without passing it
+        until they fall below the resolution of x; then lam rises by
+        doubling steps of that resolution until x is inside as computed."""
+        w2 = self._weights() ** 2
+        lam = np.zeros(len(theta))
+        for _ in range(100):
+            x = theta / (1.0 + lam[:, None] * w2)
+            norm = self._constraint_norm(x)
+            step = (norm / self.radius - 1.0) * norm**2 / _stacked_dot(
+                w2 * x * x, w2 / (1.0 + lam[:, None] * w2))
+            rung = np.finfo(float).eps * (lam + 1.0 / w2[-1])
+            if not np.any(live := step > rung):
+                break
+            lam = np.where(live, lam + step, lam)
+        while np.any(over := self._constraint_norm(x) > self.radius):
+            lam, rung = lam + over * rung, np.where(over, 2.0 * rung, rung)
+            x = theta / (1.0 + lam[:, None] * w2)
+        return x
 
     @property
     def center(self) -> np.ndarray:
@@ -148,7 +176,11 @@ class FixedPointParams:
     contraction_budget: float
 
     def __post_init__(self):
-        if not (0 < self.contraction_budget < 1):
+        self.check_budget(self.contraction_budget)
+
+    @staticmethod
+    def check_budget(contraction_budget: float) -> None:
+        if not (0 < contraction_budget < 1):
             raise ConfigurationError("contraction budget must lie in (0, 1)")
 
 
@@ -244,18 +276,18 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     Accelerated gradient descent with backtracking and adaptive restart, run
     until the gradient norm (of the smoothed objective for alpha < 1) drops
     below ``tol``.  ``y`` may be a (m, n_y) batch, and ``params`` may hold
-    a stack of (h, B) (h of shape (k, n_x)), which gives (k, m, n_x); a
-    (k, m, n_y) ``y`` gives each theta its own batch.  Every (theta, row)
-    pair is its own problem: it keeps its own step, momentum and restarts
-    and is frozen once it reaches ``tol``, so it equals its one-row,
-    one-theta solve bit for bit.  The solve raises ``ConvergenceError``
-    when any pair misses ``tol`` in ``max_iter``.
+    a stack of (h, B) (h of shape (k, n_x)), which gives (k, m, n_x).
+    Every (theta, row) pair is its own problem: it keeps its own step,
+    momentum and restarts and is frozen once it reaches ``tol``, so it
+    equals its one-row, one-theta solve bit for bit.  The solve raises
+    ``ConvergenceError`` when any pair misses ``tol`` in ``max_iter``.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     y = np.asarray(y, dtype=float)
-    if y.shape[-1] != A.n_y:
-        raise DimensionMismatchError("data length != operator output dim")
+    if y.shape[-1] != A.n_y or y.ndim > 2:
+        raise DimensionMismatchError(
+            "data must be one row or an (m, n_y) batch of outputs")
     Am = A.as_matrix()
     n = A.n_x
     alpha, eta = params.alpha, params.eta
@@ -304,7 +336,7 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
             live, Y, x, z, t_mom, step, f_x = (
                 a[~done] for a in (live, Y, x, z, t_mom, step, f_x))
         if not live.size:
-            return out.reshape(_stack_shape(params.h, y) + (n,))
+            return out.reshape(params.h.shape[:-1] + y.shape[:-1] + (n,))
         if it == max_iter:
             raise ConvergenceError("elastic-net solver did not reach tolerance",
                                    residual=float(gnorm.max()),
@@ -343,17 +375,19 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     the previous step was below the stopping step (float-level motion).
 
     ``params`` may hold a stack of (W, b) (b of shape (k, n_x)), which
-    gives (k, m, n_x); a (k, m, n_y) ``y`` gives each theta its own batch.
-    Each theta's rows stop on their own rule and leave the stack, so each
-    slice equals its one-theta solve bit for bit, and the stack raises when
-    a slice would raise alone.
+    gives (k, m, n_x).  Each theta's rows stop on their own rule and leave
+    the stack, so each slice equals its one-theta solve bit for bit, and
+    the stack raises when a slice would raise alone.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim > 2:
+        raise DimensionMismatchError(
+            "data must be one row or an (m, n_y) batch of outputs")
     L_z = params.contraction_budget
     n = A.n_x
     W_eff = _spectral_clip(params.W, L_z).reshape(-1, n, n)
     b = params.b.reshape(-1, 1, n)
-    base = A.adjoint_apply(np.atleast_2d(y))  # (m, n_x), or (k, m, n_x)
+    base = A.adjoint_apply(np.atleast_2d(y))  # (m, n_x)
     stop = tol * (1 - L_z)
     k = len(b)
     live = np.arange(k)  # thetas still iterating
@@ -379,8 +413,6 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
             stopped.append((live[done], P_next[done]))
             live, P_next, steps, W_eff, b = (
                 a[~done] for a in (live, P_next, steps, W_eff, b))
-            if base.ndim == 3:
-                base = base[~done]
             if not live.size:
                 break
         P, prev = P_next, steps
@@ -391,16 +423,10 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     if len(stopped) == 1:  # every theta at once, in order
         out = stopped[0][1]
     else:
-        out = np.empty((k,) + base.shape[-2:])
+        out = np.empty((k,) + base.shape)
         for thetas, fixed in stopped:
             out[thetas] = fixed
-    return out.reshape(_stack_shape(params.b, y) + (n,))
-
-
-def _stack_shape(param, y) -> tuple:
-    """Leading output shape of an iterative solve of the (..., n_x)
-    parameter stack ``param`` on the batch, or on the per-theta batches, y."""
-    return y.shape[:-1] if y.ndim == 3 else param.shape[:-1] + y.shape[:-1]
+    return out.reshape(params.b.shape[:-1] + y.shape[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +438,11 @@ class _Family:
 
     ``reconstruct_batch(theta, Y)`` maps the (m, n_y) batch Y to (m, n_x)
     rows; a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for
-    bit the 1-d call.  With a (k, m, n_y) Y, one batch per theta, slice i
-    is bit for bit the call on (theta_i, Y_i).
+    bit the 1-d call.  ``affine``: the reconstruction is the map G y + c
+    (``_HBFamily.affine_map``), so ERM reads the data's moments.
     """
+
+    affine = False
 
     def reconstruct(self, theta, y):
         """R_theta(y)."""
@@ -429,8 +457,7 @@ class _Family:
         Y = np.asarray(Y, dtype=float)
         if theta.ndim == 1:
             return solver(self.unpack(theta), self.op, Y)
-        parts = [solver(self.unpack(theta[g]), self.op,
-                        Y[g] if Y.ndim == 3 else Y)
+        parts = [solver(self.unpack(theta[g]), self.op, Y)
                  for g in theta_groups(len(theta), Y.shape[-2])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -457,6 +484,8 @@ class _HBFamily(_Family):
     A (k, dim) stack of thetas gives stacks of (h, B), affine maps,
     reconstructions and gradients.
     """
+
+    affine = property(lambda self: self.alpha == 1.0)
 
     def __init__(self, op: ForwardOperator, structure: str):
         n = op.n_x
@@ -485,35 +514,34 @@ class _HBFamily(_Family):
         return float(np.linalg.norm(h1 - h2) + np.linalg.norm(B1 - B2, 2))
 
     def affine_map(self, theta):
-        """(G, c) with R_theta(y) = G y + c, for alpha = 1.
+        """V = [G c]^T, (n_y + 1, n_x), with R_theta(y) = G y + c = (y, 1) V,
+        for an affine family.
 
         The optimality condition is M x = P y + s with M = K + 2 B*B and
-        the family's shift s.  One checked solve against the n_y + 1
-        right-hand rows [P^T; s^T] gives the columns of G and then c.  A
-        (k, dim) theta gives (k, n_x, n_y) and (k, n_x), one checked solve
-        per row.
+        the family's shift s, so V M^T = [P^T; s^T]: one checked solve.  A
+        (k, dim) theta gives (k, n_y + 1, n_x), one checked solve per row.
         """
         self._require_affine()
         h, B = self._h_B(theta)
         BtB = np.swapaxes(B, -1, -2) @ B
         s = self._shift(h, B, BtB)
         Pt = np.broadcast_to(self._P.T, s.shape[:-1] + self._P.T.shape)
-        S = _solve_normal(self._K + 2.0 * BtB,
-                          np.concatenate([Pt, s[..., None, :]], axis=-2))
-        return np.swapaxes(S[..., :-1, :], -1, -2), S[..., -1, :]
+        return _solve_normal(self._K + 2.0 * BtB,
+                             np.concatenate([Pt, s[..., None, :]], axis=-2))
 
     def _affine_batch(self, theta, Y):
-        """Rows R_theta(y) = G y + c of the (k, n_y) batch Y."""
+        """Rows R_theta(y) = (y, 1) V of the (m, n_y) batch Y."""
         Y = np.asarray(Y, dtype=float)
-        if Y.shape[-1] != self.op.n_y:
-            raise DimensionMismatchError("data length != operator output dim")
-        G, c = self.affine_map(theta)
-        X = Y @ np.swapaxes(G, -1, -2)
-        X += c[..., None, :]
+        if Y.shape[-1] != self.op.n_y or Y.ndim > 2:
+            raise DimensionMismatchError(
+                "data must be one row or an (m, n_y) batch of outputs")
+        V = self.affine_map(theta)
+        X = Y @ V[..., :-1, :]
+        X += V[..., -1:, :]
         return X
 
     def _require_affine(self):
-        if self.alpha != 1.0:
+        if not self.affine:
             raise ConfigurationError("the reconstruction is affine only for "
                                      "alpha = 1")
 
@@ -609,7 +637,7 @@ class ElasticNetFamily(_HBFamily):
         return ElasticNetParams(h=h, B=B, alpha=self.alpha, eta=self.eta)
 
     def reconstruct_batch(self, theta, Y):
-        if self.alpha == 1.0:
+        if self.affine:
             # smooth quadratic case: the optimality condition is linear
             return self._affine_batch(theta, Y)
         return self._solve_stack(reconstruct_elastic_net, theta, Y)
@@ -622,8 +650,7 @@ class FixedPointFamily(_Family):
     alpha = 1.0
 
     def __init__(self, op: ForwardOperator, contraction_budget: float = 0.5):
-        if not (0 < contraction_budget < 1):
-            raise ConfigurationError("contraction budget must lie in (0, 1)")
+        FixedPointParams.check_budget(contraction_budget)
         self.op = op
         self.L_z = float(contraction_budget)
         self.dim = op.n_x * op.n_x + op.n_x

@@ -3,27 +3,27 @@
 The expected loss of a parametric reconstructor is estimated by Monte
 Carlo; the empirical target comes from projected gradient descent with
 multi-start, the starts advancing in lock-step as one (k, dim) stack whose
-every row equals its one-start run bit for bit.  The trials of one
-training-set size stack the same way, each row reading its own trial's
-data, in groups of at most ``TRIAL_STACK_ROWS`` (theta, row) pairs; a
-one-trial stack reads its batch as it is.  The optimal target is proxied
-by ERM on a much larger sample, gated by a second fit from another seed.
-The sample error L(theta_hat) - L(theta_star) itself is measured by the
-rate experiment, on one shared Monte Carlo sample so that the difference
-cancels common noise; the proxy's gate and theta_star's losses read that
-same sample.
+every row equals its one-start run bit for bit.  The optimal target is
+proxied by ERM on a much larger sample, gated by a second fit from another
+seed.  The sample error L(theta_hat) - L(theta_star) itself is measured by
+the rate experiment, on one shared Monte Carlo sample so that the
+difference cancels common noise; the proxy's gate and theta_star's losses
+read that same sample.
 
-An affine family (alpha = 1 with an ``affine_map``, R_theta(y) = G y + c)
-reads its data only through their first and second moments (``_Moments``):
-its ERM risk, gradient and sample error are quadratic forms in G and c,
-independent of m.  The other families evaluate per sample, the reference
-path.  Either way the line search decides on the risk change computed in
+An ``affine`` family (R_theta(y) = G y + c = (y, 1) V, V its
+``affine_map``) reads its data only through their moments (``_Moments``):
+its ERM risk, gradient and sample error are quadratic forms in V,
+independent of m, and one ERM stack may hold the starts of several trials,
+each row reading its own trial's moments (``trial_groups``).  The other
+families evaluate per sample, the reference path, one training set per
+stack.  Either way the line search decides on the risk change computed in
 difference form, not on the difference of two rounded risk levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .stochastics import (ProblemDistribution, TrainingSet,
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
 ERM_TOL = 1e-8  # projected-gradient residual at which an ERM start has converged
-# (theta, row) pairs of one trial-stacked ERM at most: past about this many,
-# gathering each row's trial data costs as much as the stack saves
+# starts of one trial-stacked ERM of an affine family at most; each row
+# holds its own map and its trial's moments
 TRIAL_STACK_ROWS = STACK_ROWS // 4
 
 
@@ -53,27 +53,13 @@ def _batch_losses(family, theta, X, Y) -> np.ndarray:
     return _losses(family.reconstruct_batch(theta, Y), X)
 
 
-def affine_moments(family) -> bool:
-    """Whether ``family`` fits and evaluates on data moments: its
-    reconstruction is the affine map G y + c (alpha = 1)."""
-    return family.alpha == 1.0 and hasattr(family, "affine_map")
-
-
-def _affine_rows(family, theta):
-    """V = [G c]^T of theta's affine map, (..., n_y + 1, n_x), so that
-    R_theta(y) = (y, 1) V."""
-    G, c = family.affine_map(theta)
-    return np.concatenate([np.swapaxes(G, -1, -2), c[..., None, :]], axis=-2)
-
-
 def _flat_dot(A, B):
     """<A, B> of each (..., a, b) slice, one BLAS dot per slice."""
     return _stacked_dot(A.reshape(A.shape[:-2] + (-1,)),
                         B.reshape(B.shape[:-2] + (-1,)))
 
 
-@dataclass(frozen=True)
-class _Moments:
+class _Moments(NamedTuple):
     """The moments of (x, y) data that the quadratic risk of an affine map
     reads: with y~ = (y, 1), S = E[y~ y~^T], C = E[y~ x^T] and
     xx = E||x||^2, of one data set or stacked one per trial.
@@ -87,17 +73,13 @@ class _Moments:
 
     @classmethod
     def of(cls, X, Y) -> "_Moments":
-        """The moments of (m, n) data, or of each trial of (T, m, n) data
-        (each bit for bit its own trial's)."""
-        if X.ndim == 3:
-            return cls(*map(np.stack, zip(*(
-                (mo.S, mo.C, mo.xx) for mo in map(cls.of, X, Y)))))
+        """The moments of (m, n) data."""
         m = len(X)
         Yt = np.concatenate([Y, np.ones((m, 1))], axis=1)
         return cls(Yt.T @ Yt / m, Yt.T @ X / m, np.vdot(X, X) / m)
 
     def take(self, trials) -> "_Moments":
-        return _Moments(self.S[trials], self.C[trials], self.xx[trials])
+        return _Moments(*(a[trials] for a in self))
 
     def risk(self, V):
         return _flat_dot(V, 0.5 * (self.S @ V) - self.C) + 0.5 * self.xx
@@ -158,30 +140,30 @@ class ErmResult:
     converged: bool
 
 
-def _risk_and_grad_factory(family, pclass, X, Y, n_starts=1):
+def _risk_and_grad_factory(family, pclass, training_sets, n_starts=1):
     """The empirical risk, its gradient and its change on a (k, dim) stack
     of thetas.
 
-    X and Y hold one training set's (m, n) data, which every theta reads,
-    or the (T, m, n) data of T trials, of which row i of the ERM stack
-    reads trial ``i // n_starts``.  ``risk(thetas, rows)`` returns the k
-    risks at the stack rows ``rows`` and the thetas' states: their affine
-    maps V (``_affine_rows``) for an affine family, which reads only the
-    data moments, else their (k, m, n_x) reconstructions.
-    ``grad(thetas, states, rows)`` returns the (k, dim) gradients, reusing
-    the states: analytic (``risk_gradient``) for an affine family, else
-    central differences.  ``change(states_c, states, rows)`` returns the
-    k changes L(theta_c) - L(theta) in difference form.  Each row equals
-    its one-row stack on its own trial's (m, n) data bit for bit.
+    ``risk(thetas, rows)`` returns the k risks at the stack rows ``rows``
+    and the thetas' states, ``grad(thetas, states, rows)`` the (k, dim)
+    gradients and ``change(states_c, states, rows)`` the k changes
+    L(theta_c) - L(theta) in difference form.  An affine family's row i
+    reads the moments of trial ``i // n_starts`` (of the one training set,
+    if one), its state is its map V and its gradient is analytic; any
+    other family fits one training set, its states are the (k, m, n_x)
+    reconstructions and its gradient is central differences.  Each row
+    equals its one-row stack on its own trial bit for bit.
     """
-    if affine_moments(family):
-        moments = _Moments.of(X, Y)
+    if family.affine:
+        moments = _Moments(*map(np.stack, zip(*(
+            _Moments.of(ts.x, ts.y) for ts in training_sets))))
 
         def at(rows):
-            return moments if X.ndim == 2 else moments.take(rows // n_starts)
+            return moments.take(0 if len(training_sets) == 1
+                                else rows // n_starts)
 
         def risk(thetas, rows):
-            V = _affine_rows(family, thetas)
+            V = family.affine_map(thetas)
             return at(rows).risk(V), V
 
         def grad(thetas, V, rows):
@@ -192,39 +174,34 @@ def _risk_and_grad_factory(family, pclass, X, Y, n_starts=1):
             return at(rows).change(V_c, V)
         return risk, grad, change
 
-    def data(rows):
-        if X.ndim == 2:
-            return X, Y
-        trials = rows // n_starts
-        return X[trials], Y[trials]
+    if len(training_sets) != 1:
+        raise ConfigurationError(
+            f"the {family.kind} family fits one training set per ERM stack")
+    X, Y = training_sets[0].x, training_sets[0].y
 
-    def risk(thetas, rows):
-        X_rows, Y_rows = data(rows)
-        R = family.reconstruct_batch(thetas, Y_rows)
-        return _losses(R, X_rows).mean(axis=-1), R
+    def risk(thetas, rows=None):
+        R = family.reconstruct_batch(thetas, Y)
+        return _losses(R, X).mean(axis=-1), R
 
     def change(R_c, R, rows):
         # 1/2 ||r_c - x||^2 - 1/2 ||r - x||^2 = 1/2 (r_c - r).(r_c + r - 2x)
         D = R_c - R
-        D *= R_c + R - 2.0 * data(rows)[0]
+        D *= R_c + R - 2.0 * X
         return 0.5 * np.sum(D, axis=-1).mean(axis=-1)
 
     step = FD_STEP_REL * pclass.diameter
 
     def grad(thetas, R, rows):
         # the theta +- step e_i of every row and coordinate i, as one
-        # (2 k dim, dim) stack that keeps each row's stack index,
-        # evaluated in groups of at most STACK_ROWS (theta, row) pairs:
-        # entry (j, i) of the gradient is
+        # (2 k dim, dim) stack, evaluated in groups of at most STACK_ROWS
+        # (theta, row) pairs: entry (j, i) of the gradient is
         # (R(theta_j + e_i) - R(theta_j - e_i)) / (2 step)
         k, dim = thetas.shape
         E = step * np.eye(dim)
         shifted = np.concatenate([thetas[:, None] + E,
                                   thetas[:, None] - E]).reshape(-1, dim)
-        shifted_rows = np.tile(np.repeat(rows, dim), 2)
-        f = np.concatenate([
-            risk(shifted[g], shifted_rows[g])[0]
-            for g in theta_groups(len(shifted), X.shape[-2])])
+        f = np.concatenate([risk(shifted[g])[0]
+                            for g in theta_groups(len(shifted), len(X))])
         f_plus, f_minus = f.reshape(2, k, dim)
         return (f_plus - f_minus) / (2 * step)
     return risk, grad, change
@@ -311,12 +288,10 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
 
     Trial t's starts are drawn from ``seeds[t]`` in place of
     ``opts.seed``, and the ``n_starts`` starts of every trial run as one
-    (T n_starts, dim) stack whose row i reads the data of trial
-    ``i // n_starts``.  Returns one ``ErmResult`` per trial, each bit for
-    bit its own ``erm_solve``.  One trial reads its (m, n) batch as it is;
-    several are gathered per row (their moments, for an affine family), so
-    the caller bounds a stack with ``trial_groups``.  A
-    ``ConvergenceError`` of any trial fails the stack.
+    (T n_starts, dim) stack whose row i reads the moments of trial
+    ``i // n_starts``; only an affine family stacks several trials
+    (``trial_groups``).  Returns one ``ErmResult`` per trial, each bit for
+    bit its own ``erm_solve``.  A ``ConvergenceError`` fails the stack.
     """
     k = max(1, opts.n_starts)
     starts = []
@@ -325,12 +300,7 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
             raise ConfigurationError("empty training set")
         rng = substream(seed, 101)
         starts += [pclass.center] + [pclass.sample(rng) for _ in range(k - 1)]
-    if len(training_sets) == 1:
-        X, Y = training_sets[0].x, training_sets[0].y
-    else:
-        X = np.stack([ts.x for ts in training_sets])
-        Y = np.stack([ts.y for ts in training_sets])
-    objective = _risk_and_grad_factory(family, pclass, X, Y, k)
+    objective = _risk_and_grad_factory(family, pclass, training_sets, k)
     thetas, fs, residuals = _projected_gradient(np.array(starts), *objective,
                                                 pclass, opts)
     results = []
@@ -344,11 +314,12 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
     return results
 
 
-def trial_groups(n_trials: int, m: int, opts: ErmOptions) -> list:
-    """Slices of n_trials trials on m rows, each a stack of at most
-    ``TRIAL_STACK_ROWS`` (theta, row) pairs, or one trial when its own
-    starts exceed that."""
-    return theta_groups(n_trials, max(1, opts.n_starts) * m, TRIAL_STACK_ROWS)
+def trial_groups(n_trials: int, family, opts: ErmOptions) -> list:
+    """Slices of n_trials trials of one m, one ERM stack each: an affine
+    family's trials in stacks of at most ``TRIAL_STACK_ROWS`` starts, any
+    other family's one trial at a time."""
+    return theta_groups(n_trials, max(1, opts.n_starts),
+                        TRIAL_STACK_ROWS if family.affine else 1)
 
 
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
@@ -381,12 +352,12 @@ def excess_loss(family, x_eval, y_eval, theta_star, per_star):
     the excess in difference form; otherwise they are means of per-sample
     losses.
     """
-    if affine_moments(family):
+    if family.affine:
         moments = _Moments.of(x_eval, y_eval)
-        V_star = _affine_rows(family, theta_star)
+        V_star = family.affine_map(theta_star)
 
         def loss(theta):
-            V = _affine_rows(family, theta)
+            V = family.affine_map(theta)
             return float(moments.risk(V)), float(moments.change(V, V_star))
         return loss
 

@@ -11,7 +11,7 @@ import pytest
 
 from invlearn import (ElasticNetFamily, ErmOptions, ExperimentConfig,
                       FixedPointFamily, TikhonovFamily, erm_solve, experiment,
-                      run_rate_experiment, run_verification_suite)
+                      risk, run_rate_experiment, run_verification_suite)
 from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
 from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
@@ -235,7 +235,7 @@ def test_rate_experiment_isolates_a_trial_that_raises(monkeypatch):
     marked = cfg.param_class.sample(
         substream(derived_seed(cfg.master_seed, 1, 32, 3), 101))
     cfg = dataclasses.replace(cfg, family=FailsOnOneTrial(cfg, marked))
-    assert len(trial_groups(10, 32, ErmOptions())) == 1
+    assert len(trial_groups(10, cfg.family, ErmOptions())) == 1
     fit = run_rate_experiment(cfg)
 
     def one_trial_at_a_time(pclass, family, sets, seeds, opts):
@@ -251,6 +251,35 @@ def test_rate_experiment_isolates_a_trial_that_raises(monkeypatch):
     for r, ref in zip(fit.trials, per_trial.trials, strict=True):
         assert r == ref or r is failed[0]
     assert fit.csv_text() == per_trial.csv_text()
+
+
+def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
+    # the fixed point's trials are one-trial ERM stacks, and the one whose
+    # stack raises is recorded failed without being fitted a second time;
+    # the proxy and the fits are stand-ins
+    cfg = ExperimentConfig.from_dict(scalar_config(
+        family={"kind": "fixed_point", "contraction_budget": 0.5},
+        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0}))
+    marked = derived_seed(cfg.master_seed, 1, 32, 3)
+    stacks = []
+
+    def fit_stack(pclass, family, sets, seeds, opts):
+        stacks.append(len(sets))
+        if seeds[0] == marked:
+            raise ConvergenceError("the marked trial")
+        return [risk.ErmResult(theta=np.zeros(2), objective=0.0,
+                               residual=0.0, converged=True)]
+
+    def refit(*args, **kwargs):
+        raise AssertionError("a one-trial stack is not refitted")
+
+    monkeypatch.setattr(experiment, "optimal_target_proxy",
+                        lambda *args: (np.zeros(2), np.ones(cfg.n_mc)))
+    monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
+    monkeypatch.setattr(experiment, "erm_solve", refit)
+    fit = run_rate_experiment(cfg)
+    assert stacks == [1] * 40
+    assert [(r.m, r.trial) for r in fit.trials if r.failed] == [(32, 3)]
 
 
 def test_rate_experiment_scalar_trials_reach_the_tolerance():

@@ -16,15 +16,15 @@ from invlearn.errors import (ConfigurationError, ContractivityError,
                              ConvergenceError, DimensionMismatchError)
 from invlearn import hypotheses
 from invlearn.hypotheses import _stacked_dot
-from invlearn.risk import (_affine_rows, _batch_losses, _Moments,
-                           _risk_and_grad_factory)
+from invlearn.risk import _batch_losses, _Moments, _risk_and_grad_factory
+from invlearn.stochastics import TrainingSet
 
 
 def moment_gradient(fam, theta, X, Y):
     """``fam.risk_gradient`` of the empirical risk on (X, Y) at theta, or
     at each row of a theta stack."""
     moments = _Moments.of(np.asarray(X, float), np.asarray(Y, float))
-    return fam.risk_gradient(theta, _affine_rows(fam, theta), moments.S,
+    return fam.risk_gradient(theta, fam.affine_map(theta), moments.S,
                              moments.C)
 
 
@@ -81,6 +81,37 @@ def test_param_class_sobolev_membership():
     assert not pc.contains([0, 0, 0, 1.0])  # 4^2 * 1 > 1
     p = pc.project(np.array([0.0, 0.0, 0.0, 1.0]))
     assert pc.contains(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       smoothness=st.sampled_from([0.4, 1.0, 2.0]),
+       radius=st.sampled_from([0.1, 0.5, 2.0]),
+       scale=st.sampled_from([1e-3, 0.3, 1.0, 10.0, 1e4]))
+def test_sobolev_projection_is_the_nearest_point(seed, dim, smoothness,
+                                                 radius, scale):
+    # a row outside the ellipsoid {sum_k (k^s theta_k)^2 <= r^2} lands on
+    # its boundary, inside as computed, at the point x with theta - x =
+    # lam W^2 x, lam >= 0 (the optimality condition of the nearest
+    # point); the map is idempotent and non-expansive
+    pc = ParamClass(kind="sobolev_ball", dim=dim, radius=radius,
+                    smoothness=smoothness)
+    w2 = np.arange(1, dim + 1) ** (2 * smoothness)
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, dim)) * scale
+    pa, pb = pc.project(a), pc.project(b)
+    for theta, x in ((a, pa), (b, pb)):
+        assert pc.contains(x, tol=0.0)
+        np.testing.assert_array_equal(pc.project(x), x)
+        if np.sum(w2 * theta**2) > radius**2:
+            assert np.sqrt(np.sum(w2 * x**2)) >= radius * (1 - 1e-12)
+            lam = (theta - x) @ (w2 * x) / np.sum((w2 * x)**2)
+            assert lam >= 0
+            np.testing.assert_allclose(theta - x, lam * w2 * x, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(theta))
+        else:
+            np.testing.assert_array_equal(x, theta)
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) * (1 + 1e-9)
 
 
 def test_param_class_singleton():
@@ -279,13 +310,15 @@ def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
         with pytest.raises(ConfigurationError, match="singular"):
             fam.affine_map(thetas)
         return
-    G, c = fam.affine_map(thetas)
+    V = fam.affine_map(thetas)
     R = fam.reconstruct_batch(thetas, Y)
-    assert G.shape == (k, shape[1], shape[0]) and R.shape == (k, 5, shape[1])
+    assert V.shape == (k, shape[0] + 1, shape[1])
+    assert R.shape == (k, 5, shape[1])
     for i, theta in enumerate(thetas):
-        np.testing.assert_array_equal(G[i], maps[i][0])
-        np.testing.assert_array_equal(c[i], maps[i][1])
+        np.testing.assert_array_equal(V[i], maps[i])
         np.testing.assert_array_equal(R[i], fam.reconstruct_batch(theta, Y))
+        # R_theta(y) = (y, 1) V
+        np.testing.assert_array_equal(R[i], Y @ V[i, :-1] + V[i, -1])
     g = moment_gradient(fam, thetas, X, Y)
     for i, theta in enumerate(thetas):
         np.testing.assert_array_equal(g[i], moment_gradient(fam, theta, X, Y))
@@ -426,8 +459,8 @@ def test_moment_path_matches_per_sample_reference(seed, kind, shape,
     k = n_trials * n_starts
     thetas = np.array([pc.sample(rng) for _ in range(k)])
     thetas_c = pc.project(thetas + 1e-3 * rng.standard_normal(thetas.shape))
-    data = (X[0], Y[0]) if n_trials == 1 else (X, Y)
-    risk, grad, change = _risk_and_grad_factory(fam, pc, *data, n_starts)
+    sets = [TrainingSet(x, y, 0) for x, y in zip(X, Y)]
+    risk, grad, change = _risk_and_grad_factory(fam, pc, sets, n_starts)
     rows = np.arange(k)
     try:
         (f, V), (f_c, V_c) = risk(thetas, rows), risk(thetas_c, rows)
@@ -622,10 +655,10 @@ def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
 @pytest.mark.parametrize("kind", ["scale", "diagonal", "full",
                                   "elastic_net_1", "elastic_net_0.5",
                                   "fixed_point"])
-def test_reconstruct_batch_reads_one_batch_per_theta(monkeypatch, kind):
-    # a (k, m, n_y) batch gives theta i its own batch Y_i: slice i is the
-    # one-theta call on Y_i bit for bit, also across the groups of at most
-    # STACK_ROWS (theta, row) pairs that an iterative solve is split into
+def test_reconstruct_batch_rejects_per_theta_batches(kind):
+    # the data are one (m, n_y) batch shared by every theta of a stack: a
+    # (k, m, n_y) batch, one per theta, is rejected by every family and
+    # by both iterative solvers
     rng = np.random.default_rng(10)
     A = ForwardOperator.from_matrix(rng.standard_normal((3, 2)))
     if kind == "fixed_point":
@@ -638,12 +671,14 @@ def test_reconstruct_batch_reads_one_batch_per_theta(monkeypatch, kind):
     k, m = 5, 4
     thetas = rng.standard_normal((k, fam.dim)) * 0.5
     Y = rng.standard_normal((k, m, 3))
-    monkeypatch.setattr(hypotheses, "STACK_ROWS", 2 * m)
-    R = fam.reconstruct_batch(thetas, Y)
-    assert R.shape == (k, m, 2)
-    for i in range(k):
-        np.testing.assert_array_equal(R[i],
-                                      fam.reconstruct_batch(thetas[i], Y[i]))
+    assert fam.reconstruct_batch(thetas, Y[0]).shape == (k, m, 2)
+    with pytest.raises(DimensionMismatchError):
+        fam.reconstruct_batch(thetas, Y)
+    solver = {"fixed_point": reconstruct_fixed_point,
+              "elastic_net_0.5": reconstruct_elastic_net}.get(kind)
+    if solver is not None:
+        with pytest.raises(DimensionMismatchError):
+            solver(fam.unpack(thetas), A, Y)
 
 
 def test_theta_groups_at_bench_and_proxy_sizes():

@@ -14,7 +14,7 @@ from invlearn import (ElasticNetFamily, ErmOptions, FixedPointFamily,
                       optimal_target_proxy)
 from invlearn import hypotheses, risk
 from invlearn.errors import ConfigurationError, ConvergenceError
-from invlearn.risk import (ERM_TOL, _affine_rows, _batch_losses, _Moments,
+from invlearn.risk import (ERM_TOL, _batch_losses, _Moments,
                            _projected_gradient, _risk_and_grad_factory,
                            erm_solve_trials)
 from invlearn.stochastics import TrainingSet, substream
@@ -206,7 +206,7 @@ def test_erm_risk_and_grad_match_reference(structure):
     # in; the risk is the per-sample empirical risk up to rounding
     dist, fam, pc = vector_setup(structure)
     ts = draw_training_set(dist, 40, seed=13)
-    risk, grad, _ = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    risk, grad, _ = _risk_and_grad_factory(fam, pc, [ts])
     moments = _Moments.of(ts.x, ts.y)
     rng = np.random.default_rng(14)
     t1, t2 = pc.sample(rng), pc.sample(rng)
@@ -217,10 +217,10 @@ def test_erm_risk_and_grad_match_reference(structure):
         g = grad(thetas, V, rows)
         assert f.shape == (len(stack),) and g.shape == thetas.shape
         for theta, f_row, V_row, g_row in zip(thetas, f, V, g):
-            assert f_row == moments.risk(_affine_rows(fam, theta))
+            assert f_row == moments.risk(fam.affine_map(theta))
             assert f_row == pytest.approx(empirical_risk(ts, theta, fam),
                                           rel=1e-13)
-            np.testing.assert_array_equal(V_row, _affine_rows(fam, theta))
+            np.testing.assert_array_equal(V_row, fam.affine_map(theta))
             np.testing.assert_array_equal(
                 g_row, fam.risk_gradient(theta, V_row, moments.S, moments.C))
 
@@ -255,6 +255,39 @@ def test_erm_reconstructs_each_theta_once(monkeypatch):
     assert len(calls) < len(rows)
 
 
+def test_erm_on_a_sobolev_ellipse_ends_at_a_kkt_point():
+    # diagonal Tikhonov, theta = (h, b), on the class h^2 + (2 b)^2 <= 1/4:
+    # with a radial rescaling in place of the projection, the fit stopped
+    # "converged" where -grad L is parallel to theta, at (0.0117, 0.2499)
+    # with risk 0.2158060.  It must end where -grad L = mu W^2 theta with
+    # mu >= 0, at a risk no higher than the best of a polar grid over the
+    # ellipse (0.2157506 at (0.0439, 0.2490) on a fine grid)
+    A = ForwardOperator.identity(1)
+    noise = GaussianSpec.iso(1, 0.5)
+    dist = ProblemDistribution(
+        prior=GaussianSpec(mean=np.array([2.0]),
+                           covariance_eigenvalues=np.array([1.0])),
+        noise=noise, forward=A)
+    fam = TikhonovFamily(A, noise, structure="diagonal")
+    pc = ParamClass(kind="sobolev_ball", dim=2, radius=0.5, smoothness=1.0)
+    ts = draw_training_set(dist, 400, seed=3)
+    res = erm_solve(pc, fam, ts, ErmOptions(seed=1))
+    assert res.converged
+    moments = _Moments.of(ts.x, ts.y)
+    g = fam.risk_gradient(res.theta, fam.affine_map(res.theta), moments.S,
+                          moments.C)
+    normal = np.array([1.0, 4.0]) * res.theta  # W^2 theta
+    mu = -(g @ normal) / (normal @ normal)
+    assert mu >= 0
+    assert np.linalg.norm(g + mu * normal) <= 1e-6
+    phi, rho = np.meshgrid(np.linspace(0, 2 * np.pi, 1001),
+                           np.linspace(0, 1, 101))
+    grid = np.stack([0.5 * rho * np.cos(phi), 0.25 * rho * np.sin(phi)],
+                    axis=-1).reshape(-1, 2)
+    grid = grid[[pc.contains(t, tol=0.0) for t in grid]]
+    assert res.objective <= moments.risk(fam.affine_map(grid)).min()
+
+
 # -- lock-step multi-start: each row is its own run ------------------------
 
 def one_start_reference(theta0, risk, grad, change, pclass, opts):
@@ -285,12 +318,12 @@ def one_start_reference(theta0, risk, grad, change, pclass, opts):
     return theta, f, residual
 
 
-def assert_rows_run_alone(fam, pc, X, Y, starts, opts):
+def assert_rows_run_alone(fam, pc, ts, starts, opts):
     """Every row of the lock-step run from ``starts`` returns the theta,
     objective and residual of its one-row run and of the one-start
     reference, bit for bit.  Returns the number of risk evaluations of each
     one-row run."""
-    risk, grad, change = _risk_and_grad_factory(fam, pc, X, Y)
+    risk, grad, change = _risk_and_grad_factory(fam, pc, [ts])
     thetas, f, residual = _projected_gradient(starts, risk, grad, change, pc,
                                               opts)
     evaluations = []
@@ -339,12 +372,12 @@ def test_lockstep_rows_equal_one_row_runs_tikhonov(seed, structure, shape, k,
     z = rng.standard_normal(fam.dim)
     starts = [z / np.linalg.norm(z)] + [pc.sample(rng) for _ in range(k)]
     first = _projected_gradient(
-        np.array(starts[1:2]), *_risk_and_grad_factory(fam, pc, ts.x, ts.y),
+        np.array(starts[1:2]), *_risk_and_grad_factory(fam, pc, [ts]),
         pc, ErmOptions())
     starts += [pc.center, first[0][0]]
     assert abs(np.linalg.norm(starts[0]) - 1.0) <= 1e-15
-    evaluations = assert_rows_run_alone(fam, pc, ts.x, ts.y,
-                                        np.array(starts), opts)
+    evaluations = assert_rows_run_alone(fam, pc, ts, np.array(starts),
+                                        opts)
     if max_iter > 0:
         assert evaluations[-2] == 1  # the center stops on its first risk
     if max_iter > 0 and first[2][0] <= ERM_TOL:
@@ -375,19 +408,20 @@ def fd_setup(kind, m, seed):
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
 def test_per_sample_risk_change_is_the_risk_difference(kind):
     # 1/2 mean((R_c - R).(R_c + R - 2X)) of every row of a stack, against
-    # f_c - f, on one training set and on the trials of a stack
+    # f_c - f, on the one training set a per-sample family fits; it fits
+    # no stack of two
     fam, pc, dist = fd_problem(kind)
     rng = np.random.default_rng(22)
     sets = [draw_training_set(dist, 5, seed=s) for s in (23, 24)]
-    X, Y = np.stack([ts.x for ts in sets]), np.stack([ts.y for ts in sets])
     thetas = np.array([pc.sample(rng) for _ in range(4)])
     thetas_c = pc.project(thetas + 1e-3 * rng.standard_normal(thetas.shape))
     rows = np.arange(4)
-    for data in ((X[0], Y[0]), (X, Y)):
-        risk, _, change = _risk_and_grad_factory(fam, pc, *data, n_starts=2)
-        (f, R), (f_c, R_c) = risk(thetas, rows), risk(thetas_c, rows)
-        np.testing.assert_allclose(change(R_c, R, rows), f_c - f,
-                                   rtol=0, atol=1e-15 * (1 + f.max()))
+    risk, _, change = _risk_and_grad_factory(fam, pc, sets[:1], n_starts=2)
+    (f, R), (f_c, R_c) = risk(thetas, rows), risk(thetas_c, rows)
+    np.testing.assert_allclose(change(R_c, R, rows), f_c - f,
+                               rtol=0, atol=1e-15 * (1 + f.max()))
+    with pytest.raises(ConfigurationError, match="one training set"):
+        _risk_and_grad_factory(fam, pc, sets, n_starts=2)
 
 
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
@@ -397,7 +431,7 @@ def test_lockstep_rows_equal_one_row_runs_finite_differences(kind):
     rng = np.random.default_rng(17)
     z = rng.standard_normal(fam.dim)
     starts = np.array([pc.center, z / np.linalg.norm(z), pc.sample(rng)])
-    assert_rows_run_alone(fam, pc, ts.x, ts.y, starts, ErmOptions(max_iter=3))
+    assert_rows_run_alone(fam, pc, ts, starts, ErmOptions(max_iter=3))
 
 
 def fd_gradient_reference(risk, thetas, step):
@@ -416,7 +450,7 @@ def fd_gradient_reference(risk, thetas, step):
 @pytest.mark.parametrize("kind", ["fixed_point", "elastic_net"])
 def test_stacked_fd_gradient_equals_per_coordinate_loop(kind):
     fam, pc, ts = fd_setup(kind, 6, seed=18)
-    risk_fn, grad, _ = _risk_and_grad_factory(fam, pc, ts.x, ts.y)
+    risk_fn, grad, _ = _risk_and_grad_factory(fam, pc, [ts])
     rng = np.random.default_rng(19)
     step = risk.FD_STEP_REL * pc.diameter
     for k in (1, 3):
@@ -434,7 +468,7 @@ def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
     # STACK_ROWS (theta, row) pairs, with the same gradient
     m, k = 5, 3
     fam, pc, ts = fd_setup(kind, m, seed=18)
-    grad = _risk_and_grad_factory(fam, pc, ts.x, ts.y)[1]
+    grad = _risk_and_grad_factory(fam, pc, [ts])[1]
     thetas = np.array([pc.sample(np.random.default_rng(i)) for i in range(k)])
     rows = np.arange(k)
     calls = []
@@ -458,17 +492,18 @@ def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
 # -- trial-stacked ERM: each trial is its own erm_solve -------------------
 
 def assert_trials_fit_alone(pc, fam, dist, m, n_trials, opts, seed):
-    """Fitted in stacks of two trials, as ``trial_groups`` splits them under
-    a budget of two trials, every trial returns the theta, objective,
-    residual and convergence flag of its own ``erm_solve``, bit for bit.
-    An odd count ends on a one-trial stack, which reads its batch as it
-    is."""
+    """Fitted in the stacks ``trial_groups`` makes -- for an affine family
+    under a budget of two trials, of which an odd count ends on a one-trial
+    stack; for any other family, one trial each -- every trial returns the
+    theta, objective, residual and convergence flag of its own
+    ``erm_solve``, bit for bit."""
     sets = [draw_training_set(dist, m, seed + t) for t in range(n_trials)]
     seeds = [seed + 100 + t for t in range(n_trials)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(risk, "TRIAL_STACK_ROWS", 2 * max(1, opts.n_starts) * m)
-        groups = risk.trial_groups(n_trials, m, opts)
-    assert len(groups) == (n_trials + 1) // 2 >= 2
+        mp.setattr(risk, "TRIAL_STACK_ROWS", 2 * max(1, opts.n_starts))
+        groups = risk.trial_groups(n_trials, fam, opts)
+    per_stack = 2 if fam.affine else 1
+    assert len(groups) == -(-n_trials // per_stack) >= 2
     fits = [fit for g in groups
             for fit in erm_solve_trials(pc, fam, sets[g], seeds[g], opts)]
     assert len(fits) == n_trials
@@ -507,11 +542,57 @@ def test_trial_stack_equals_one_erm_solve_per_trial(seed, kind, shape, m,
 
 @pytest.mark.parametrize("kind", ["elastic_net", "fixed_point"])
 def test_trial_stack_equals_one_erm_solve_per_trial_iterative(kind):
-    # the alpha = 0.5 Elastic-Net and fixed-point solvers on a batch per
-    # theta, with a 3-iteration cap
+    # the alpha = 0.5 Elastic-Net and fixed-point families fit one trial
+    # per stack, with a 3-iteration cap; two training sets in one stack
+    # are a configuration error
     fam, pc, dist = fd_problem(kind)
-    assert_trials_fit_alone(pc, fam, dist, 3, 3,
-                            ErmOptions(max_iter=3, n_starts=2), 21)
+    opts = ErmOptions(max_iter=3, n_starts=2)
+    assert_trials_fit_alone(pc, fam, dist, 3, 3, opts, 21)
+    sets = [draw_training_set(dist, 3, s) for s in (21, 22)]
+    with pytest.raises(ConfigurationError, match="one training set"):
+        erm_solve_trials(pc, fam, sets, [1, 2], opts)
+
+
+# -- the affine flag ---------------------------------------------------------
+
+def test_affine_flag_of_each_family():
+    A = ForwardOperator.power_decay(2, 1.0)
+    noise = GaussianSpec.iso(2, 0.5)
+    for structure in ("scale", "diagonal", "full"):
+        assert TikhonovFamily(A, noise, structure=structure).affine
+    assert ElasticNetFamily(A, alpha=1.0).affine
+    assert not ElasticNetFamily(A, alpha=0.5).affine
+    assert not FixedPointFamily(A, 0.5).affine
+
+
+class FixedPointWithAffineMap(FixedPointFamily):
+    """A fixed-point family (alpha 1.0) that also has an ``affine_map``:
+    neither makes it affine, so nothing may call that map."""
+
+    def affine_map(self, theta):
+        raise AssertionError("affine_map of a family that is not affine")
+
+
+def test_only_the_affine_flag_selects_the_moment_path():
+    fam, pc, dist = fd_problem("fixed_point")
+    fam = FixedPointWithAffineMap(fam.op, fam.L_z)
+    assert fam.alpha == 1.0 and not fam.affine
+    ts = draw_training_set(dist, 5, seed=25)
+    thetas = np.array([pc.sample(np.random.default_rng(i)) for i in range(3)])
+    # the per-sample ERM objective: its states are the reconstructions
+    f, R = _risk_and_grad_factory(fam, pc, [ts])[0](thetas, np.arange(3))
+    assert R.shape == (3, 5, 2)
+    np.testing.assert_array_equal(f, [empirical_risk(ts, t, fam)
+                                      for t in thetas])
+    # the per-sample loss and sample error on an evaluation sample
+    x_eval, y_eval = dist.sample(substream(26, 1), 200)
+    per_star = _batch_losses(fam, thetas[0], x_eval, y_eval)
+    per = _batch_losses(fam, thetas[1], x_eval, y_eval)
+    assert risk.excess_loss(fam, x_eval, y_eval, thetas[0], per_star)(
+        thetas[1]) == (float(per.mean()), float((per - per_star).mean()))
+    # one trial per ERM stack
+    assert risk.trial_groups(3, fam, ErmOptions()) == [
+        slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 # -- optimal_target_proxy --------------------------------------------------
