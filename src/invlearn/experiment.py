@@ -167,6 +167,8 @@ def _read_problem(problem) -> ProblemDistribution:
                 raise ConfigurationError(
                     f"config problem.{name}.{key} does not fit "
                     f"problem.forward.{n_key} = {forward[n_key]}")
+        if name == "noise" and any(law["mean"]):
+            raise ConfigurationError("config problem.noise.mean must be zero")
         if kind == "gaussian":
             laws[name] = _build(f"problem.{name}", GaussianSpec,
                                 mean=law["mean"],
@@ -193,13 +195,14 @@ class ExperimentConfig:
     def __post_init__(self):
         mg = self.m_grid  # a tuple of positive integers (schema-checked)
         if any(b <= a for a, b in zip(mg, mg[1:])) or not mg:
-            raise ConfigurationError("m_grid must be non-empty, strictly increasing")
+            raise ConfigurationError(
+                "config m_grid must be non-empty, strictly increasing")
         if self.trials_per_m < 1:
-            raise ConfigurationError("trials_per_m must be >= 1")
+            raise ConfigurationError("config trials_per_m must be >= 1")
         if self.proxy_m < 100 * max(mg):
-            raise ConfigurationError("proxy_m must be >= 100 * max(m_grid)")
+            raise ConfigurationError("config proxy_m must be >= 100 * max(m_grid)")
         if self.n_mc < 100:
-            raise ConfigurationError("n_mc must be >= 100")
+            raise ConfigurationError("config n_mc must be >= 100")
 
     @property
     def digest(self) -> int:
@@ -341,7 +344,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     goes to this module's logger at INFO.
     """
     if cfg.trials_per_m < 10:
-        raise ConfigurationError("rate fits need trials_per_m >= 10")
+        raise ConfigurationError("config trials_per_m must be >= 10 for a rate fit")
     family = cfg.family
     pclass = cfg.param_class
     # one shared evaluation sample: common random numbers across all trials
@@ -495,6 +498,10 @@ def run_verification_suite(cfg: ExperimentConfig,
     stability/sublinearity certificate on probes, (c) loss averages
     contract at the expected 1/sqrt(m) envelope, and, for Elastic-Net,
     (d) the learned-penalty hypotheses.
+
+    Its two large draws stream through ``ProblemDistribution.draw`` in row
+    blocks.  Fixed-point rows stop together per block: at ``pclass.center``
+    all stop at step 0 in iteration 2, as unblocked; elsewhere within 2 tol.
     """
     report = {"checks": {}, "passed": True}
 
@@ -511,10 +518,11 @@ def run_verification_suite(cfg: ExperimentConfig,
     q = q_route(dist)
     report["q_route"] = q
 
-    rng = substream(cfg.master_seed, 501)
-    x, y = dist.sample(rng, n_samples)
-    for name, v in (("x_sq_norm", np.sum(x**2, axis=1)),
-                    ("y_sq_norm", np.sum(y**2, axis=1))):
+    x, blocks = dist.draw(substream(cfg.master_seed, 501), n_samples)
+    y_sq = np.empty(n_samples)
+    for rows, y_b in blocks:
+        y_sq[rows] = np.sum(y_b**2, axis=1)
+    for name, v in (("x_sq_norm", np.sum(x**2, axis=1)), ("y_sq_norm", y_sq)):
         norm = orlicz_norm(v, q)
         record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
                and tail_check(v, norm * 1.05, q), q=q, norm=norm)
@@ -547,9 +555,11 @@ def run_verification_suite(cfg: ExperimentConfig,
 
     # one draw of losses at the class centre serves every m: a trial's
     # m-average reads the first m losses of its row
-    xs, ys = dist.sample(substream(cfg.master_seed, 505),
-                         CONTRACTION_TRIALS * max(CONTRACTION_M_GRID))
-    losses = _batch_losses(family, pclass.center, xs, ys)
+    xs, blocks = dist.draw(substream(cfg.master_seed, 505),
+                           CONTRACTION_TRIALS * max(CONTRACTION_M_GRID))
+    losses = np.empty(len(xs))
+    for rows, y_b in blocks:
+        losses[rows] = _batch_losses(family, pclass.center, xs[rows], y_b)
     table = empirical_average_contraction(
         losses.reshape(CONTRACTION_TRIALS, -1), q, CONTRACTION_M_GRID)
     degenerate = bool(np.all(table.k_hat == 0))  # identically-zero loss process

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
+from .hypotheses import STACK_ROWS
 from .operators import ForwardOperator, GaussianSpec
 
 ORLICZ_REL_TOL = 1e-4   # relative bracket width at which the bisection stops
@@ -47,12 +48,14 @@ class BoundedSpec:
         z = rng.standard_normal((size, self.dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         u = rng.random(size) ** (1.0 / self.dim)
-        return self.radius * z * u[:, None]
+        z *= self.radius  # in place, in the order of radius * z * u[:, None]
+        z *= u[:, None]
+        return z
 
 
 @dataclass(frozen=True)
 class ProblemDistribution:
-    """Joint law of (x, y): x ~ prior, eps ~ noise, y = A x + eps."""
+    """Joint law of x ~ prior and y = A x + eps, eps ~ noise; see ``draw``."""
 
     prior: GaussianSpec | BoundedSpec
     noise: GaussianSpec
@@ -66,12 +69,26 @@ class ProblemDistribution:
         if np.any(self.noise.mean != 0):
             raise ConfigurationError("noise must be zero-mean")
 
-    def sample(self, rng: np.random.Generator, size: int):
-        """Draw (x, eps) and return (x, y) with y = A x + eps."""
+    def draw(self, rng: np.random.Generator, size: int):
+        """x of ``size`` pairs, and a generator of (rows, y[rows]) in blocks of
+        ``STACK_ROWS`` rows, each block's noise drawn from ``rng`` when it is
+        reached: consume every block before the next draw from ``rng``.  The
+        noise continues one stream, so no value depends on the block size."""
         x = self.prior.sample(rng, size)
-        eps = self.noise.sample(rng, size)
-        y = self.forward.apply(x)
-        y += eps
+        def blocks():
+            for i in range(0, size, STACK_ROWS):
+                rows = slice(i, i + STACK_ROWS)
+                y_b = self.forward.apply(x[rows])
+                y_b += self.noise.sample(rng, len(y_b))
+                yield rows, y_b
+        return x, blocks()
+
+    def sample(self, rng: np.random.Generator, size: int):
+        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array."""
+        x, blocks = self.draw(rng, size)
+        y = np.empty((size, self.forward.n_y))
+        for rows, y_b in blocks:
+            y[rows] = y_b
         return x, y
 
 
@@ -100,14 +117,12 @@ class TrainingSet:
 def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingSet:
     """m i.i.d. pairs from the joint law, bitwise-deterministic given seed.
 
-    The prior and noise draws come from a single substream keyed by the
-    seed, consumed in a fixed vectorized order (all x first, then all eps),
-    which keeps the pairs i.i.d. and the whole set reproducible.
+    The prior and noise draws come from one substream keyed by the seed, in
+    the order of ``ProblemDistribution.draw``, so the set is reproducible.
     """
     if m < 1:
         raise ConfigurationError("training set size must be >= 1")
-    rng = substream(seed, 0)
-    x, y = dist.sample(rng, m)
+    x, y = dist.sample(substream(seed, 0), m)
     return TrainingSet(x=x, y=y, seed=int(seed))
 
 

@@ -300,7 +300,8 @@ SCHEMA_CASES = {
         _edit("problem.forward.basis", {"left": [[2.0]]}), "problem.forward"),
     "non-orthonormal prior basis": (
         _edit("problem.prior.cov_basis", [[2.0]]), "problem.prior"),
-    "non-zero noise mean": (_edit("problem.noise.mean", [1.0]), "problem"),
+    "non-zero noise mean": (_edit("problem.noise.mean", [1.0]),
+                            "problem.noise.mean"),
     # `delta` is not a config key, whatever its value
     "delta below root trace": (_edit("problem.delta", 0.5),
                                "unknown config key: problem.delta"),

@@ -5,19 +5,23 @@ import inspect
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from invlearn import (ElasticNetFamily, ErmOptions, ExperimentConfig,
-                      FixedPointFamily, TikhonovFamily, erm_solve, experiment,
-                      risk, run_rate_experiment, run_verification_suite)
+                      FixedPointFamily, ForwardOperator, GaussianSpec,
+                      ParamClass, ProblemDistribution, TikhonovFamily,
+                      erm_solve, experiment, risk, run_rate_experiment,
+                      run_verification_suite)
 from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
 from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
                                  bound_domination_check, bound_inputs,
                                  canonical_json, derived_seed, fnv1a64,
                                  q_route)
+from invlearn.hypotheses import STACK_ROWS
 from invlearn.risk import erm_solve_trials, trial_groups
 from invlearn.stochastics import substream
 
@@ -108,6 +112,23 @@ def test_config_rejects_small_n_mc():
     with pytest.raises(ConfigurationError, match="n_mc"):
         ExperimentConfig.from_dict(scalar_config(n_mc=1))
     assert ExperimentConfig.from_dict(scalar_config(n_mc=100)).n_mc == 100
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"m_grid": [32, 16]}, "m_grid"), ({"trials_per_m": 0}, "trials_per_m"),
+    ({"proxy_m": 100}, "proxy_m"), ({"n_mc": 1}, "n_mc")])
+def test_config_range_errors_name_their_path(overrides, path):
+    # like every other load error, a range error starts with its config path
+    with pytest.raises(ConfigurationError, match=rf"^config {path} "):
+        ExperimentConfig.from_dict(scalar_config(**overrides))
+
+
+def test_config_nonzero_noise_mean_names_its_path():
+    cfg = scalar_config()
+    cfg["problem"]["noise"]["mean"] = [0.5]
+    with pytest.raises(ConfigurationError,
+                       match=r"^config problem\.noise\.mean must be zero"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_config_schema_accepts_every_documented_key():
@@ -316,7 +337,7 @@ def test_rate_experiment_singleton_degenerate():
 
 def test_rate_experiment_requires_enough_trials():
     cfg = ExperimentConfig.from_dict(scalar_config(trials_per_m=5))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^config trials_per_m "):
         run_rate_experiment(cfg)
 
 
@@ -506,3 +527,90 @@ def test_verification_suite_invalid_elastic_net_penalty():
                                 "eta": 0.5, "structure": "scale"})
     with pytest.raises(ConfigurationError, match=r"^config family: alpha"):
         ExperimentConfig.from_dict(cfg)
+
+
+def _suite_losses(family, theta, dist, size):
+    """The verification suite's blocked loss draw at ``theta``, and the
+    full-size reference: ``_batch_losses`` on one ``sample`` of the same
+    stream."""
+    x, blocks = dist.draw(substream(3, 505), size)
+    losses = np.empty(size)
+    for rows, y_b in blocks:
+        losses[rows] = risk._batch_losses(family, theta, x[rows], y_b)
+    x, y = dist.sample(substream(3, 505), size)
+    return losses, risk._batch_losses(family, theta, x, y)
+
+
+def _suite_problem():
+    op = ForwardOperator.power_decay(2, 1.0)
+    return op, ProblemDistribution(prior=GaussianSpec.iso(2, 1.0),
+                                   noise=GaussianSpec.iso(2, 0.1), forward=op)
+
+
+BLOCK_ROWS = 2 * STACK_ROWS + 3  # two full blocks and a short one
+
+
+SUITE_FAMILIES = {
+    "tikhonov": lambda op, noise: TikhonovFamily(op, noise, "diagonal"),
+    "elastic_net_1": lambda op, noise: ElasticNetFamily(op, 1.0, 0.5,
+                                                        "diagonal"),
+    "elastic_net_0.5": lambda op, noise: ElasticNetFamily(op, 0.5, 0.5,
+                                                          "diagonal"),
+    "fixed_point": lambda op, noise: FixedPointFamily(op, 0.5)}
+
+
+@pytest.mark.parametrize("kind", sorted(SUITE_FAMILIES))
+def test_blocked_suite_losses_equal_the_full_draw(kind):
+    # every family at the class centre, the only theta the suite evaluates,
+    # and an affine one off it too: the blocks give the full draw's losses
+    # bit for bit
+    op, dist = _suite_problem()
+    family = SUITE_FAMILIES[kind](op, dist.noise)
+    pclass = ParamClass("euclidean_ball", family.dim)
+    thetas = [pclass.center]
+    if family.affine:
+        thetas.append(pclass.sample(substream(3, 1)))
+    for theta in thetas:
+        blocked, full = _suite_losses(family, theta, dist, BLOCK_ROWS)
+        assert np.array_equal(blocked, full)
+
+
+def test_blocked_fixed_point_losses_off_the_centre_within_two_tol():
+    # off the centre a block's rows stop on their own shared rule, so the
+    # blocked solve is not the full-batch one (at this theta the short last
+    # block stops earlier); each is within tol = 1e-10 of the fixed point,
+    # hence within 2 tol of the other, and |dL| <= |dR| (|R - x| + |dR| / 2)
+    op, dist = _suite_problem()
+    family = FixedPointFamily(op, 0.5)
+    theta = ParamClass("euclidean_ball", family.dim).sample(substream(3, 0))
+    blocked, full = _suite_losses(family, theta, dist, BLOCK_ROWS)
+    x, y = dist.sample(substream(3, 505), BLOCK_ROWS)
+    gap = np.linalg.norm(family.reconstruct_batch(theta, y) - x, axis=1)
+    tol = 1e-10
+    assert np.all(np.abs(blocked - full) <= 2 * tol * (gap + tol))
+
+
+def test_verification_suite_peak_memory():
+    # the 4-d diagonal Tikhonov config of the benchmark's verify_suite
+    # workload: the blocked suite holds the contraction draw's x (65.5 MB)
+    # and losses (16.4 MB) and one block, where the full-size draws peaked
+    # at 288 MB
+    n = 4
+    problem = {
+        "forward": {"n_x": n, "n_y": n, "basis": "identity",
+                    "singular_values": [1.0 / k for k in range(1, n + 1)]},
+        "prior": {"type": "gaussian", "mean": [0.0] * n,
+                  "cov_eigenvalues": [1.0] * n},
+        "noise": {"type": "gaussian", "mean": [0.0] * n,
+                  "cov_eigenvalues": [0.1] * n}}
+    cfg = ExperimentConfig.from_dict(scalar_config(
+        problem=problem, family={"kind": "tikhonov", "structure": "diagonal"},
+        param_class={"kind": "euclidean_ball", "dim": 2 * n, "radius": 1.0},
+        proxy_m=12_800, n_mc=20_000))
+    tracemalloc.start()
+    try:
+        run_verification_suite(cfg, n_samples=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110e6, peak

@@ -10,6 +10,7 @@ from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       empirical_average_contraction, orlicz_norm, substream,
                       tail_check)
 from invlearn.errors import ConfigurationError
+from invlearn.hypotheses import STACK_ROWS
 from invlearn.stochastics import _binom_cdf, _logsumexp, _within_quantile
 
 
@@ -76,6 +77,77 @@ def test_csv_dump_header(tmp_path):
     ts.to_csv(path)
     first = path.read_text().splitlines()[0]
     assert first == "j,x_0,y_0"
+
+
+# -- the block stream of ProblemDistribution.draw --------------------------
+
+def full_draw(dist, rng, size):
+    """The reference draw: all x, then all eps, then y = A x + eps, each a
+    full-size array."""
+    x = dist.prior.sample(rng, size)
+    eps = dist.noise.sample(rng, size)
+    y = dist.forward.apply(x)
+    y += eps
+    return x, y
+
+
+def _rotation(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+BLOCK_LAWS = {
+    # Gaussian prior and noise, each with a covariance basis
+    "gaussian_cov_basis": ProblemDistribution(
+        prior=GaussianSpec(mean=[0.5, -1.0, 0.0],
+                           covariance_eigenvalues=[1.0, 0.3, 0.7],
+                           covariance_basis=_rotation(3, 1)),
+        noise=GaussianSpec(mean=[0.0] * 3,
+                           covariance_eigenvalues=[0.1, 0.2, 0.05],
+                           covariance_basis=_rotation(3, 2)),
+        forward=ForwardOperator.power_decay(3, 1.0)),
+    "uniform_ball": ProblemDistribution(
+        prior=BoundedSpec(dim=2, radius=0.7),
+        noise=GaussianSpec.iso(2, 0.1),
+        forward=ForwardOperator.diagonal([1.0, 0.5])),
+    # n_y = 4 != n_x = 3
+    "from_matrix": ProblemDistribution(
+        prior=GaussianSpec.iso(3, 1.0),
+        noise=GaussianSpec.iso(4, 0.3),
+        forward=ForwardOperator.from_matrix(
+            np.random.default_rng(3).standard_normal((4, 3)))),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BLOCK_LAWS))
+@pytest.mark.parametrize("size", [1, STACK_ROWS - 1, STACK_ROWS,
+                                  STACK_ROWS + 1, 2 * STACK_ROWS + 3])
+def test_draw_blocks_join_to_the_full_draw(law, size):
+    # the blocks continue one stream: joined, they equal the full-size draw
+    # bit for bit, and so does sample, which is built on them
+    dist = BLOCK_LAWS[law]
+    x_ref, y_ref = full_draw(dist, substream(7, 0), size)
+    x, blocks = dist.draw(substream(7, 0), size)
+    blocks = list(blocks)
+    assert [b[0] for b in blocks] == [slice(i, i + STACK_ROWS)
+                                      for i in range(0, size, STACK_ROWS)]
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(np.concatenate([y_b for _, y_b in blocks]), y_ref)
+    x_s, y_s = dist.sample(substream(7, 0), size)
+    assert np.array_equal(x_s, x_ref) and np.array_equal(y_s, y_ref)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 1.0), (2, 0.7), (5, 3.3)])
+def test_bounded_sample_in_place_keeps_its_rounding(dim, radius):
+    # the in-place draw rounds as radius * z * u[:, None] did
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((1000, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    u = rng.random(1000) ** (1.0 / dim)
+    expected = radius * z * u[:, None]
+    drawn = BoundedSpec(dim=dim, radius=radius).sample(
+        np.random.default_rng(11), 1000)
+    assert np.array_equal(drawn, expected)
 
 
 # -- orlicz_norm -----------------------------------------------------------
