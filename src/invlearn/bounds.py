@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 COVERING_GRID = 200  # log-grid points over which covering_bound is minimized
-COVER_BLOCK = 64  # rows of greedy_cover's distance matrix held at once
+COVER_BLOCK = 64  # sorted rows of greedy_cover's band computed at once
 C = C1 = C2 = 1.0  # absolute constants of the covering and chaining bounds
 
 
@@ -36,31 +36,47 @@ def covering_ball(d: int, D: float, r: float) -> float:
     return max(1.0, (2.0 * D * math.sqrt(d) / r) ** d)
 
 
-def _cover_matrix(pts: np.ndarray, r: float) -> np.ndarray:
-    """covers[i, j]: the radius-r ball at point i covers point j.
+def _band(x0: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column windows [lo[i], hi[i]) of the sorted first coordinates ``x0``
+    outside of which (x0[i] - x0[j])^2 alone exceeds the cover limit.  The
+    reach's relative margin absorbs the rounding of that square and of the
+    limit, its absolute one the rounding of x0 -/+ reach."""
+    reach = r * (1 + 1e-6) + 4 * np.finfo(float).eps * np.abs(x0).max()
+    return (np.searchsorted(x0, x0 - reach, side="left"),
+            np.searchsorted(x0, x0 + reach, side="right"))
+
+
+def _cover_matrix(pts: np.ndarray, r: float):
+    """The stable sort ``order`` of the points by first coordinate, and
+    covers[i, j]: the radius-r ball at sorted point i covers sorted point j.
 
     The tolerance absorbs floating-point noise for points exactly on a
     ball's boundary.  Squared distances are summed coordinate by coordinate
-    in order, ``COVER_BLOCK`` rows at a time, so no n x n float matrix is
-    held; they equal ``cdist(pts, pts, "sqeuclidean")`` bit for bit, and
-    the matrix is symmetric.
+    in order, ``COVER_BLOCK`` sorted rows at a time, over the columns in
+    the ``_band`` of the block's rows only; the rest stay False.  Every
+    entry equals the test on ``cdist(pts[order], pts[order],
+    "sqeuclidean")`` bit for bit, and the matrix is symmetric.
     """
-    n = pts.shape[0]
-    covers = np.empty((n, n), dtype=bool)
-    acc_buf = np.empty((min(n, COVER_BLOCK), n))
+    order = np.argsort(pts[:, 0], kind="stable")
+    pts, n = pts[order], pts.shape[0]
+    lo, hi = _band(pts[:, 0], r)
+    covers = np.zeros((n, n), dtype=bool)
+    acc_buf = np.empty(min(n, COVER_BLOCK) * n)
     tmp_buf = np.empty_like(acc_buf)
     for start in range(0, n, COVER_BLOCK):
         rows = pts[start:start + COVER_BLOCK]
-        acc, tmp = acc_buf[:len(rows)], tmp_buf[:len(rows)]
-        np.subtract(rows[:, :1], pts[:, 0], out=acc)
+        a, b = lo[start], hi[start + len(rows) - 1]
+        acc = acc_buf[:len(rows) * (b - a)].reshape(len(rows), b - a)
+        tmp = tmp_buf[:acc.size].reshape(acc.shape)
+        np.subtract(rows[:, :1], pts[a:b, 0], out=acc)
         np.multiply(acc, acc, out=acc)
         for k in range(1, pts.shape[1]):
-            np.subtract(rows[:, k, None], pts[:, k], out=tmp)
+            np.subtract(rows[:, k, None], pts[a:b, k], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             np.add(acc, tmp, out=acc)
         np.less_equal(acc, (r * r) * (1 + 1e-9),
-                      out=covers[start:start + COVER_BLOCK])
-    return covers
+                      out=covers[start:start + COVER_BLOCK, a:b])
+    return order, covers
 
 
 def greedy_cover(points, r: float) -> int:
@@ -68,22 +84,34 @@ def greedy_cover(points, r: float) -> int:
 
     Each step picks the point whose ball covers the most still-uncovered
     points (ties broken by lowest index).  Upper-bounds the covering number
-    of the set; used as a cross-check oracle in low dimension.
+    of the set; used as a cross-check oracle in low dimension.  The points
+    are swept in order of their first coordinate, and gains are summed and
+    updated within the ``_band`` windows of ``_cover_matrix`` only.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n == 0:
         raise ConfigurationError("point set must be non-empty")
-    # the matrix is symmetric, so row j lists the balls that cover point j
-    covers = _cover_matrix(pts, r)
-    gains = covers.sum(axis=1)  # still-uncovered points in each ball
+    if not np.isfinite(pts).all():
+        raise ConfigurationError("points must have finite coordinates")
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigurationError("radius r must be finite and positive")
+    order, covers = _cover_matrix(pts, r)
+    lo, hi = _band(pts[order, 0], r)
+    # the matrix is symmetric, so row j lists the balls that cover point j;
+    # gains count the still-uncovered points in each ball
+    gains = np.concatenate([np.count_nonzero(
+        covers[s:s + COVER_BLOCK, lo[s]:hi[min(s + COVER_BLOCK, n) - 1]],
+        axis=1) for s in range(0, n, COVER_BLOCK)])
     uncovered = np.ones(n, dtype=bool)
     count = 0
     while uncovered.any():
-        center = int(np.argmax(gains))
-        newly = covers[center] & uncovered
-        uncovered &= ~newly
-        gains -= covers[newly].sum(axis=0)
+        best = np.flatnonzero(gains == gains.max())
+        center = best[np.argmin(order[best])]  # lowest original index
+        newly = np.flatnonzero(covers[center] & uncovered)
+        uncovered[newly] = False
+        a, b = lo[newly[0]], hi[newly[-1]]
+        gains[a:b] -= np.count_nonzero(covers[newly, a:b], axis=0)
         count += 1
     return count
 

@@ -104,10 +104,45 @@ def test_greedy_cover_matches_reference_on_random_clouds():
             assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
 
 
+@pytest.mark.parametrize("points, r, name", [
+    ([[0.0], [np.nan]], 0.5, "points"),
+    ([[0.0], [np.inf]], 0.5, "points"),
+    ([[0.0, -np.inf], [1.0, 0.0]], 0.5, "points"),
+    ([[0.0], [1.0]], -0.5, "radius r"),
+    ([[0.0], [1.0]], 0.0, "radius r"),
+    ([[0.0], [1.0]], np.nan, "radius r"),
+    ([[0.0], [1.0]], np.inf, "radius r"),
+])
+def test_greedy_cover_rejects_bad_input(points, r, name):
+    # a NaN coordinate is covered by no ball, so the greedy would not end;
+    # a negative r would act as |r|
+    with pytest.raises(ConfigurationError, match=name):
+        greedy_cover(points, r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_greedy_cover_matches_reference_across_blocks(d):
+    # 300-700 lattice points with spacing 1/4 span several COVER_BLOCKs, so
+    # boundary points and runs of equal first coordinates (the sort key)
+    # straddle block edges; some clouds have only 2 or 3 distinct first
+    # coordinates, and the appended copies give duplicate points
+    rng = np.random.default_rng(20 + d)
+    for n, n_first in ((700, 9), (300, 3), (500, 2), (400, 9)):
+        lattice = rng.integers(-4, 5, size=(n, d))
+        lattice[:, 0] = rng.integers(0, n_first, size=n) - n_first // 2
+        pts = 0.25 * lattice.astype(float)
+        pts = np.vstack([pts, pts[:n // 4]])
+        assert len(pts) > 4 * COVER_BLOCK
+        for r in (0.25, 0.5, 1.0, 2 ** 0.5, 2.0):
+            assert greedy_cover(pts, r) == greedy_cover_reference(pts, r)
+
+
 def test_cover_matrix_equals_cdist():
-    # the oracle is scipy's cdist; lattice points with spacing 1/4 sit
-    # exactly on ball boundaries at r = 1/2 and 1, and 2 * COVER_BLOCK + 7
-    # random points end in a partial block
+    # the oracle is scipy's cdist of the points in the returned order, a
+    # stable sort by first coordinate; every entry is compared, inside and
+    # outside the computed band.  Lattice points with spacing 1/4 sit
+    # exactly on ball boundaries at r = 1/2 and 1 and tie on the sort key,
+    # and 2 * COVER_BLOCK + 7 random points end in a partial block
     from scipy.spatial.distance import cdist
     rng = np.random.default_rng(9)
     for d in (1, 2, 3, 5):
@@ -115,10 +150,12 @@ def test_cover_matrix_equals_cdist():
         lattice = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, d)
         cloud = rng.uniform(-1.0, 1.0, size=(2 * COVER_BLOCK + 7, d))
         for pts in (lattice, cloud, np.vstack([cloud, lattice])):
-            d2 = cdist(pts, pts, "sqeuclidean")
             for r in (0.125, 0.25, 0.5, 1.0, 2 ** 0.5 / 4):
-                assert np.array_equal(_cover_matrix(pts, r),
-                                      d2 <= (r * r) * (1 + 1e-9))
+                order, covers = _cover_matrix(pts, r)
+                assert np.array_equal(
+                    order, np.argsort(pts[:, 0], kind="stable"))
+                d2 = cdist(pts[order], pts[order], "sqeuclidean")
+                assert np.array_equal(covers, d2 <= (r * r) * (1 + 1e-9))
 
 
 # -- CoveringModel ---------------------------------------------------------
