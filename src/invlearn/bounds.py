@@ -86,9 +86,14 @@ def greedy_cover(points, r: float) -> int:
     points (ties broken by lowest index).  Upper-bounds the covering number
     of the set; used as a cross-check oracle in low dimension.  The points
     are swept in order of their first coordinate, and gains are summed and
-    updated within the ``_band`` windows of ``_cover_matrix`` only.
+    updated within the ``_band`` windows of ``_cover_matrix`` only.  An
+    (n, d) array is n points in R^d, a 1-d one n scalar points.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim > 2:
+        raise ConfigurationError("points must be an (n, d) or a 1-d array")
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
     n = pts.shape[0]
     if n == 0:
         raise ConfigurationError("point set must be non-empty")
@@ -130,8 +135,8 @@ class CoveringModel:
 
     def __post_init__(self):
         if self.kind == "euclidean_ball":
-            if self.d is None or self.d < 1:
-                raise ConfigurationError("euclidean_ball needs d >= 1")
+            if self.d is None or self.d < 1 or self.D <= 0:
+                raise ConfigurationError("euclidean_ball needs d >= 1, D > 0")
         elif self.kind == "entropy_decay":
             if self.s is None or self.s <= 0 or self.c <= 0:
                 raise ConfigurationError("entropy_decay needs s > 0 and c > 0")
@@ -139,10 +144,15 @@ class CoveringModel:
             raise ConfigurationError(f"unknown covering model {self.kind!r}")
 
     def log_n(self, r: float) -> float:
-        if self.kind == "euclidean_ball":
-            return math.log(covering_ball(self.d, self.D, r))
+        """log N(r): c r^(-1/s), or for the ball the log of
+        ``covering_ball``, d log(2 D sqrt(d) / r) (0 once r > D), taken
+        without forming the power, which overflows in high dimension."""
         if r <= 0:
             raise ConfigurationError("radius r must be positive")
+        if self.kind == "euclidean_ball":
+            if r > self.D:
+                return 0.0
+            return self.d * math.log(2.0 * self.D * math.sqrt(self.d) / r)
         return self.c * r ** (-1.0 / self.s)
 
 

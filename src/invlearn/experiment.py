@@ -22,11 +22,12 @@ from .errors import ConfigurationError, ConvergenceError
 from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
                          TikhonovFamily, certify_stability, check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
-from .risk import (ErmOptions, _batch_losses, erm_solve, erm_solve_trials,
-                   excess_loss, optimal_target_proxy, trial_groups)
-from .stochastics import (BoundedSpec, ProblemDistribution, draw_training_set,
-                          empirical_average_contraction, orlicz_norm,
-                          substream, tail_check)
+from .risk import (ErmOptions, _batch_losses, _risk_and_grad_factory,
+                   erm_solve, erm_solve_trials, optimal_target_proxy,
+                   trial_groups)
+from .stochastics import (BoundedSpec, ProblemDistribution, TrainingSet,
+                          draw_training_set, empirical_average_contraction,
+                          orlicz_norm, substream, tail_check)
 
 log = logging.getLogger(__name__)
 
@@ -225,6 +226,13 @@ class ExperimentConfig:
         _known_keys(d["family"], _FAMILY_KEYS[kind], "family.")
         if kind == "tikhonov":
             params["noise"] = problem.noise
+            op = problem.forward
+            if op.rank < op.n_x:
+                # every class holds theta = 0, where B = 0 leaves ker A free
+                raise ConfigurationError(
+                    "config problem.forward.singular_values: the tikhonov "
+                    f"family needs n_x = {op.n_x} of them, got {op.rank}; "
+                    "at B = 0 its normal matrix is singular on ker A")
         # the constructors hold the defaults of the family keys
         family = _build("family", _FAMILIES[kind], problem.forward, **params)
         if param_class.dim != family.dim:
@@ -339,9 +347,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     (``risk.trial_groups``: one stack of an affine family's trials, one
     trial at a time otherwise); a stack that raises ``ConvergenceError`` is
     refitted one trial at a time, and a trial that raises alone is marked
-    failed.  Each fit's loss and sample error are
-    read on the shared evaluation sample (``risk.excess_loss``).  Progress
-    goes to this module's logger at INFO.
+    failed.  Each fit's loss L(theta_hat) and sample error
+    L(theta_hat) - L(theta_star) are ERM's own risk and risk change
+    (``risk._risk_and_grad_factory``) with the shared evaluation sample as
+    the data set.  Progress goes to this module's logger at INFO.
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("config trials_per_m must be >= 10 for a rate fit")
@@ -352,12 +361,14 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     x_eval, y_eval = cfg.problem.sample(substream(cfg.master_seed, 9999),
                                         cfg.n_mc)
     start = time.perf_counter()
-    theta_star, per_star = optimal_target_proxy(
+    theta_star, loss_star = optimal_target_proxy(
         pclass, family, cfg.problem, cfg.proxy_m,
         derived_seed(cfg.master_seed, 11), x_eval, y_eval,
         ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
-    loss_star = float(per_star.mean())
-    loss = excess_loss(family, x_eval, y_eval, theta_star, per_star)
+    eval_set = TrainingSet(x=x_eval, y=y_eval, seed=cfg.master_seed)
+    risk, _, change = _risk_and_grad_factory(family, pclass, [eval_set])
+    row = np.arange(1)  # every evaluation is a one-theta stack
+    state_star = risk(theta_star[None], row)[1]
     log.info("proxy fit seconds=%.3f", time.perf_counter() - start)
 
     records = []
@@ -386,12 +397,12 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
                                            loss_star, math.inf, seed,
                                            failed=True))
                 continue
-            exp_loss_hat, sample_error = loss(res.theta)
+            f_hat, state = risk(res.theta[None], row)
             records.append(TrialRecord(
                 m=m, trial=t,
-                sample_error=sample_error,
+                sample_error=float(change(state, state_star, row)[0]),
                 emp_risk_hat=res.objective,
-                exp_loss_hat=exp_loss_hat,
+                exp_loss_hat=float(f_hat[0]),
                 exp_loss_star=loss_star,
                 erm_residual=res.residual,
                 seed=seed,

@@ -197,16 +197,25 @@ def _spectral_clip(W: np.ndarray, limit: float) -> np.ndarray:
     return W
 
 
+def _outputs(y, A: ForwardOperator) -> np.ndarray:
+    """y as floats, checked to be one output of A or an (m, n_y) batch of
+    them: the data contract of every solver and ``reconstruct_batch``."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != A.n_y:
+        raise DimensionMismatchError(
+            "data must be one row or an (m, n_y) batch of outputs")
+    return y
+
+
 def reconstruct_tikhonov(params: TikhonovParams, A: ForwardOperator,
                          noise: GaussianSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer (A* Se^{-1} A + 2 B*B)^{-1}(A* Se^{-1} y + 2 B*B h)."""
     P, K = _normal_constants(A, noise)
-    Y = np.atleast_2d(np.asarray(y, float))
-    if Y.shape[-1] != P.shape[1]:
-        raise DimensionMismatchError("data length != operator output dim")
+    y = _outputs(y, A)
     BtB = params.B.T @ params.B
-    sol = _solve_normal(K + 2.0 * BtB, Y @ P.T + 2.0 * (BtB @ params.h))
-    return sol[0] if np.asarray(y).ndim == 1 else sol
+    sol = _solve_normal(K + 2.0 * BtB,
+                        np.atleast_2d(y) @ P.T + 2.0 * (BtB @ params.h))
+    return sol[0] if y.ndim == 1 else sol
 
 
 def _normal_constants(A: ForwardOperator, noise: GaussianSpec):
@@ -284,10 +293,7 @@ def reconstruct_elastic_net(params: ElasticNetParams, A: ForwardOperator,
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != A.n_y or y.ndim > 2:
-        raise DimensionMismatchError(
-            "data must be one row or an (m, n_y) batch of outputs")
+    y = _outputs(y, A)
     Am = A.as_matrix()
     n = A.n_x
     alpha, eta = params.alpha, params.eta
@@ -379,10 +385,7 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     the stack, so each slice equals its one-theta solve bit for bit, and
     the stack raises when a slice would raise alone.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim > 2:
-        raise DimensionMismatchError(
-            "data must be one row or an (m, n_y) batch of outputs")
+    y = _outputs(y, A)
     L_z = params.contraction_budget
     n = A.n_x
     W_eff = _spectral_clip(params.W, L_z).reshape(-1, n, n)
@@ -458,7 +461,7 @@ class _Family:
         if theta.ndim == 1:
             return solver(self.unpack(theta), self.op, Y)
         parts = [solver(self.unpack(theta[g]), self.op, Y)
-                 for g in theta_groups(len(theta), Y.shape[-2])]
+                 for g in theta_groups(len(theta), len(np.atleast_2d(Y)))]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -530,15 +533,13 @@ class _HBFamily(_Family):
                              np.concatenate([Pt, s[..., None, :]], axis=-2))
 
     def _affine_batch(self, theta, Y):
-        """Rows R_theta(y) = (y, 1) V of the (m, n_y) batch Y."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.shape[-1] != self.op.n_y or Y.ndim > 2:
-            raise DimensionMismatchError(
-                "data must be one row or an (m, n_y) batch of outputs")
+        """Rows R_theta(y) = (y, 1) V of the (m, n_y) batch Y, or the one
+        of a single row."""
+        Y = _outputs(Y, self.op)
         V = self.affine_map(theta)
-        X = Y @ V[..., :-1, :]
+        X = np.atleast_2d(Y) @ V[..., :-1, :]
         X += V[..., -1:, :]
-        return X
+        return X[..., 0, :] if Y.ndim == 1 else X
 
     def _require_affine(self):
         if not self.affine:

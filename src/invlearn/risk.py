@@ -7,12 +7,12 @@ every row equals its one-start run bit for bit.  The optimal target is
 proxied by ERM on a much larger sample, gated by a second fit from another
 seed.  The sample error L(theta_hat) - L(theta_star) itself is measured by
 the rate experiment, on one shared Monte Carlo sample so that the
-difference cancels common noise; the proxy's gate and theta_star's losses
-read that same sample.
+difference cancels common noise: ERM's own risk and change, with that
+sample as the data set.  The proxy's gate reads the same sample.
 
 An ``affine`` family (R_theta(y) = G y + c = (y, 1) V, V its
 ``affine_map``) reads its data only through their moments (``_Moments``):
-its ERM risk, gradient and sample error are quadratic forms in V,
+its ERM risk, gradient and risk change are quadratic forms in V,
 independent of m, and one ERM stack may hold the starts of several trials,
 each row reading its own trial's moments (``trial_groups``).  The other
 families evaluate per sample, the reference path, one training set per
@@ -330,7 +330,7 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
     The fit is repeated from a second seed, and the two candidates' mean
     losses on the evaluation sample (x_eval, y_eval) must agree within the
     first one's 95% half-width; otherwise the proxy is declared unstable.
-    Returns the first fit and its per-sample losses on that sample.
+    Returns the first fit and its mean loss on that sample.
     """
     thetas = [erm_solve(pclass, family, draw_training_set(dist, proxy_m, s),
                         opts).theta for s in (seed, seed + 1)]
@@ -340,28 +340,4 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
         raise ConvergenceError(
             "optimal-target proxy unstable across seeds: "
             f"|{la:.6g} - {lb:.6g}| > {halfwidth:.3g}")
-    return thetas[0], losses[0]
-
-
-def excess_loss(family, x_eval, y_eval, theta_star, per_star):
-    """``loss(theta)``: (L(theta), L(theta) - L(theta_star)) on the
-    evaluation sample (x_eval, y_eval), on which theta_star has the
-    per-sample losses ``per_star``.
-
-    For an affine family both are quadratic forms on the sample's moments,
-    the excess in difference form; otherwise they are means of per-sample
-    losses.
-    """
-    if family.affine:
-        moments = _Moments.of(x_eval, y_eval)
-        V_star = family.affine_map(theta_star)
-
-        def loss(theta):
-            V = family.affine_map(theta)
-            return float(moments.risk(V)), float(moments.change(V, V_star))
-        return loss
-
-    def loss(theta):
-        per = _batch_losses(family, theta, x_eval, y_eval)
-        return float(per.mean()), float((per - per_star).mean())
-    return loss
+    return thetas[0], la

@@ -151,8 +151,10 @@ def orlicz_norm(samples, q: int) -> float:
     """Variational psi_q norm estimate: inf{t>0 : mean exp(|W|^q/t^q) <= 2}.
 
     Bisection on t against the sample exponential moment (computed in log
-    space), bracket [1e-8, 1e3 * max|W|], relative tolerance
-    ``ORLICZ_REL_TOL``.
+    space), relative tolerance ``ORLICZ_REL_TOL``, in the bracket
+    [max|W| / log(2n)^(1/q), max|W| / log(2)^(1/q)] that holds every
+    sample's norm: below it the largest term alone exceeds 2n, above it
+    no term exceeds 2.
     """
     w = np.asarray(samples, dtype=float).ravel()
     if q not in (1, 2):
@@ -169,11 +171,8 @@ def orlicz_norm(samples, q: int) -> float:
     def feasible(t):
         return _logsumexp(wq / t**q) - log2n <= 0
 
-    lo, hi = 1e-8, 1e3 * float(np.max(np.abs(w)))
-    if feasible(lo):
-        return lo
-    if not feasible(hi):
-        return hi
+    top = float(np.max(np.abs(w)))
+    lo, hi = top / log2n ** (1 / q), top / np.log(2.0) ** (1 / q)
     while hi / lo > 1 + ORLICZ_REL_TOL:
         mid = np.sqrt(lo * hi)
         if feasible(mid):

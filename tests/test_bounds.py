@@ -54,6 +54,15 @@ def test_greedy_cover_antipodal_points():
     assert greedy_cover(pts, r=0.5) == 2
 
 
+def test_greedy_cover_reads_a_1d_array_as_scalar_points():
+    # [0, 1, 2] is three points on the line, as its column form, not one
+    # point in R^3; a 3-d array is no point set
+    assert greedy_cover([0.0, 1.0, 2.0], 0.5) == 3
+    assert greedy_cover([[0.0], [1.0], [2.0]], 0.5) == 3
+    with pytest.raises(ConfigurationError, match="points"):
+        greedy_cover(np.zeros((2, 3, 1)), 0.5)
+
+
 def test_greedy_cover_within_formula_bound_low_dim():
     rng = np.random.default_rng(0)
     D = 1.0
@@ -186,6 +195,18 @@ def test_covering_model_log_n_non_increasing():
         rs = np.geomspace(1e-3, 2.0, 50)
         vals = [model.log_n(r) for r in rs]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_ball_log_n_is_finite_in_high_dimension():
+    # the full n = 8 Tikhonov class (dim 72) at the covering grid's
+    # smallest radius: (2 D sqrt(d) / r)^d overflows a float, its log does
+    # not
+    cov = CoveringModel(kind="euclidean_ball", d=72, D=1.0)
+    expected = 72 * (math.log(2.0 * math.sqrt(72)) - math.log(1e-6))
+    assert cov.log_n(1e-6) == pytest.approx(expected, rel=1e-14)
+    assert cov.log_n(1.5) == 0.0
+    with pytest.raises(ConfigurationError, match="D > 0"):
+        CoveringModel(kind="euclidean_ball", d=2, D=0.0)
 
 
 # -- covering_bound --------------------------------------------------------

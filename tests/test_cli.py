@@ -47,6 +47,28 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert len(lines) == 21
 
 
+def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
+        tmp_path, capsys):
+    # 1 singular value for n_x = 2: at theta = 0, in every class, B = 0
+    # leaves ker A unregularised, so erm, rates and verify would fail on a
+    # singular normal matrix; every subcommand rejects the config instead
+    problem = {
+        "forward": {"n_x": 2, "n_y": 1, "singular_values": [1.0]},
+        "prior": {"type": "gaussian", "mean": [0.0, 0.0],
+                  "cov_eigenvalues": [1.0, 1.0]},
+        "noise": {"type": "gaussian", "mean": [0.0],
+                  "cov_eigenvalues": [1.0]},
+    }
+    cfg = write_config(tmp_path, problem=problem)
+    for command in (["erm", "--m", "16"], ["rates"], ["verify"], ["bounds"]):
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
+                  + command)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "problem.forward.singular_values" in err
+        assert "Traceback" not in err
+
+
 def test_generate_m_zero_is_not_the_default(tmp_path, capsys):
     # --m 0 is a given value, rejected like --m -3, not read as "absent"
     cfg = write_config(tmp_path)

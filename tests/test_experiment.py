@@ -295,12 +295,43 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
         raise AssertionError("a one-trial stack is not refitted")
 
     monkeypatch.setattr(experiment, "optimal_target_proxy",
-                        lambda *args: (np.zeros(2), np.ones(cfg.n_mc)))
+                        lambda *args: (np.zeros(2), 1.0))
     monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
     monkeypatch.setattr(experiment, "erm_solve", refit)
     fit = run_rate_experiment(cfg)
     assert stacks == [1] * 40
     assert [(r.m, r.trial) for r in fit.trials if r.failed] == [(32, 3)]
+
+
+def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):
+    # a per-sample family's trial reads L(theta_hat) as the mean loss on
+    # the evaluation sample and L(theta_hat) - L(theta_star) as ERM's risk
+    # change in difference form, 1/2 mean((R - R*).(R + R* - 2X)), not as a
+    # mean of per-sample loss differences; the proxy and the fits are
+    # stand-ins
+    cfg = ExperimentConfig.from_dict(scalar_config(
+        family={"kind": "fixed_point", "contraction_budget": 0.5},
+        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0}))
+    theta_star = np.array([0.3, -0.2])
+    thetas = []
+
+    def fit_stack(pclass, family, sets, seeds, opts):
+        thetas.append(pclass.sample(substream(seeds[0])))
+        return [risk.ErmResult(theta=thetas[-1], objective=0.0,
+                               residual=0.0, converged=True)]
+
+    monkeypatch.setattr(experiment, "optimal_target_proxy",
+                        lambda *args: (theta_star, 0.25))
+    monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
+    fit = run_rate_experiment(cfg)
+    x, y = cfg.problem.sample(substream(cfg.master_seed, 9999), cfg.n_mc)
+    R_star = cfg.family.reconstruct_batch(theta_star, y)
+    for r, theta in zip(fit.trials, thetas, strict=True):
+        R = cfg.family.reconstruct_batch(theta, y)
+        assert r.exp_loss_hat == risk._losses(R, x).mean()
+        assert r.sample_error == \
+            0.5 * np.sum((R - R_star) * (R + R_star - 2.0 * x), axis=-1).mean()
+        assert r.exp_loss_star == 0.25
 
 
 def test_rate_experiment_scalar_trials_reach_the_tolerance():

@@ -656,9 +656,9 @@ def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
                                   "elastic_net_1", "elastic_net_0.5",
                                   "fixed_point"])
 def test_reconstruct_batch_rejects_per_theta_batches(kind):
-    # the data are one (m, n_y) batch shared by every theta of a stack: a
-    # (k, m, n_y) batch, one per theta, is rejected by every family and
-    # by both iterative solvers
+    # the data are one row or one (m, n_y) batch shared by every theta of a
+    # stack: a (k, m, n_y) batch, one per theta, is rejected by every
+    # family and by both iterative solvers
     rng = np.random.default_rng(10)
     A = ForwardOperator.from_matrix(rng.standard_normal((3, 2)))
     if kind == "fixed_point":
@@ -672,6 +672,8 @@ def test_reconstruct_batch_rejects_per_theta_batches(kind):
     thetas = rng.standard_normal((k, fam.dim)) * 0.5
     Y = rng.standard_normal((k, m, 3))
     assert fam.reconstruct_batch(thetas, Y[0]).shape == (k, m, 2)
+    # one row shared by the stack gives one reconstruction per theta
+    assert fam.reconstruct_batch(thetas, Y[0, 0]).shape == (k, 2)
     with pytest.raises(DimensionMismatchError):
         fam.reconstruct_batch(thetas, Y)
     solver = {"fixed_point": reconstruct_fixed_point,
@@ -679,6 +681,35 @@ def test_reconstruct_batch_rejects_per_theta_batches(kind):
     if solver is not None:
         with pytest.raises(DimensionMismatchError):
             solver(fam.unpack(thetas), A, Y)
+
+
+@pytest.mark.parametrize("solver", ["tikhonov", "tikhonov_family",
+                                    "elastic_net", "fixed_point"])
+def test_solvers_share_one_output_batch_check(solver):
+    # the per-row Tikhonov reference, the affine batch and both iterative
+    # solvers take one row or an (m, n_y) batch: a 3-d batch and a wrong
+    # trailing length raise the same DimensionMismatchError
+    A = ForwardOperator.from_matrix(
+        np.random.default_rng(11).standard_normal((3, 2)))
+    noise = GaussianSpec.iso(3, 0.5)
+    # h away from the solutions, off the alpha < 1 penalty's kink B x = h
+    B, h = np.eye(2), np.array([3.0, -3.0])
+    reconstruct = {
+        "tikhonov": lambda y: reconstruct_tikhonov(
+            TikhonovParams(h=h, B=B), A, noise, y),
+        "tikhonov_family": lambda y: TikhonovFamily(
+            A, noise, "diagonal").reconstruct_batch(np.r_[h, 1.0, 1.0], y),
+        "elastic_net": lambda y: reconstruct_elastic_net(
+            ElasticNetParams(h=h, B=B, alpha=0.5, eta=0.5), A, y),
+        "fixed_point": lambda y: reconstruct_fixed_point(
+            FixedPointParams(W=0.1 * B, b=h, contraction_budget=0.5), A, y),
+    }[solver]
+    assert reconstruct(np.ones((4, 3))).shape == (4, 2)
+    assert reconstruct(np.ones(3)).shape == (2,)
+    for y in (np.ones((2, 4, 3)), np.ones((4, 2)), np.ones(2)):
+        with pytest.raises(DimensionMismatchError,
+                           match="one row or an .m, n_y. batch of outputs"):
+            reconstruct(y)
 
 
 def test_theta_groups_at_bench_and_proxy_sizes():

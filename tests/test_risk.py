@@ -584,12 +584,17 @@ def test_only_the_affine_flag_selects_the_moment_path():
     assert R.shape == (3, 5, 2)
     np.testing.assert_array_equal(f, [empirical_risk(ts, t, fam)
                                       for t in thetas])
-    # the per-sample loss and sample error on an evaluation sample
+    # the rate experiment's loss and sample error on an evaluation sample:
+    # the mean per-sample loss, and its change in difference form
     x_eval, y_eval = dist.sample(substream(26, 1), 200)
-    per_star = _batch_losses(fam, thetas[0], x_eval, y_eval)
-    per = _batch_losses(fam, thetas[1], x_eval, y_eval)
-    assert risk.excess_loss(fam, x_eval, y_eval, thetas[0], per_star)(
-        thetas[1]) == (float(per.mean()), float((per - per_star).mean()))
+    risk_eval, _, change = _risk_and_grad_factory(
+        fam, pc, [TrainingSet(x_eval, y_eval, 0)])
+    f, R = risk_eval(thetas[:2], np.arange(2))
+    per_star, per = (_batch_losses(fam, t, x_eval, y_eval) for t in thetas[:2])
+    np.testing.assert_array_equal(f, [per_star.mean(), per.mean()])
+    D = R[1] - R[0]
+    assert change(R[1:], R[:1], np.arange(1)) == \
+        0.5 * np.sum(D * (R[1] + R[0] - 2.0 * x_eval), axis=-1).mean()
     # one trial per ERM stack
     assert risk.trial_groups(3, fam, ErmOptions()) == [
         slice(0, 1), slice(1, 2), slice(2, 3)]
@@ -631,11 +636,9 @@ def test_proxy_returns_its_losses_on_the_evaluation_sample():
     A, noise, dist, fam = scalar_setup()
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
     x_eval, y_eval = dist.sample(substream(40, 1), 20_000)
-    theta, losses = optimal_target_proxy(pc, fam, dist, 10_000, 41,
-                                         x_eval, y_eval)
-    assert losses.shape == (20_000,)
-    np.testing.assert_array_equal(
-        losses, _batch_losses(fam, theta, x_eval, y_eval))
+    theta, loss = optimal_target_proxy(pc, fam, dist, 10_000, 41,
+                                       x_eval, y_eval)
+    assert loss == _batch_losses(fam, theta, x_eval, y_eval).mean()
 
 
 def test_proxy_unstable_when_the_second_fit_differs(monkeypatch):

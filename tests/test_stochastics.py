@@ -184,11 +184,15 @@ def test_orlicz_zero_and_invalid_samples():
 
 
 def test_orlicz_homogeneity():
+    # down to 1e-12 and up to 1e12: the bisection bracket scales with the
+    # sample
     rng = substream(125, 0)
     w = rng.standard_normal(50_000)
-    base = orlicz_norm(w, q=2)
-    scaled = orlicz_norm(2.5 * w, q=2)
-    assert abs(scaled - 2.5 * base) <= 1e-3 * base
+    for q in (1, 2):
+        base = orlicz_norm(w, q)
+        for scale in (2.5, 1e-12, 1e12):
+            scaled = orlicz_norm(scale * w, q)
+            assert abs(scaled - scale * base) <= 1e-3 * scale * base
 
 
 def test_orlicz_monotone_under_domination():
