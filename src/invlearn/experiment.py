@@ -13,14 +13,16 @@ import json
 import logging
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, ConvergenceError
-from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
-                         TikhonovFamily, certify_stability, check_g_hypotheses)
+from .hypotheses import (STACK_ROWS, ElasticNetFamily, FixedPointFamily,
+                         ParamClass, TikhonovFamily, certify_stability,
+                         check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
 from .risk import (ErmOptions, _batch_losses, _risk_and_grad_factory,
                    erm_solve, erm_solve_trials, optimal_target_proxy,
@@ -37,6 +39,8 @@ PROBE_PAIRS = 8  # random theta pairs of the verification suite's certificate
 PROBE_YS = 8     # data vectors the certificate is evaluated on
 CONTRACTION_M_GRID = (16, 64, 256, 1024)  # m of the loss-average contraction
 CONTRACTION_TRIALS = 2000  # m-averages per m of that table
+# each row block of the contraction draw holds whole trials
+assert STACK_ROWS % max(CONTRACTION_M_GRID) == 0
 
 
 def fnv1a64(text: str) -> int:
@@ -511,8 +515,11 @@ def run_verification_suite(cfg: ExperimentConfig,
     (d) the learned-penalty hypotheses.
 
     Its two large draws stream through ``ProblemDistribution.draw`` in row
-    blocks.  Fixed-point rows stop together per block: at ``pclass.center``
-    all stop at step 0 in iteration 2, as unblocked; elsewhere within 2 tol.
+    blocks, each closed when the suite returns or raises, so that no draw
+    thread outlives it; the contraction keeps each block's m-averages, not
+    its losses.  Fixed-point rows stop together per block: at
+    ``pclass.center`` all stop at step 0 in iteration 2, as unblocked;
+    elsewhere within 2 tol.
     """
     report = {"checks": {}, "passed": True}
 
@@ -531,8 +538,9 @@ def run_verification_suite(cfg: ExperimentConfig,
 
     x, blocks = dist.draw(substream(cfg.master_seed, 501), n_samples)
     y_sq = np.empty(n_samples)
-    for rows, y_b in blocks:
-        y_sq[rows] = np.sum(y_b**2, axis=1)
+    with closing(blocks):
+        for rows, y_b in blocks:
+            y_sq[rows] = np.sum(y_b**2, axis=1)
     for name, v in (("x_sq_norm", np.sum(x**2, axis=1)), ("y_sq_norm", y_sq)):
         norm = orlicz_norm(v, q)
         record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
@@ -565,14 +573,16 @@ def run_verification_suite(cfg: ExperimentConfig,
                convexity_checked=g_rep.convexity_checked)
 
     # one draw of losses at the class centre serves every m: a trial's
-    # m-average reads the first m losses of its row
+    # m-average reads the first m losses of its row, and each block holds
+    # whole trials, whose averages are taken before the next block
+    width = max(CONTRACTION_M_GRID)
     xs, blocks = dist.draw(substream(cfg.master_seed, 505),
-                           CONTRACTION_TRIALS * max(CONTRACTION_M_GRID))
-    losses = np.empty(len(xs))
-    for rows, y_b in blocks:
-        losses[rows] = _batch_losses(family, pclass.center, xs[rows], y_b)
-    table = empirical_average_contraction(
-        losses.reshape(CONTRACTION_TRIALS, -1), q, CONTRACTION_M_GRID)
+                           CONTRACTION_TRIALS * width)
+    with closing(blocks):
+        table = empirical_average_contraction(
+            (_batch_losses(family, pclass.center, xs[rows], y_b)
+             .reshape(-1, width) for rows, y_b in blocks),
+            q, CONTRACTION_M_GRID)
     degenerate = bool(np.all(table.k_hat == 0))  # identically-zero loss process
     record("loss_average_contraction",
            degenerate or -0.65 <= table.slope <= -0.3,

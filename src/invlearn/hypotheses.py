@@ -534,10 +534,12 @@ class _HBFamily(_Family):
 
     def _affine_batch(self, theta, Y):
         """Rows R_theta(y) = (y, 1) V of the (m, n_y) batch Y, or the one
-        of a single row."""
+        of a single row.  The product is an einsum, not a BLAS matmul,
+        whose worker threads would take the core that draws the
+        verification suite's noise (``stochastics._NoiseAhead``)."""
         Y = _outputs(Y, self.op)
         V = self.affine_map(theta)
-        X = np.atleast_2d(Y) @ V[..., :-1, :]
+        X = np.einsum("mi,...ij->...mj", np.atleast_2d(Y), V[..., :-1, :])
         X += V[..., -1:, :]
         return X[..., 0, :] if Y.ndim == 1 else X
 

@@ -175,13 +175,23 @@ class GaussianSpec:
             return np.diag(lam)
         return (self.covariance_basis * lam) @ self.covariance_basis.T
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.standard_normal((size, self.dim))
-        z *= np.sqrt(self.covariance_eigenvalues)
+    @property
+    def degenerate(self) -> bool:
+        """Whether every eigenvalue is 0: a point mass at the mean."""
+        return not np.any(self.covariance_eigenvalues)
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw ``len(out)`` samples into the C-contiguous (rows, dim) array
+        ``out`` and return it; the values of ``sample`` of that size."""
+        rng.standard_normal(out=out)
+        out *= np.sqrt(self.covariance_eigenvalues)
         if self.covariance_basis is not None:
-            z = z @ self.covariance_basis.T
-        z += self.mean
-        return z
+            out[...] = out @ self.covariance_basis.T
+        out += self.mean
+        return out
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.fill(rng, np.empty((size, self.dim)))
 
 
 @dataclass(frozen=True)

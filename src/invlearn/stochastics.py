@@ -9,6 +9,9 @@ trial draws the same numbers however the trials are ordered.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,25 +74,97 @@ class ProblemDistribution:
 
     def draw(self, rng: np.random.Generator, size: int):
         """x of ``size`` pairs, and a generator of (rows, y[rows]) in blocks of
-        ``STACK_ROWS`` rows, each block's noise drawn from ``rng`` when it is
-        reached: consume every block before the next draw from ``rng``.  The
-        noise continues one stream, so no value depends on the block size."""
+        ``STACK_ROWS`` rows.  All x are drawn first; the noise of the blocks
+        follows from the same stream, in order, so no value depends on the
+        block size.  A thread of its own draws that noise ahead while the
+        caller works on the current block (``_NoiseAhead``): consume or
+        close the generator before the next draw from ``rng``."""
         x = self.prior.sample(rng, size)
-        def blocks():
-            for i in range(0, size, STACK_ROWS):
-                rows = slice(i, i + STACK_ROWS)
-                y_b = self.forward.apply(x[rows])
-                y_b += self.noise.sample(rng, len(y_b))
-                yield rows, y_b
-        return x, blocks()
+        return x, self._blocks(x, rng, ahead=True)
 
     def sample(self, rng: np.random.Generator, size: int):
-        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array."""
-        x, blocks = self.draw(rng, size)
+        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array,
+        every value drawn on the caller's thread."""
+        x = self.prior.sample(rng, size)
         y = np.empty((size, self.forward.n_y))
-        for rows, y_b in blocks:
+        for rows, y_b in self._blocks(x, rng, ahead=False):
             y[rows] = y_b
         return x, y
+
+    def _blocks(self, x, rng, ahead):
+        """(rows, A x[rows] + noise) per block, the noise drawn ahead on a
+        ``_NoiseAhead`` thread or when the block is reached.  A degenerate
+        noise law adds its mean and draws nothing from ``rng``."""
+        noise = self.noise
+        starts = range(0, len(x), STACK_ROWS)
+        ahead = ahead and not noise.degenerate
+        with (_NoiseAhead(noise, rng, [min(STACK_ROWS, len(x) - i)
+                                       for i in starts])
+              if ahead else nullcontext()) as thread:
+            for i in starts:
+                rows = slice(i, i + STACK_ROWS)
+                y_b = self.forward.apply(x[rows])
+                if noise.degenerate:
+                    y_b += noise.mean
+                elif ahead:
+                    thread.add_next(y_b)
+                else:
+                    y_b += noise.sample(rng, len(y_b))
+                yield rows, y_b
+
+
+class _NoiseAhead:
+    """Noise blocks of the given sizes, drawn in order from ``rng`` on one
+    thread while the caller works, at most two blocks ahead, into two
+    reused buffers: block k goes to buffer k % 2.  The thread calls only
+    ``GaussianSpec.fill`` on them: it allocates no block (its malloc arena
+    would keep what it frees) and calls nothing that
+    ``perfbench/tracing.py`` spans (its span stack is not thread-safe).
+    ``add_next`` adds the next block to its argument in place, or raises
+    what the thread raised on that block; leaving the ``with`` block stops
+    and joins the thread.
+    """
+
+    def __init__(self, noise: GaussianSpec, rng, sizes):
+        rows = max(sizes, default=0)
+        self._buffers = [np.empty((rows, noise.dim)) for _ in range(2)]
+        self._free = threading.Semaphore(2)  # buffers the thread may fill
+        self._full = threading.Semaphore(0)  # blocks filled, not yet added
+        self._added = 0
+        self._error = None  # (block, exception) of a fill that raised
+        self._stop = False
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        args=(noise, rng, sizes))
+
+    def _run(self, noise, rng, sizes):
+        try:
+            for k, n in enumerate(sizes):
+                self._free.acquire()
+                if self._stop:
+                    return
+                noise.fill(rng, self._buffers[k % 2][:n])
+                self._full.release()
+        except BaseException as exc:  # handed to the consumer, raised there
+            self._error = k, exc
+            self._full.release()
+
+    def add_next(self, y_b):
+        self._full.acquire()
+        k = self._added
+        if self._error is not None and self._error[0] == k:
+            raise self._error[1]
+        y_b += self._buffers[k % 2][:len(y_b)]
+        self._added += 1
+        self._free.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop = True
+        self._free.release()
+        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -323,25 +398,29 @@ def empirical_average_contraction(draws, q: int, m_grid) -> ContractionTable:
     """Estimate how the psi_q norm of empirical averages shrinks with m.
 
     ``draws`` is a (trials, max m) array of i.i.d. draws of a scalar
-    variable W.  A trial's m-average is the mean of the first m entries of
-    its row, so every m reads the same draw.  For each m the trials'
-    averages are centred on their own mean (so W need not be zero-mean, and
-    the centring error shrinks with m like the spread of the averages), and
+    variable W, or an iterator of such arrays that hold consecutive trials
+    (row blocks), read one at a time so that the full array never exists.
+    A trial's m-average is the mean of the first m entries of its row, so
+    every m reads the same draw.  For each m the trials' averages are
+    centred on their own mean (so W need not be zero-mean, and the
+    centring error shrinks with m like the spread of the averages), and
     their psi_q norm estimated; the fitted log-log slope of K_hat versus m
     is reported (the theoretical envelope is K/sqrt(m)).
     """
     m_grid = np.asarray(sorted(m_grid), dtype=int)
     if m_grid.size == 0:
         raise ConfigurationError("m_grid must be non-empty")
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[1] < m_grid[-1]:
-        raise ConfigurationError(
-            f"draws must be a 2-d array with at least max(m_grid) = "
-            f"{m_grid[-1]} columns, got shape {draws.shape}")
+    averages = []  # per block, (m_grid.size, trials in the block)
+    for block in draws if isinstance(draws, Iterator) else [draws]:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] < m_grid[-1]:
+            raise ConfigurationError(
+                f"draws must be a 2-d array with at least max(m_grid) = "
+                f"{m_grid[-1]} columns, got shape {block.shape}")
+        averages.append([block[:, :m].mean(axis=1) for m in m_grid])
     k_hat = np.empty(m_grid.size)
-    for i, m in enumerate(m_grid):
-        averages = draws[:, :m].mean(axis=1)
-        k_hat[i] = orlicz_norm(averages - averages.mean(), q)
+    for i, a in enumerate(np.concatenate(averages, axis=1)):
+        k_hat[i] = orlicz_norm(a - a.mean(), q)
     if np.all(k_hat == 0):
         slope = 0.0
     else:

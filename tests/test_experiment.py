@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -619,6 +620,51 @@ def test_blocked_fixed_point_losses_off_the_centre_within_two_tol():
     gap = np.linalg.norm(family.reconstruct_batch(theta, y) - x, axis=1)
     tol = 1e-10
     assert np.all(np.abs(blocked - full) <= 2 * tol * (gap + tol))
+
+
+def _record_threads(monkeypatch, cls, name, seen, fail_rows=None):
+    """Replace ``cls.name`` by a wrapper that records the calling thread,
+    and raises once it is given a batch of ``fail_rows`` rows."""
+    original = getattr(cls, name)
+
+    def wrapper(self, *args):
+        seen.append(threading.get_ident())
+        if fail_rows is not None and len(args[-1]) == fail_rows:
+            raise FloatingPointError("block failed")
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+def test_verification_suite_calls_the_program_on_its_own_thread(
+        monkeypatch):
+    # every operator apply and reconstruction of the suite runs on the
+    # calling thread (the draw thread only draws noise); no thread is left
+    seen = []
+    _record_threads(monkeypatch, ForwardOperator, "apply", seen)
+    _record_threads(monkeypatch, TikhonovFamily, "reconstruct_batch", seen)
+    before = threading.active_count()
+    run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
+                           n_samples=3 * STACK_ROWS)
+    assert threading.active_count() == before
+    assert len(seen) > 2 * 32 and set(seen) == {threading.get_ident()}
+
+
+def test_verification_suite_that_raises_leaves_no_thread(monkeypatch):
+    # a reconstruction that raises on a contraction block ends the suite
+    # with that error, and its draw thread is joined before it returns,
+    # although the error's traceback still holds the suite's frame
+    _record_threads(monkeypatch, TikhonovFamily, "reconstruct_batch", [],
+                    fail_rows=STACK_ROWS)
+    before = threading.active_count()
+    error = None
+    try:
+        run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
+                               n_samples=1000)
+    except FloatingPointError as exc:
+        error = exc
+    assert str(error) == "block failed"
+    assert threading.active_count() == before
 
 
 def test_verification_suite_peak_memory():

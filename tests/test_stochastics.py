@@ -1,5 +1,9 @@
 """Tests for sampling, Orlicz-norm estimation, and concentration checks."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +139,110 @@ def test_draw_blocks_join_to_the_full_draw(law, size):
     assert np.array_equal(np.concatenate([y_b for _, y_b in blocks]), y_ref)
     x_s, y_s = dist.sample(substream(7, 0), size)
     assert np.array_equal(x_s, x_ref) and np.array_equal(y_s, y_ref)
+
+
+@pytest.mark.parametrize("prior", [GaussianSpec.iso(2, 1.0),
+                                   BoundedSpec(dim=2, radius=0.7)])
+def test_zero_noise_is_not_drawn(prior):
+    # noise with every eigenvalue 0 draws nothing: the generator ends where
+    # the x draw alone leaves it, and x and y are those of the full draw,
+    # whose noise is all zeros
+    dist = ProblemDistribution(prior=prior, noise=GaussianSpec.iso(2, 0.0),
+                               forward=ForwardOperator.diagonal([1.0, 0.5]))
+    size = STACK_ROWS + 3
+    x_ref, y_ref = full_draw(dist, substream(7, 0), size)
+    after_x = substream(7, 0)
+    prior.sample(after_x, size)
+    rng = substream(7, 0)
+    x, blocks = dist.draw(rng, size)
+    y = np.concatenate([y_b for _, y_b in blocks])
+    assert rng.bit_generator.state == after_x.bit_generator.state
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    rng = substream(7, 0)
+    x, y = dist.sample(rng, size)
+    assert rng.bit_generator.state == after_x.bit_generator.state
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+
+
+def wait_for_threads(count, timeout=5.0):
+    """Whether at most ``count`` threads are alive within ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_draw_stopped_after_one_block_leaves_no_thread():
+    dist = BLOCK_LAWS["from_matrix"]
+    before = threading.active_count()
+
+    def first_block():
+        _, blocks = dist.draw(substream(7, 0), 4 * STACK_ROWS)
+        for rows, y_b in blocks:
+            return rows
+
+    assert first_block() == slice(0, STACK_ROWS)
+    assert wait_for_threads(before)
+    _, blocks = dist.draw(substream(7, 0), 4 * STACK_ROWS)
+    next(blocks)
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_draw_reraises_what_the_noise_thread_raised(monkeypatch):
+    # the second block's noise fails on the draw thread; the consumer gets
+    # the first block, then the same exception, and no thread is left (the
+    # prior is not Gaussian, so every fill is a noise fill)
+    dist = BLOCK_LAWS["uniform_ball"]
+    error = FloatingPointError("noise fill failed")
+    fill, calls = GaussianSpec.fill, []
+
+    def failing_fill(self, rng, out):
+        calls.append(threading.get_ident())
+        if len(calls) == 2:
+            raise error
+        return fill(self, rng, out)
+
+    monkeypatch.setattr(GaussianSpec, "fill", failing_fill)
+    before = threading.active_count()
+    _, blocks = dist.draw(substream(7, 0), 3 * STACK_ROWS)
+    next(blocks)
+    with pytest.raises(FloatingPointError) as raised:
+        next(blocks)
+    assert raised.value is error
+    assert threading.get_ident() not in calls
+    assert wait_for_threads(before)
+
+
+def test_concurrent_draws_keep_their_values():
+    # three consumers and their three draw threads on two cores, switching
+    # threads every microsecond: a noise buffer refilled while its block
+    # was still being added would change a value
+    dist = BLOCK_LAWS["gaussian_cov_basis"]
+    size = 3 * STACK_ROWS + 5
+    drawn = {}
+
+    def consume(k):
+        x, blocks = dist.draw(substream(7, k), size)
+        drawn[k] = x, np.concatenate([y_b for _, y_b in blocks])
+
+    workers = [threading.Thread(target=consume, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for k in range(3):
+        x_ref, y_ref = full_draw(dist, substream(7, k), size)
+        assert np.array_equal(drawn[k][0], x_ref)
+        assert np.array_equal(drawn[k][1], y_ref)
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 1.0), (2, 0.7), (5, 3.3)])
@@ -350,6 +458,18 @@ def test_average_contraction_reads_prefix_means():
     for m, k in zip(grid, table.k_hat):
         means = draws[:, :m].mean(axis=1)
         assert k == orlicz_norm(means - means.mean(), q=2)
+
+
+def test_average_contraction_reads_row_blocks_as_one_array():
+    # an iterator of row blocks gives the table of the joined array, bit
+    # for bit, however the trials are split
+    draws = substream(5, 0).standard_normal((300, 80))
+    grid = [4, 16, 64]
+    whole = empirical_average_contraction(draws, q=1, m_grid=grid)
+    blocked = empirical_average_contraction(
+        iter(np.split(draws, [64, 128, 250])), q=1, m_grid=grid)
+    assert np.array_equal(blocked.k_hat, whole.k_hat)
+    assert blocked.slope == whole.slope
 
 
 def test_average_contraction_rejects_too_few_columns():
