@@ -534,12 +534,20 @@ class _HBFamily(_Family):
 
     def _affine_batch(self, theta, Y):
         """Rows R_theta(y) = (y, 1) V of the (m, n_y) batch Y, or the one
-        of a single row.  The product is an einsum, not a BLAS matmul,
-        whose worker threads would take the core that draws the
-        verification suite's noise (``stochastics._NoiseAhead``)."""
+        of a single row.  A square G with no entry off its diagonal (a
+        diagonal A, noise law and B) is applied entrywise: the values of
+        the matmul, one rounded product plus exact zeros, without BLAS,
+        whose worker threads would take the core of the thread that draws
+        the noise ahead (``stochastics._NoiseAhead``)."""
         Y = _outputs(Y, self.op)
         V = self.affine_map(theta)
-        X = np.einsum("mi,...ij->...mj", np.atleast_2d(Y), V[..., :-1, :])
+        Gt = V[..., :-1, :]
+        d = np.diagonal(Gt, axis1=-2, axis2=-1)
+        if Gt.shape[-2] == Gt.shape[-1] and (np.count_nonzero(Gt)
+                                             == np.count_nonzero(d)):
+            X = np.atleast_2d(Y) * d[..., None, :]
+        else:
+            X = np.atleast_2d(Y) @ Gt
         X += V[..., -1:, :]
         return X[..., 0, :] if Y.ndim == 1 else X
 

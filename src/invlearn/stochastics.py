@@ -76,29 +76,35 @@ class ProblemDistribution:
         """x of ``size`` pairs, and a generator of (rows, y[rows]) in blocks of
         ``STACK_ROWS`` rows.  All x are drawn first; the noise of the blocks
         follows from the same stream, in order, so no value depends on the
-        block size.  A thread of its own draws that noise ahead while the
-        caller works on the current block (``_NoiseAhead``): consume or
-        close the generator before the next draw from ``rng``."""
+        block size.  When there is more than one block and neither A nor
+        the noise law has a basis, a thread of its own draws that noise
+        ahead while the caller works on the current block
+        (``_NoiseAhead``).  Consume every block before the next draw from
+        ``rng``: after an early close the thread may have drawn up to two
+        blocks more, so ``rng`` is spent.  A degenerate noise law adds its
+        mean and draws nothing from ``rng``."""
         x = self.prior.sample(rng, size)
-        return x, self._blocks(x, rng, ahead=True)
+        return x, self._blocks(x, rng)
 
     def sample(self, rng: np.random.Generator, size: int):
-        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array,
-        every value drawn on the caller's thread."""
-        x = self.prior.sample(rng, size)
+        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array."""
+        x, blocks = self.draw(rng, size)
         y = np.empty((size, self.forward.n_y))
-        for rows, y_b in self._blocks(x, rng, ahead=False):
+        for rows, y_b in blocks:
             y[rows] = y_b
         return x, y
 
-    def _blocks(self, x, rng, ahead):
-        """(rows, A x[rows] + noise) per block, the noise drawn ahead on a
-        ``_NoiseAhead`` thread or when the block is reached.  A degenerate
-        noise law adds its mean and draws nothing from ``rng``."""
+    def _blocks(self, x, rng):
         noise = self.noise
         starts = range(0, len(x), STACK_ROWS)
-        ahead = ahead and not noise.degenerate
-        with (_NoiseAhead(noise, rng, [min(STACK_ROWS, len(x) - i)
+        # the thread pays only when neither side calls BLAS, whose worker
+        # threads would spin on the core the other side needs: no basis of
+        # A for the caller's A x, none of the noise law for the thread
+        bases = (self.forward.left_basis, self.forward.right_basis,
+                 noise.covariance_basis)
+        ahead = (len(starts) > 1 and not noise.degenerate
+                 and all(b is None for b in bases))
+        with (_NoiseAhead(noise, rng, [len(x[i:i + STACK_ROWS])
                                        for i in starts])
               if ahead else nullcontext()) as thread:
             for i in starts:
@@ -117,9 +123,10 @@ class _NoiseAhead:
     """Noise blocks of the given sizes, drawn in order from ``rng`` on one
     thread while the caller works, at most two blocks ahead, into two
     reused buffers: block k goes to buffer k % 2.  The thread calls only
-    ``GaussianSpec.fill`` on them: it allocates no block (its malloc arena
-    would keep what it frees) and calls nothing that
-    ``perfbench/tracing.py`` spans (its span stack is not thread-safe).
+    ``GaussianSpec.fill`` on them, for a law without a covariance basis: it
+    allocates no block (its malloc arena would keep what it frees), calls
+    no BLAS, and calls nothing that ``perfbench/tracing.py`` spans (its
+    span stack is not thread-safe).
     ``add_next`` adds the next block to its argument in place, or raises
     what the thread raised on that block; leaving the ``with`` block stops
     and joins the thread.

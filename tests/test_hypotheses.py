@@ -243,6 +243,31 @@ def _affine_case(seed, kind, structure, shape, k):
     return fam, theta, Y, M, P, s
 
 
+@pytest.mark.parametrize("kind", ["tikhonov", "elastic_net"])
+@pytest.mark.parametrize("structure", ["scale", "diagonal"])
+def test_diagonal_map_reconstructs_as_the_matmul(kind, structure):
+    # a diagonal A, noise law and B give a diagonal G, which is applied
+    # entrywise: each reconstruction, stacked, one-theta or one-row, equals
+    # (y, 1) V by the matmul bit for bit
+    op = ForwardOperator.power_decay(3, 1.0)
+    fam = (TikhonovFamily(op, GaussianSpec.iso(3, 0.1), structure)
+           if kind == "tikhonov" else
+           ElasticNetFamily(op, alpha=1.0, eta=0.5, structure=structure))
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((1000, 3))
+    thetas = rng.standard_normal((3, fam.dim)) * 0.7
+    V = fam.affine_map(thetas)
+    G = V[:, :-1]
+    assert np.array_equal(G, G * np.eye(3)) and np.all(np.diagonal(
+        G, axis1=1, axis2=2) != 0)
+    R = fam.reconstruct_batch(thetas, Y)
+    for i, theta in enumerate(thetas):
+        np.testing.assert_array_equal(R[i], Y @ V[i, :-1] + V[i, -1])
+        np.testing.assert_array_equal(fam.reconstruct_batch(theta, Y), R[i])
+        np.testing.assert_array_equal(fam.reconstruct_batch(theta, Y[7]),
+                                      R[i, 7])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["tikhonov", "elastic_net"]),
@@ -317,9 +342,8 @@ def test_stacked_affine_calls_equal_one_theta_calls(seed, kind, structure,
     for i, theta in enumerate(thetas):
         np.testing.assert_array_equal(V[i], maps[i])
         np.testing.assert_array_equal(R[i], fam.reconstruct_batch(theta, Y))
-        # R_theta(y) = (y, 1) V, the product taken by einsum
-        np.testing.assert_array_equal(
-            R[i], np.einsum("mi,ij->mj", Y, V[i, :-1]) + V[i, -1])
+        # R_theta(y) = (y, 1) V
+        np.testing.assert_array_equal(R[i], Y @ V[i, :-1] + V[i, -1])
     g = moment_gradient(fam, thetas, X, Y)
     for i, theta in enumerate(thetas):
         np.testing.assert_array_equal(g[i], moment_gradient(fam, theta, X, Y))

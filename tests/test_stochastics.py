@@ -174,8 +174,38 @@ def wait_for_threads(count, timeout=5.0):
     return True
 
 
+def fill_threads(monkeypatch):
+    """The threads of the ``GaussianSpec.fill`` calls made from now on."""
+    fill, threads = GaussianSpec.fill, []
+
+    def recording_fill(self, rng, out):
+        threads.append(threading.get_ident())
+        return fill(self, rng, out)
+
+    monkeypatch.setattr(GaussianSpec, "fill", recording_fill)
+    return threads
+
+
+@pytest.mark.parametrize("law, size, ahead", [
+    ("uniform_ball", STACK_ROWS, False),
+    ("uniform_ball", STACK_ROWS + 1, True),
+    # a basis of the noise law or of A: its product calls BLAS
+    ("gaussian_cov_basis", 2 * STACK_ROWS, False),
+    ("from_matrix", 2 * STACK_ROWS, False),
+])
+def test_noise_is_drawn_ahead_only_beside_blas_free_blocks(monkeypatch, law,
+                                                           size, ahead):
+    # a thread draws the noise only of a draw of more than one block whose
+    # A x and noise take no BLAS call; sample is draw, so it does the same
+    threads = fill_threads(monkeypatch)
+    x, y = BLOCK_LAWS[law].sample(substream(7, 0), size)
+    assert (set(threads) != {threading.get_ident()}) == ahead
+    assert np.array_equal(y, full_draw(BLOCK_LAWS[law], substream(7, 0),
+                                       size)[1])
+
+
 def test_draw_stopped_after_one_block_leaves_no_thread():
-    dist = BLOCK_LAWS["from_matrix"]
+    dist = BLOCK_LAWS["uniform_ball"]
     before = threading.active_count()
 
     def first_block():
@@ -220,7 +250,7 @@ def test_concurrent_draws_keep_their_values():
     # three consumers and their three draw threads on two cores, switching
     # threads every microsecond: a noise buffer refilled while its block
     # was still being added would change a value
-    dist = BLOCK_LAWS["gaussian_cov_basis"]
+    dist = BLOCK_LAWS["uniform_ball"]
     size = 3 * STACK_ROWS + 5
     drawn = {}
 
