@@ -537,8 +537,8 @@ class _HBFamily(_Family):
         of a single row.  A square G with no entry off its diagonal (a
         diagonal A, noise law and B) is applied entrywise: the values of
         the matmul, one rounded product plus exact zeros, without BLAS,
-        whose worker threads would take the core of the thread that draws
-        the noise ahead (``stochastics._NoiseAhead``)."""
+        whose worker threads would take the core of the pool worker that
+        draws the noise ahead (``ProblemDistribution.draw``)."""
         Y = _outputs(Y, self.op)
         V = self.affine_map(theta)
         Gt = V[..., :-1, :]

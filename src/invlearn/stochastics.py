@@ -9,8 +9,9 @@ trial draws the same numbers however the trials are ordered.
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -77,10 +78,10 @@ class ProblemDistribution:
         ``STACK_ROWS`` rows.  All x are drawn first; the noise of the blocks
         follows from the same stream, in order, so no value depends on the
         block size.  When there is more than one block and neither A nor
-        the noise law has a basis, a thread of its own draws that noise
-        ahead while the caller works on the current block
-        (``_NoiseAhead``).  Consume every block before the next draw from
-        ``rng``: after an early close the thread may have drawn up to two
+        the noise law has a basis, a one-worker thread pool draws that
+        noise, at most two blocks ahead, while the caller works on the
+        current block.  Consume every block before the next draw from
+        ``rng``: after an early close the worker may have drawn up to two
         blocks more, so ``rng`` is spent.  A degenerate noise law adds its
         mean and draws nothing from ``rng``."""
         x = self.prior.sample(rng, size)
@@ -97,81 +98,40 @@ class ProblemDistribution:
     def _blocks(self, x, rng):
         noise = self.noise
         starts = range(0, len(x), STACK_ROWS)
-        # the thread pays only when neither side calls BLAS, whose worker
+        # the worker pays only when neither side calls BLAS, whose worker
         # threads would spin on the core the other side needs: no basis of
-        # A for the caller's A x, none of the noise law for the thread
+        # A for the caller's A x, none of the noise law for the worker
         bases = (self.forward.left_basis, self.forward.right_basis,
                  noise.covariance_basis)
         ahead = (len(starts) > 1 and not noise.degenerate
                  and all(b is None for b in bases))
-        with (_NoiseAhead(noise, rng, [len(x[i:i + STACK_ROWS])
-                                       for i in starts])
-              if ahead else nullcontext()) as thread:
-            for i in starts:
+        with ThreadPoolExecutor(1) if ahead else nullcontext() as pool:
+            if ahead:
+                # one worker fills block k into buffer k % 2, in order; block
+                # k + 2 is submitted once block k is added.  It only calls
+                # GaussianSpec.fill on a law without a basis, so it allocates
+                # no block (its malloc arena would keep what it frees), calls
+                # no BLAS, and nothing that perfbench/tracing.py spans (its
+                # span stack is not thread-safe)
+                buffers = np.empty((2, STACK_ROWS, noise.dim))
+
+                def fill(k):  # the slice stops at STACK_ROWS rows
+                    out = buffers[k % 2, :len(x) - starts[k]]
+                    return pool.submit(noise.fill, rng, out)
+
+                fills = deque([fill(0), fill(1)])
+            for k, i in enumerate(starts):
                 rows = slice(i, i + STACK_ROWS)
                 y_b = self.forward.apply(x[rows])
                 if noise.degenerate:
                     y_b += noise.mean
                 elif ahead:
-                    thread.add_next(y_b)
+                    y_b += fills.popleft().result()
+                    if k + 2 < len(starts):
+                        fills.append(fill(k + 2))
                 else:
                     y_b += noise.sample(rng, len(y_b))
                 yield rows, y_b
-
-
-class _NoiseAhead:
-    """Noise blocks of the given sizes, drawn in order from ``rng`` on one
-    thread while the caller works, at most two blocks ahead, into two
-    reused buffers: block k goes to buffer k % 2.  The thread calls only
-    ``GaussianSpec.fill`` on them, for a law without a covariance basis: it
-    allocates no block (its malloc arena would keep what it frees), calls
-    no BLAS, and calls nothing that ``perfbench/tracing.py`` spans (its
-    span stack is not thread-safe).
-    ``add_next`` adds the next block to its argument in place, or raises
-    what the thread raised on that block; leaving the ``with`` block stops
-    and joins the thread.
-    """
-
-    def __init__(self, noise: GaussianSpec, rng, sizes):
-        rows = max(sizes, default=0)
-        self._buffers = [np.empty((rows, noise.dim)) for _ in range(2)]
-        self._free = threading.Semaphore(2)  # buffers the thread may fill
-        self._full = threading.Semaphore(0)  # blocks filled, not yet added
-        self._added = 0
-        self._error = None  # (block, exception) of a fill that raised
-        self._stop = False
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        args=(noise, rng, sizes))
-
-    def _run(self, noise, rng, sizes):
-        try:
-            for k, n in enumerate(sizes):
-                self._free.acquire()
-                if self._stop:
-                    return
-                noise.fill(rng, self._buffers[k % 2][:n])
-                self._full.release()
-        except BaseException as exc:  # handed to the consumer, raised there
-            self._error = k, exc
-            self._full.release()
-
-    def add_next(self, y_b):
-        self._full.acquire()
-        k = self._added
-        if self._error is not None and self._error[0] == k:
-            raise self._error[1]
-        y_b += self._buffers[k % 2][:len(y_b)]
-        self._added += 1
-        self._free.release()
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop = True
-        self._free.release()
-        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -275,6 +235,8 @@ def tail_check(samples, K: float, q: int) -> bool:
     w = np.abs(np.asarray(samples, dtype=float).ravel())
     if w.size == 0:
         raise ConfigurationError("empty sample")
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("non-finite samples rejected")
     if K <= 0:
         raise ConfigurationError("K must be positive")
     if q not in (1, 2):

@@ -669,9 +669,9 @@ def test_verification_suite_that_raises_leaves_no_thread(monkeypatch):
 
 def test_verification_suite_peak_memory():
     # the 4-d diagonal Tikhonov config of the benchmark's verify_suite
-    # workload: the blocked suite holds the contraction draw's x (65.5 MB)
-    # and losses (16.4 MB) and one block, where the full-size draws peaked
-    # at 288 MB
+    # workload: the blocked suite holds the contraction draw's x (65.5 MB),
+    # its per-block m-averages (2 000 x 4) and one block, and its peak is
+    # 84.1 MB, where the full-size draws peaked at 288 MB
     n = 4
     problem = {
         "forward": {"n_x": n, "n_y": n, "basis": "identity",

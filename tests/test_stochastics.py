@@ -246,6 +246,31 @@ def test_draw_reraises_what_the_noise_thread_raised(monkeypatch):
     assert wait_for_threads(before)
 
 
+def test_noise_ahead_reuses_two_buffers_at_most_two_blocks_ahead(
+        monkeypatch):
+    # every block's noise is filled into one of two buffers, so none is
+    # allocated per block, and however slow the consumer, the fills started
+    # are never more than two ahead of the blocks it has received
+    fill, buffers, started = GaussianSpec.fill, set(), [0]
+
+    def recording_fill(self, rng, out):
+        buffers.add(out.__array_interface__["data"][0])
+        started[0] += 1
+        return fill(self, rng, out)
+
+    monkeypatch.setattr(GaussianSpec, "fill", recording_fill)
+    dist = BLOCK_LAWS["uniform_ball"]
+    size = 5 * STACK_ROWS + 3
+    _, blocks = dist.draw(substream(7, 0), size)
+    ahead = []
+    for received, _ in enumerate(blocks, start=1):
+        time.sleep(0.02)  # time for a worker that may run ahead to do so
+        ahead.append(started[0] - received)
+    assert len(ahead) == 6 and started[0] == 6
+    assert len(buffers) == 2
+    assert max(ahead) <= 2
+
+
 def test_concurrent_draws_keep_their_values():
     # three consumers and their three draw threads on two cores, switching
     # threads every microsecond: a noise buffer refilled while its block
@@ -442,6 +467,17 @@ def test_tail_check_input_validation():
         tail_check([], K=1.0, q=2)
     with pytest.raises(ConfigurationError):
         tail_check([1.0], K=0.0, q=2)
+
+
+@pytest.mark.parametrize("samples", [
+    [np.inf] * 10,
+    [np.nan, 1.0, 2.0],
+    np.append(np.random.default_rng(5).standard_normal(1000), np.inf),
+])
+def test_tail_check_rejects_non_finite_samples(samples):
+    # as orlicz_norm does: an infinite or NaN sample has no tail to check
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        tail_check(samples, K=1.0, q=2)
 
 
 # -- empirical_average_contraction ----------------------------------------
