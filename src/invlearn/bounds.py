@@ -9,7 +9,7 @@ domination), never in level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,6 +272,25 @@ def chaining_bound(inputs: BoundInputs, cov: CoveringModel, r: float) -> float:
     integral = entropy_integral(cov, inputs.alpha, inputs.q, lower, inputs.D)
     return (C1 * inputs.K / math.sqrt(inputs.m) * integral
             + C2 * inputs.K * r ** inputs.alpha)
+
+
+def curve_table(inputs_per_m, cov: CoveringModel) -> list:
+    """The bound curves of one class over an m-grid, one JSON-ready row per
+    m: its inputs, the covering model, the covering bound on its r grid
+    (``BoundCurve.to_dict``) and the chaining bound at r = 0
+    (``chaining_r0``, or None with a ``chaining_note`` where the entropy
+    integral diverges).  The one evaluation of the curves per m."""
+    table = []
+    for inputs in inputs_per_m:
+        row = {"m": inputs.m, "inputs": asdict(inputs), "model": asdict(cov),
+               **covering_bound(inputs, cov, r=inputs.D).to_dict()}
+        try:
+            row["chaining_r0"] = chaining_bound(inputs, cov, 0.0)
+        except ConfigurationError as exc:
+            row["chaining_r0"] = None
+            row["chaining_note"] = str(exc)
+        table.append(row)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ Subcommands: generate (training-set CSV), erm (single fit), verify
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import pathlib
@@ -15,7 +14,7 @@ import sys
 
 from numpy.linalg import LinAlgError
 
-from . import bounds as bounds_mod
+from .bounds import curve_table
 from .errors import ConfigurationError, InvlearnError
 from .experiment import (ExperimentConfig, bound_inputs, run_rate_experiment,
                          run_verification_suite)
@@ -95,19 +94,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    inputs_per_m, cov = bound_inputs(_experiment_config(args))
-    out = []
-    for inputs in inputs_per_m:
-        curve = bounds_mod.covering_bound(inputs, cov, r=inputs.D)
-        entry = {"m": inputs.m, "inputs": dataclasses.asdict(inputs),
-                 "model": dataclasses.asdict(cov), **curve.to_dict()}
-        try:
-            entry["chaining_r0"] = bounds_mod.chaining_bound(inputs, cov, 0.0)
-        except ConfigurationError as exc:
-            entry["chaining_r0"] = None
-            entry["chaining_note"] = str(exc)
-        out.append(entry)
-    text = json.dumps(out, indent=2)
+    table = curve_table(*bound_inputs(_experiment_config(args)))
+    text = json.dumps(table, indent=2)
     if args.out:
         path = _out_dir(args) / "bounds.json"
         path.write_text(text + "\n")

@@ -8,7 +8,6 @@ the mean excess, to be compared with the predicted exponent.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import math
@@ -63,8 +62,6 @@ _GRID = "a list of positive integers"
 _MAT = "a list of equal-length lists of finite numbers"
 _BASIS = f'"identity" or {_MAT}'
 
-_REQUIRED_KEYS = ("problem", "family", "param_class", "m_grid",
-                  "trials_per_m", "proxy_m", "n_mc", "master_seed")
 # per object: {key: value type, or None where another check reads the
 # value}
 _TOP_KEYS = {"problem": None, "family": None, "param_class": None,
@@ -217,7 +214,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The one reader of the config format: each object's keys and
         value types are checked, and the object is built on the spot."""
-        _known_keys(d, _TOP_KEYS, required=_REQUIRED_KEYS)
+        _known_keys(d, _TOP_KEYS, required=tuple(_TOP_KEYS))
         problem = _read_problem(d["problem"])
         param_class = _build("param_class", ParamClass, **_known_keys(
             d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
@@ -313,6 +310,12 @@ class RateFit:
     theta_star: np.ndarray
     trials: list = field(default_factory=list)
     config_digest: int = 0
+    bound_inputs: tuple = ()  # bound_inputs(cfg) of the run's config
+
+    def curves(self) -> list:
+        """The run's bound curves per m, ``bounds.curve_table`` of its
+        ``bound_inputs``."""
+        return bounds_mod.curve_table(*self.bound_inputs)
 
     def csv_text(self) -> str:
         lines = ["m,trial,sample_error,emp_risk_hat,exp_loss_hat,"
@@ -455,7 +458,7 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     fit = RateFit(per_m=per_m, slope=slope, slope_ci=ci,
                   predicted_exponent=predicted, verdict=verdict,
                   theta_star=theta_star, trials=records,
-                  config_digest=cfg.digest)
+                  config_digest=cfg.digest, bound_inputs=(inputs, cov))
     if out_dir is not None:
         fit.write(out_dir)
     return fit
@@ -481,21 +484,19 @@ def _weighted_loglog_fit(ms, means, ses):
     return slope, (slope - 1.96 * se_slope, slope + 1.96 * se_slope)
 
 
-def bound_domination_check(fit: RateFit, inputs: bounds_mod.BoundInputs,
-                           cov: bounds_mod.CoveringModel, r: float = 0.0):
-    """Calibrate the chaining bound at the smallest m, then require the
-    empirical curve to sit below it at every larger m."""
+def bound_domination_check(fit: RateFit):
+    """Calibrate the run's chaining bound at r = 0 (``fit.curves()``) at
+    the smallest usable m, then require the empirical curve to sit below it
+    at every larger m."""
     per_m = [p for p in fit.per_m if p["mean"] > 0]
     if len(per_m) < 2:
         raise ConfigurationError("need at least two usable grid points")
-    m0 = per_m[0]["m"]
-
-    def bound_at(m):
-        return bounds_mod.chaining_bound(dataclasses.replace(inputs, m=m),
-                                         cov, r)
-
-    calib = per_m[0]["mean"] / bound_at(m0)
-    ratios = [(p["m"], p["mean"] / (calib * bound_at(p["m"])))
+    table = fit.curves()
+    if table[0]["chaining_r0"] is None:
+        raise ConfigurationError(table[0]["chaining_note"])
+    bound = {row["m"]: row["chaining_r0"] for row in table}
+    calib = per_m[0]["mean"] / bound[per_m[0]["m"]]
+    ratios = [(p["m"], p["mean"] / (calib * bound[p["m"]]))
               for p in per_m[1:]]
     return all(r <= 1.0 + 1e-9 for _, r in ratios), ratios
 
@@ -555,13 +556,15 @@ def run_verification_suite(cfg: ExperimentConfig,
         if np.any(a != b):
             pairs.append((a, b))
     probe_xs, probe_ys = map(list, dist.sample(rng_p, PROBE_YS))
-    try:
-        cert = certify_stability(family, pclass, probe_ys, pairs)
-        record("stability_certificate",
-               np.isfinite([cert.L_R, cert.Lp_R, cert.M_R, cert.Mp_R]).all(),
-               certificate=cert.to_dict())
-    except Exception as exc:  # evaluation failures propagate into the report
-        record("stability_certificate", False, error=str(exc))
+    if not pairs:  # a one-point class: no two distinct theta to compare
+        record("stability_certificate", True, degenerate=True)
+    else:
+        try:
+            cert = certify_stability(family, pclass, probe_ys, pairs)
+            ok = np.isfinite([cert.L_R, cert.Lp_R, cert.M_R, cert.Mp_R]).all()
+            record("stability_certificate", ok, certificate=cert.to_dict())
+        except Exception as exc:  # evaluation failures go into the report
+            record("stability_certificate", False, error=str(exc))
 
     if family.kind == "elastic_net":
         theta0 = pclass.sample(substream(cfg.master_seed, 503))

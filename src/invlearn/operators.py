@@ -48,17 +48,15 @@ class ForwardOperator:
             raise ConfigurationError("singular values must be strictly positive")
         if np.any(np.diff(s) > 0):
             raise ConfigurationError("singular values must be non-increasing")
-        for basis, n, name in ((self.left_basis, self.n_y, "left basis"),
-                               (self.right_basis, self.n_x, "right basis")):
+        for side, n in (("left", self.n_y), ("right", self.n_x)):
+            basis = getattr(self, f"{side}_basis")
             if basis is not None:
                 basis = np.asarray(basis, dtype=float)
                 if basis.shape != (n, k):
-                    raise ConfigurationError(f"{name} must have shape ({n}, {k})")
-                _check_orthonormal(basis, name)
-        if self.left_basis is not None:
-            object.__setattr__(self, "left_basis", np.asarray(self.left_basis, float))
-        if self.right_basis is not None:
-            object.__setattr__(self, "right_basis", np.asarray(self.right_basis, float))
+                    raise ConfigurationError(
+                        f"{side} basis must have shape ({n}, {k})")
+                _check_orthonormal(basis, f"{side} basis")
+                object.__setattr__(self, f"{side}_basis", basis)
 
     # -- constructors ------------------------------------------------------
 
@@ -93,33 +91,30 @@ class ForwardOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x, evaluated through the stored singular system."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_x:
-            raise DimensionMismatchError(
-                f"expected input of length {self.n_x}, got {x.shape[-1]}")
-        c = x if self.right_basis is None else x @ self.right_basis
-        c = c[..., :self.rank] * self.singular_values
-        if self.left_basis is None and self.rank == self.n_y:
-            return c
-        if self.left_basis is None:
-            out = np.zeros(x.shape[:-1] + (self.n_y,))
-            out[..., :self.rank] = c
-            return out
-        return c @ self.left_basis.T
+        return self._map(x, self.right_basis, self.left_basis, self.n_x,
+                         self.n_y)
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """A* y; satisfies <Ax, y> = <x, A*y>."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.n_y:
+        return self._map(y, self.left_basis, self.right_basis, self.n_y,
+                         self.n_x)
+
+    def _map(self, v, basis_in, basis_out, n_in: int, n_out: int):
+        """basis_out diag(sigma) basis_in^T v, a None basis being the
+        identity embedding: A for (V, U), A* for (U, V)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1] != n_in:
             raise DimensionMismatchError(
-                f"expected input of length {self.n_y}, got {y.shape[-1]}")
-        c = y if self.left_basis is None else y @ self.left_basis
+                f"expected input of length {n_in}, got {v.shape[-1]}")
+        c = v if basis_in is None else v @ basis_in
         c = c[..., :self.rank] * self.singular_values
-        if self.right_basis is None:
-            out = np.zeros(y.shape[:-1] + (self.n_x,))
-            out[..., :self.rank] = c
-            return out
-        return c @ self.right_basis.T
+        if basis_out is not None:
+            return c @ basis_out.T
+        if self.rank == n_out:
+            return c
+        out = np.zeros(v.shape[:-1] + (n_out,))
+        out[..., :self.rank] = c
+        return out
 
     def as_matrix(self) -> np.ndarray:
         """Dense n_y x n_x representation (small problems only)."""

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from invlearn import (BoundInputs, CoveringModel, ElasticNetParams, ErmOptions,
+from invlearn import (CoveringModel, ElasticNetParams, ErmOptions,
                       ExperimentConfig, FixedPointFamily, ForwardOperator,
                       GaussianSpec, ParamClass, ProblemDistribution,
                       TikhonovFamily, covering_ball, draw_training_set,
@@ -248,9 +248,7 @@ def test_criterion_9_regime_logic():
 
 def test_criterion_10_bound_shape_domination(rate_fit):
     fit, _ = rate_fit
-    inputs = BoundInputs(K=1.0, M_ell=1.0, q=1, alpha=1.0, m=16, D=2.0)
-    cov = CoveringModel(kind="euclidean_ball", d=1, D=2.0)
-    ok, ratios = bound_domination_check(fit, inputs, cov, r=0.0)
+    ok, ratios = bound_domination_check(fit)
     worst = max(r for _, r in ratios)
     report(10, ok, f"calibrated empirical/bound ratio <= {worst:.3f} "
                    f"across {len(ratios)} grid points")

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from invlearn import ExperimentConfig, run_rate_experiment
 from invlearn.cli import main
 
 
@@ -162,6 +163,15 @@ def test_bounds_emits_curves(tmp_path, capsys):
     # bound value decreases with m
     vals = [entry["min_value"] for entry in out]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_bounds_prints_the_curves_of_the_rate_run(tmp_path, capsys):
+    # the command and the rate run read one curve table
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "bounds"]) == 0
+    fit = run_rate_experiment(ExperimentConfig.from_dict(
+        json.loads(cfg.read_text())))
+    assert json.loads(capsys.readouterr().out) == fit.curves()
 
 
 def test_bounds_entries_carry_the_curve_minimum_not_the_value_at_d(

@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import math
+import re
 import threading
 import tracemalloc
 
@@ -414,6 +415,12 @@ def test_rate_experiment_on_an_entropy_decay_class():
     fit = run_rate_experiment(ExperimentConfig.from_dict(
         scalar_config(param_class=sobolev)))
     assert fit.predicted_exponent == -0.2
+    # alpha s q = 0.4 <= 1: the chaining integral diverges at r = 0, so
+    # there is no bound to calibrate, and the error carries the curve's note
+    note = fit.curves()[0]["chaining_note"]
+    assert "alpha*s*q <= 1" in note
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(note)}$"):
+        bound_domination_check(fit)
     # at smoothness 2 the chaining exponent saturates at -1/2
     inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
         param_class={**sobolev, "smoothness": 2.0})))
@@ -423,21 +430,19 @@ def test_rate_experiment_on_an_entropy_decay_class():
 
 
 def test_bound_domination_after_calibration(small_fit):
-    inputs = BoundInputs(K=1.0, M_ell=1.0, q=1, alpha=1.0, m=16, D=2.0)
-    cov = CoveringModel(kind="euclidean_ball", d=1, D=2.0)
-    ok, ratios = bound_domination_check(small_fit, inputs, cov, r=0.0)
+    ok, ratios = bound_domination_check(small_fit)
     assert ok, ratios
     assert all(r <= 1.0 + 1e-9 for _, r in ratios)
 
 
 def test_bound_inputs_follow_the_config():
-    # the criterion-2 config gives criterion 10's hand-typed inputs
+    # the criterion-2 config: criterion 10 reads the chaining curve of these
     grid = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
         m_grid=grid, proxy_m=409_600)))
     assert inputs == [BoundInputs(K=1.0, M_ell=1.0, q=1, alpha=1.0, m=m,
                                   D=2.0) for m in grid]
-    assert (cov.kind, cov.d) == ("euclidean_ball", 1)
+    assert cov == CoveringModel("euclidean_ball", d=1, D=1.0)
     # bounded data with zero noise: the q of the verification suite
     raw = scalar_config(
         family={"kind": "fixed_point", "contraction_budget": 0.5},
@@ -486,6 +491,17 @@ def test_verification_suite_bounded_route():
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=50_000)
     assert report["q_route"] == 2
+    assert report["passed"], report
+
+
+def test_verification_suite_passes_a_one_point_class():
+    # radius 0: every probe theta is the centre, so there is no pair to
+    # certify; the entry passes as degenerate, as the rate run's verdict is
+    report = run_verification_suite(ExperimentConfig.from_dict(scalar_config(
+        param_class={"kind": "euclidean_ball", "dim": 1, "radius": 0.0})),
+        n_samples=20_000)
+    assert report["checks"]["stability_certificate"] == {
+        "passed": True, "degenerate": True}
     assert report["passed"], report
 
 
