@@ -510,7 +510,8 @@ def run_verification_suite(cfg: ExperimentConfig,
     """Empirical checklist behind the sample-error theory.
 
     Verifies: (a) the squared norms of x and y are q-Orlicz with finite
-    estimated norms and admissible tails, (b) the family admits a
+    estimated norms and admissible tails (an identically-zero one passes
+    as degenerate, with no tail to check), (b) the family admits a
     stability/sublinearity certificate on probes, (c) loss averages
     contract at the expected 1/sqrt(m) envelope, and, for Elastic-Net,
     (d) the learned-penalty hypotheses.
@@ -544,8 +545,11 @@ def run_verification_suite(cfg: ExperimentConfig,
             y_sq[rows] = np.sum(y_b**2, axis=1)
     for name, v in (("x_sq_norm", np.sum(x**2, axis=1)), ("y_sq_norm", y_sq)):
         norm = orlicz_norm(v, q)
-        record(f"orlicz_{name}", np.isfinite(norm) and norm > 0
-               and tail_check(v, norm * 1.05, q), q=q, norm=norm)
+        if norm == 0:  # an identically-zero sample has no tail to check
+            record(f"orlicz_{name}", True, degenerate=True, norm=0.0)
+        else:
+            record(f"orlicz_{name}", np.isfinite(norm)
+                   and tail_check(v, norm * 1.05, q), q=q, norm=norm)
 
     pclass = cfg.param_class
     rng_p = substream(cfg.master_seed, 502)

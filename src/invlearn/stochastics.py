@@ -230,15 +230,15 @@ def tail_check(samples, K: float, q: int) -> bool:
     The ``TAIL_GRID`` thresholds cover the 50th-99.9th percentiles of |W|.
     At each point the observed exceedance count is allowed up to the
     ``TAIL_CONFIDENCE`` binomial quantile under the claimed tail probability
-    (one-sided tolerance).
+    (one-sided tolerance).  K must be finite and positive.
     """
     w = np.abs(np.asarray(samples, dtype=float).ravel())
     if w.size == 0:
         raise ConfigurationError("empty sample")
     if not np.all(np.isfinite(w)):
         raise ConfigurationError("non-finite samples rejected")
-    if K <= 0:
-        raise ConfigurationError("K must be positive")
+    if not (math.isfinite(K) and K > 0):
+        raise ConfigurationError("K must be finite and positive")
     if q not in (1, 2):
         raise ConfigurationError("q must be 1 or 2")
     pct = np.linspace(50.0, 99.9, TAIL_GRID)
@@ -256,101 +256,41 @@ def _within_quantile(k: np.ndarray, n: int, p, q: float) -> np.ndarray:
     return (k == 0) | (_binom_cdf(np.maximum(k - 1, 0), n, p) < q)
 
 
-# log(j!) - log(sqrt(2 pi j) (j/e)^j) for j = 0..15, with 0 at j = 0
-_STIRLERR = np.array([0.0] + [
-    math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j
-    - 0.5 * math.log(2 * math.pi) for j in range(1, 16)])
-
-
-def _stirlerr(j: np.ndarray) -> np.ndarray:
-    """Stirling's error log(j!) - log(sqrt(2 pi j) (j/e)^j) at integers j:
-    a table up to 15, its asymptotic series beyond."""
-    jj = np.maximum(j, 1.0) ** 2
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj)
-                        / jj) / jj) / np.maximum(j, 1.0)
-    return np.where(j > 15, series, _STIRLERR[np.minimum(j, 15).astype(int)])
-
-
-def _bd0(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Deviance x log(x / M) + M - x, by its series in v = (x - M)/(x + M)
-    where x is within 10 % of M and the direct form would cancel."""
-    out = x * np.log(x / M) + M - x
-    near = np.abs(x - M) < 0.1 * (x + M)
-    x, M = x[near], M[near]
-    v = (x - M) / (x + M)
-    s = (x - M) * v
-    term = 2 * x * v
-    for j in range(1, 40):  # |v| < 0.1: each term is < 1 % of the last
-        term = term * v * v
-        s_next = s + term / (2 * j + 1)
-        if np.array_equal(s_next, s):
-            break
-        s = s_next
-    out[near] = s
-    return out
-
-
-def _binom_pmf(j: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """P(Bin(n, p) = j) for integers 0 <= j <= n and 0 < p < 1, in Loader's
-    saddle-point form (2000): its exponent has no cancelling lgamma terms,
-    so it keeps its relative accuracy at n = 10^6."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lc = (_stirlerr(np.float64(n)) - _stirlerr(j) - _stirlerr(n - j)
-              - _bd0(j, n * p) - _bd0(n - j, n * (1.0 - p)))
-        inner = np.exp(lc) / np.sqrt(2 * math.pi * j * (1.0 - j / n))
-    return np.select([j == 0, j == n],
-                     [np.exp(n * np.log1p(-p)), np.exp(n * np.log(p))], inner)
-
-
-def _lentz(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Continued fraction of the incomplete beta I_x(a, b), elementwise, by
-    the modified Lentz method (Numerical Recipes, section 6.4); it converges
-    fast where x < (a + 1)/(a + b + 2).  Each entry stops at its own
-    relative step 1e-15."""
-    tiny = 1e-300
-
-    def guard(v):
-        return np.where(np.abs(v) < tiny, tiny, v)
-
-    c = np.ones_like(x)
-    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    m = 0
-    while active.any():
-        m += 1
-        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                      -(a + m) * (a + b + m) * x
-                      / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 / guard(1.0 + coeff * d)
-            c = guard(1.0 + coeff / c)
-            step = d * c
-            h = np.where(active, h * step, h)
-        active &= np.abs(step - 1.0) > 1e-15
-    return h
-
-
 def _binom_cdf(k, n: int, p) -> np.ndarray:
     """P(Bin(n, p) <= k) elementwise over integer counts k and p in [0, 1].
 
-    For k < n and 0 < p < 1 this is I_{1-p}(n - k, k + 1).  Where
-    1 - p < (n - k + 1)/(n + 3) the continued fraction gives it directly,
-    as pmf(k) p cf; elsewhere it gives the complement I_p(k + 1, n - k) =
-    pmf(k + 1) (1 - p) cf.  These pmf terms are the prefactors
-    x^a (1 - x)^b / (a B(a, b)) of the two sides.
+    For each distinct 0 < p < 1 the pmf is taken relative to its value at
+    the mode M = min(n, floor((n + 1) p)): cumulative products of the
+    ratios pmf(j + 1)/pmf(j) = (n - j)/(j + 1) p/(1 - p) upwards from M,
+    and of their inverses downwards.  Every factor is at most 1, so
+    nothing overflows.  Below M the CDF is the sum of the terms up to k
+    over the sum S of all terms; from M on it is 1 - (terms above k)/S,
+    so that a CDF near 1 keeps its digits.  Only the terms within
+    w = floor(40 sigma) + 40 of M are summed, sigma^2 = n p (1 - p).  A
+    left-out j lies t > w > 40 sigma + 39 from the mean n p, so by
+    Bernstein's inequality those j hold probability at most
+    2 exp(-t^2 / (2 sigma^2 + 2 t / 3)) < 2 exp(-54) < 1e-23, as
+    sigma^2 < t^2 / 1600 and t > 39: the error of leaving them out.
     """
     k, p = np.broadcast_arrays(np.asarray(k, dtype=float),
                                np.asarray(p, dtype=float))
     out = np.where((k >= n) | (p == 0), 1.0, np.where(p == 1, 0.0, np.nan))
     inner = (k < n) & (p > 0) & (p < 1)
-    k, p = k[inner], p[inner]
-    direct = p > (k + 2) / (n + 3)
-    tail = (_binom_pmf(np.where(direct, k, k + 1), n, p)
-            * np.where(direct, p, 1.0 - p)
-            * _lentz(np.where(direct, n - k, k + 1),
-                     np.where(direct, k + 1, n - k),
-                     np.where(direct, 1.0 - p, p)))
-    out[inner] = np.where(direct, tail, 1.0 - tail)
+    for pj in np.unique(p[inner]):
+        at = inner & (p == pj)
+        mode = min(n, math.floor((n + 1) * pj))
+        w = math.floor(40 * math.sqrt(n * pj * (1 - pj))) + 40
+        lo, hi = max(0, mode - w), min(n, mode + w)
+        odds = pj / (1 - pj)
+        up, down = np.arange(mode, hi), np.arange(mode - 1, lo - 1, -1)
+        terms = np.r_[np.cumprod((down + 1) / (n - down) / odds)[::-1], 1.0,
+                      np.cumprod((n - up) / (up + 1) * odds)]
+        # the sums of the terms lo..j - 1 and j..hi, at j = k + 1
+        below = np.r_[0.0, np.cumsum(terms)]
+        above = np.r_[np.cumsum(terms[::-1])[::-1], 0.0]
+        j = np.clip(k[at] - lo + 1, 0, terms.size).astype(int)
+        out[at] = np.where(k[at] < mode, below[j] / below[-1],
+                           1.0 - above[j] / below[-1])
     return out
 
 

@@ -505,6 +505,30 @@ def test_verification_suite_passes_a_one_point_class():
     assert report["passed"], report
 
 
+@pytest.mark.parametrize("family, dim", [
+    ({"kind": "tikhonov", "structure": "scale"}, 1),
+    ({"kind": "elastic_net", "alpha": 1.0, "eta": 0.5,
+      "structure": "scale"}, 1),
+    ({"kind": "fixed_point", "contraction_budget": 0.5}, 2)],
+    ids=["tikhonov", "elastic_net", "fixed_point"])
+def test_verification_suite_passes_a_point_mass_prior_at_zero(family, dim):
+    # x = 0 identically, and y = 0 too under the fixed point's zero noise:
+    # such a squared norm has psi_q norm 0 and no tail, and its entry
+    # passes as degenerate, as the radius-0 certificate does
+    cfg = scalar_config(family=family, param_class={
+        "kind": "euclidean_ball", "dim": dim, "radius": 1.0})
+    cfg["problem"]["prior"]["cov_eigenvalues"] = [0.0]
+    zero_noise = family["kind"] == "fixed_point"
+    if zero_noise:
+        cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    report = run_verification_suite(ExperimentConfig.from_dict(cfg),
+                                    n_samples=20_000)
+    zero = {"passed": True, "degenerate": True, "norm": 0.0}
+    assert report["checks"]["orlicz_x_sq_norm"] == zero
+    assert (report["checks"]["orlicz_y_sq_norm"] == zero) == zero_noise
+    assert report["passed"], report
+
+
 def test_verification_suite_tikhonov_zero_noise_fails_family_check():
     # the family is built when the config is read, so a Tikhonov family
     # without invertible noise never reaches the verification suite

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
@@ -447,6 +447,39 @@ def test_binom_cdf_endpoints():
     assert np.isnan(_binom_cdf(1, 5, np.nan))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=1_000_000),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       law=st.sampled_from(["uniform", "log-uniform", "near one"]))
+def test_binom_cdf_property(n, u, law):
+    # (n, p) off the fixed grid of test_binom_cdf_matches_scipy: p uniform,
+    # log-uniform down to 1e-300, or 1 - p log-uniform down to 1e-15.  The
+    # kernel sums the lower terms below the mode and the upper ones from
+    # it on, so the k-grid holds the counts around the mode, where the CDF
+    # must stay non-decreasing.  The oracle sums scipy's pmf within
+    # 50 sd + 50 of the mean, the lower terms below it and the upper ones
+    # above: scipy.stats.binom.cdf itself is off by up to 1.4e-11 near
+    # p = 4e-5, n = 9e5 (against 40-digit sums, where this kernel is
+    # within 3e-16)
+    from scipy.stats import binom
+    p = {"uniform": u, "log-uniform": 10.0 ** (-300 * u),
+         "near one": 1.0 - 10.0 ** (-15 * u)}[law]
+    assume(p == 0 or p >= 1e-300)  # below it scipy's pmf overflows
+    mode, sd = np.floor((n + 1) * p), np.sqrt(n * p * (1 - p))
+    k = np.unique(np.r_[np.linspace(0, n, 101), mode + np.arange(-2, 3),
+                        n * p + sd * np.linspace(-8, 8, 161)]
+                  .round().clip(0, n))
+    lo = max(0, int(n * p - 50 * sd) - 50)
+    pmf = binom.pmf(np.arange(lo, min(n, int(n * p + 50 * sd) + 51) + 1),
+                    n, p)
+    want = [pmf[:j].sum() if kj < n * p else 1.0 - pmf[j:].sum()
+            for kj, j in zip(k, np.clip(k - lo + 1, 0, pmf.size).astype(int))]
+    got = _binom_cdf(k, n, p)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.all(np.diff(got) >= 0)
+    assert got[-1] == 1.0  # k = n
+
+
 def test_logsumexp_equals_scipy():
     # bit for bit, so every Orlicz bisection decision is scipy's
     from scipy.special import logsumexp
@@ -465,8 +498,9 @@ def test_logsumexp_equals_scipy():
 def test_tail_check_input_validation():
     with pytest.raises(ConfigurationError):
         tail_check([], K=1.0, q=2)
-    with pytest.raises(ConfigurationError):
-        tail_check([1.0], K=0.0, q=2)
+    for K in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            tail_check([1.0], K=K, q=2)
 
 
 @pytest.mark.parametrize("samples", [
