@@ -516,12 +516,14 @@ def run_verification_suite(cfg: ExperimentConfig,
     contract at the expected 1/sqrt(m) envelope, and, for Elastic-Net,
     (d) the learned-penalty hypotheses.
 
-    Its two large draws stream through ``ProblemDistribution.draw`` in row
-    blocks, each closed when the suite returns or raises, so that no draw
-    thread outlives it; the contraction keeps each block's m-averages, not
-    its losses.  Fixed-point rows stop together per block: at
-    ``pclass.center`` all stop at step 0 in iteration 2, as unblocked;
-    elsewhere within 2 tol.
+    Its two large draws, keyed (seed, 501) and (seed, 505), stream through
+    ``ProblemDistribution.draw`` in independent row blocks, each closed
+    when the suite returns or raises, so that no draw thread outlives it.
+    Of each block the suite keeps only the rows' squared norms, or the
+    contraction's m-averages; every program call, from A x to the
+    reconstruction, runs on the calling thread.  Fixed-point rows stop
+    together per block: at ``pclass.center`` all stop at step 0 in
+    iteration 2, as unblocked; elsewhere within 2 tol.
     """
     report = {"checks": {}, "passed": True}
 
@@ -538,12 +540,11 @@ def run_verification_suite(cfg: ExperimentConfig,
     q = q_route(dist)
     report["q_route"] = q
 
-    x, blocks = dist.draw(substream(cfg.master_seed, 501), n_samples)
-    y_sq = np.empty(n_samples)
-    with closing(blocks):
-        for rows, y_b in blocks:
-            y_sq[rows] = np.sum(y_b**2, axis=1)
-    for name, v in (("x_sq_norm", np.sum(x**2, axis=1)), ("y_sq_norm", y_sq)):
+    with closing(dist.draw((cfg.master_seed, 501), n_samples)) as blocks:
+        sq_norms = np.concatenate([(np.sum(x_b**2, axis=1),
+                                    np.sum(y_b**2, axis=1))
+                                   for x_b, y_b in blocks], axis=1)
+    for name, v in zip(("x_sq_norm", "y_sq_norm"), sq_norms):
         norm = orlicz_norm(v, q)
         if norm == 0:  # an identically-zero sample has no tail to check
             record(f"orlicz_{name}", True, degenerate=True, norm=0.0)
@@ -583,12 +584,11 @@ def run_verification_suite(cfg: ExperimentConfig,
     # m-average reads the first m losses of its row, and each block holds
     # whole trials, whose averages are taken before the next block
     width = max(CONTRACTION_M_GRID)
-    xs, blocks = dist.draw(substream(cfg.master_seed, 505),
-                           CONTRACTION_TRIALS * width)
-    with closing(blocks):
+    with closing(dist.draw((cfg.master_seed, 505),
+                           CONTRACTION_TRIALS * width)) as blocks:
         table = empirical_average_contraction(
-            (_batch_losses(family, pclass.center, xs[rows], y_b)
-             .reshape(-1, width) for rows, y_b in blocks),
+            (_batch_losses(family, pclass.center, x_b, y_b)
+             .reshape(-1, width) for x_b, y_b in blocks),
             q, CONTRACTION_M_GRID)
     degenerate = bool(np.all(table.k_hat == 0))  # identically-zero loss process
     record("loss_average_contraction",

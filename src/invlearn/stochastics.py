@@ -24,6 +24,7 @@ from .operators import ForwardOperator, GaussianSpec
 ORLICZ_REL_TOL = 1e-4   # relative bracket width at which the bisection stops
 TAIL_GRID = 12          # thresholds checked by tail_check
 TAIL_CONFIDENCE = 0.99  # binomial quantile allowed at each threshold
+AHEAD = 3               # blocks ProblemDistribution.draw's workers draw ahead
 
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
@@ -73,65 +74,65 @@ class ProblemDistribution:
         if np.any(self.noise.mean != 0):
             raise ConfigurationError("noise must be zero-mean")
 
-    def draw(self, rng: np.random.Generator, size: int):
-        """x of ``size`` pairs, and a generator of (rows, y[rows]) in blocks of
-        ``STACK_ROWS`` rows.  All x are drawn first; the noise of the blocks
-        follows from the same stream, in order, so no value depends on the
-        block size.  When there is more than one block and neither A nor
-        the noise law has a basis, a one-worker thread pool draws that
-        noise, at most two blocks ahead, while the caller works on the
-        current block.  Consume every block before the next draw from
-        ``rng``: after an early close the worker may have drawn up to two
-        blocks more, so ``rng`` is spent.  A degenerate noise law adds its
-        mean and draws nothing from ``rng``."""
-        x = self.prior.sample(rng, size)
-        return x, self._blocks(x, rng)
+    def draw(self, key: tuple, size: int):
+        """A generator of (x, y) of ``size`` pairs in independent blocks of
+        ``STACK_ROWS`` rows, the last one shorter.  Block b equals, bit for
+        bit, ``sample(substream(*key, b), rows)``: its x, then its noise,
+        from a stream of its own, so no value depends on which thread draws
+        it or when.  When there is more than one block and no basis of A,
+        of the noise law or of a Gaussian prior makes a side call BLAS, two
+        worker threads draw the blocks' x and noise, at most ``AHEAD``
+        blocks ahead of the one the caller holds, and the caller forms y =
+        A x + eps; otherwise every block is drawn on the caller's thread.
+        The workers call only ``GaussianSpec.sample`` and
+        ``BoundedSpec.sample``.  Closing the generator, or an exception,
+        joins the workers before it returns or propagates."""
+        starts = range(0, size, STACK_ROWS)
+
+        def block(b):
+            rng = substream(*key, b)
+            x = self.prior.sample(rng, min(STACK_ROWS, size - starts[b]))
+            return x, None if self.noise.degenerate else \
+                self.noise.sample(rng, len(x))
+
+        # a BLAS call on either side would spin its worker threads on the
+        # cores the other side needs
+        bases = (self.forward.left_basis, self.forward.right_basis,
+                 self.noise.covariance_basis,
+                 getattr(self.prior, "covariance_basis", None))
+        ahead = len(starts) > 1 and all(b is None for b in bases)
+        with ThreadPoolExecutor(2) if ahead else nullcontext() as pool:
+            if ahead:
+                drawn = deque(pool.submit(block, b)
+                              for b in range(min(AHEAD, len(starts))))
+            for b in range(len(starts)):
+                if ahead:
+                    x, eps = drawn.popleft().result()
+                    if b + AHEAD < len(starts):
+                        drawn.append(pool.submit(block, b + AHEAD))
+                else:
+                    x, eps = block(b)
+                yield x, self._outputs(x, eps)
 
     def sample(self, rng: np.random.Generator, size: int):
-        """(x, y) with y = A x + eps: the blocks of ``draw`` in one array."""
-        x, blocks = self.draw(rng, size)
+        """(x, y) with y = A x + eps from one stream: every x first, then
+        the noise of each block of ``STACK_ROWS`` rows in order, so no value
+        depends on the block size.  A degenerate noise law adds its mean
+        and draws nothing from ``rng``."""
+        x = self.prior.sample(rng, size)
         y = np.empty((size, self.forward.n_y))
-        for rows, y_b in blocks:
-            y[rows] = y_b
+        for i in range(0, size, STACK_ROWS):
+            x_b = x[i:i + STACK_ROWS]
+            y[i:i + STACK_ROWS] = self._outputs(
+                x_b, None if self.noise.degenerate
+                else self.noise.sample(rng, len(x_b)))
         return x, y
 
-    def _blocks(self, x, rng):
-        noise = self.noise
-        starts = range(0, len(x), STACK_ROWS)
-        # the worker pays only when neither side calls BLAS, whose worker
-        # threads would spin on the core the other side needs: no basis of
-        # A for the caller's A x, none of the noise law for the worker
-        bases = (self.forward.left_basis, self.forward.right_basis,
-                 noise.covariance_basis)
-        ahead = (len(starts) > 1 and not noise.degenerate
-                 and all(b is None for b in bases))
-        with ThreadPoolExecutor(1) if ahead else nullcontext() as pool:
-            if ahead:
-                # one worker fills block k into buffer k % 2, in order; block
-                # k + 2 is submitted once block k is added.  It only calls
-                # GaussianSpec.fill on a law without a basis, so it allocates
-                # no block (its malloc arena would keep what it frees), calls
-                # no BLAS, and nothing that perfbench/tracing.py spans (its
-                # span stack is not thread-safe)
-                buffers = np.empty((2, STACK_ROWS, noise.dim))
-
-                def fill(k):  # the slice stops at STACK_ROWS rows
-                    out = buffers[k % 2, :len(x) - starts[k]]
-                    return pool.submit(noise.fill, rng, out)
-
-                fills = deque([fill(0), fill(1)])
-            for k, i in enumerate(starts):
-                rows = slice(i, i + STACK_ROWS)
-                y_b = self.forward.apply(x[rows])
-                if noise.degenerate:
-                    y_b += noise.mean
-                elif ahead:
-                    y_b += fills.popleft().result()
-                    if k + 2 < len(starts):
-                        fills.append(fill(k + 2))
-                else:
-                    y_b += noise.sample(rng, len(y_b))
-                yield rows, y_b
+    def _outputs(self, x, eps):
+        """A x + eps, or A x plus the noise mean where eps is None."""
+        y = self.forward.apply(x)
+        y += self.noise.mean if eps is None else eps
+        return y
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingS
     """m i.i.d. pairs from the joint law, bitwise-deterministic given seed.
 
     The prior and noise draws come from one substream keyed by the seed, in
-    the order of ``ProblemDistribution.draw``, so the set is reproducible.
+    the order of ``ProblemDistribution.sample``, so the set is reproducible.
     """
     if m < 1:
         raise ConfigurationError("training set size must be >= 1")
@@ -192,11 +193,12 @@ def _logsumexp(a: np.ndarray) -> float:
 def orlicz_norm(samples, q: int) -> float:
     """Variational psi_q norm estimate: inf{t>0 : mean exp(|W|^q/t^q) <= 2}.
 
-    Bisection on t against the sample exponential moment (computed in log
-    space), relative tolerance ``ORLICZ_REL_TOL``, in the bracket
-    [max|W| / log(2n)^(1/q), max|W| / log(2)^(1/q)] that holds every
-    sample's norm: below it the largest term alone exceeds 2n, above it
-    no term exceeds 2.
+    The norm is homogeneous, so the bisection runs on W / max|W|, whose
+    norm lies in [1 / log(2n)^(1/q), 1 / log(2)^(1/q)]: below it the
+    largest term alone exceeds 2n, above it no term exceeds 2.  It tests
+    the sample exponential moment (in log space) to the relative
+    tolerance ``ORLICZ_REL_TOL``, and the result is scaled back by
+    max|W|: inf only where the norm exceeds the largest float.
     """
     w = np.asarray(samples, dtype=float).ravel()
     if q not in (1, 2):
@@ -205,23 +207,21 @@ def orlicz_norm(samples, q: int) -> float:
         raise ConfigurationError("empty sample")
     if not np.all(np.isfinite(w)):
         raise ConfigurationError("non-finite samples rejected")
-    wq = np.abs(w) ** q
-    if np.all(wq == 0):
+    top = float(np.max(np.abs(w)))
+    if top == 0:
         return 0.0
     log2n = np.log(2.0) + np.log(w.size)
-
-    def feasible(t):
-        return _logsumexp(wq / t**q) - log2n <= 0
-
-    top = float(np.max(np.abs(w)))
-    lo, hi = top / log2n ** (1 / q), top / np.log(2.0) ** (1 / q)
-    while hi / lo > 1 + ORLICZ_REL_TOL:
-        mid = np.sqrt(lo * hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    lo, hi = 1 / log2n ** (1 / q), 1 / np.log(2.0) ** (1 / q)
+    # a term that underflows is exp(0) = 1 either way
+    with np.errstate(under="ignore"):
+        wq = np.abs(w / top) ** q
+        while hi / lo > 1 + ORLICZ_REL_TOL:
+            mid = np.sqrt(lo * hi)
+            if _logsumexp(wq / mid**q) <= log2n:
+                hi = mid
+            else:
+                lo = mid
+    return float(hi) * top
 
 
 def tail_check(samples, K: float, q: int) -> bool:

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -16,7 +17,7 @@ from invlearn import (ElasticNetFamily, ErmOptions, ExperimentConfig,
                       FixedPointFamily, ForwardOperator, GaussianSpec,
                       ParamClass, ProblemDistribution, TikhonovFamily,
                       erm_solve, experiment, risk, run_rate_experiment,
-                      run_verification_suite)
+                      run_verification_suite, stochastics)
 from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
 from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
@@ -602,15 +603,13 @@ def test_verification_suite_invalid_elastic_net_penalty():
 
 
 def _suite_losses(family, theta, dist, size):
-    """The verification suite's blocked loss draw at ``theta``, and the
-    full-size reference: ``_batch_losses`` on one ``sample`` of the same
-    stream."""
-    x, blocks = dist.draw(substream(3, 505), size)
-    losses = np.empty(size)
-    for rows, y_b in blocks:
-        losses[rows] = risk._batch_losses(family, theta, x[rows], y_b)
-    x, y = dist.sample(substream(3, 505), size)
-    return losses, risk._batch_losses(family, theta, x, y)
+    """The verification suite's blocked loss draw at ``theta``, the
+    full-batch losses of the same rows, and those rows (x, y)."""
+    blocks = list(dist.draw((3, 505), size))
+    blocked = np.concatenate([risk._batch_losses(family, theta, x_b, y_b)
+                              for x_b, y_b in blocks])
+    x, y = (np.concatenate(part) for part in zip(*blocks))
+    return blocked, risk._batch_losses(family, theta, x, y), x, y
 
 
 def _suite_problem():
@@ -634,8 +633,8 @@ SUITE_FAMILIES = {
 @pytest.mark.parametrize("kind", sorted(SUITE_FAMILIES))
 def test_blocked_suite_losses_equal_the_full_draw(kind):
     # every family at the class centre, the only theta the suite evaluates,
-    # and an affine one off it too: the blocks give the full draw's losses
-    # bit for bit
+    # and an affine one off it too: the losses block by block are those of
+    # the full draw, all its rows in one batch, bit for bit
     op, dist = _suite_problem()
     family = SUITE_FAMILIES[kind](op, dist.noise)
     pclass = ParamClass("euclidean_ball", family.dim)
@@ -643,51 +642,66 @@ def test_blocked_suite_losses_equal_the_full_draw(kind):
     if family.affine:
         thetas.append(pclass.sample(substream(3, 1)))
     for theta in thetas:
-        blocked, full = _suite_losses(family, theta, dist, BLOCK_ROWS)
+        blocked, full, _, _ = _suite_losses(family, theta, dist, BLOCK_ROWS)
         assert np.array_equal(blocked, full)
 
 
 def test_blocked_fixed_point_losses_off_the_centre_within_two_tol():
     # off the centre a block's rows stop on their own shared rule, so the
-    # blocked solve is not the full-batch one (at this theta the short last
-    # block stops earlier); each is within tol = 1e-10 of the fixed point,
-    # hence within 2 tol of the other, and |dL| <= |dR| (|R - x| + |dR| / 2)
+    # blocked solve is not the full-batch one; each is within tol = 1e-10
+    # of the fixed point, hence within 2 tol of the other, and
+    # |dL| <= |dR| (|R - x| + |dR| / 2)
     op, dist = _suite_problem()
     family = FixedPointFamily(op, 0.5)
     theta = ParamClass("euclidean_ball", family.dim).sample(substream(3, 0))
-    blocked, full = _suite_losses(family, theta, dist, BLOCK_ROWS)
-    x, y = dist.sample(substream(3, 505), BLOCK_ROWS)
+    blocked, full, x, y = _suite_losses(family, theta, dist, BLOCK_ROWS)
     gap = np.linalg.norm(family.reconstruct_batch(theta, y) - x, axis=1)
     tol = 1e-10
     assert np.all(np.abs(blocked - full) <= 2 * tol * (gap + tol))
 
 
-def _record_threads(monkeypatch, cls, name, seen, fail_rows=None):
-    """Replace ``cls.name`` by a wrapper that records the calling thread,
-    and raises once it is given a batch of ``fail_rows`` rows."""
-    original = getattr(cls, name)
+def _record_threads(monkeypatch, owner, name, seen, fail_rows=None):
+    """Replace ``owner.name``, a method of the class ``owner`` or a function
+    of the module ``owner`` under every name the package binds it to, by a
+    wrapper that records the calling thread, and raises once it is given a
+    batch of ``fail_rows`` rows."""
+    original = getattr(owner, name)
 
-    def wrapper(self, *args):
+    def wrapper(*args):
         seen.append(threading.get_ident())
         if fail_rows is not None and len(args[-1]) == fail_rows:
             raise FloatingPointError("block failed")
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(cls, name, wrapper)
+    targets = [owner] if isinstance(owner, type) else [
+        module for key, module in list(sys.modules.items())
+        if key.startswith("invlearn")
+        and getattr(module, name, None) is original]
+    for target in targets:
+        monkeypatch.setattr(target, name, wrapper)
 
 
 def test_verification_suite_calls_the_program_on_its_own_thread(
         monkeypatch):
-    # every operator apply and reconstruction of the suite runs on the
-    # calling thread (the draw thread only draws noise); no thread is left
-    seen = []
-    _record_threads(monkeypatch, ForwardOperator, "apply", seen)
-    _record_threads(monkeypatch, TikhonovFamily, "reconstruct_batch", seen)
+    # every call of the suite that perfbench/tracing.py spans runs on the
+    # calling thread, whose span stack is not thread-safe: the draw
+    # threads only draw x and noise; no thread is left
+    calls = {}
+    for owner, name in ((ForwardOperator, "apply"),
+                        (TikhonovFamily, "reconstruct_batch"),
+                        (ProblemDistribution, "sample"),
+                        (risk, "_batch_losses"), (stochastics, "orlicz_norm")):
+        _record_threads(monkeypatch, owner, name,
+                        calls.setdefault(name, []))
     before = threading.active_count()
     run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
                            n_samples=3 * STACK_ROWS)
     assert threading.active_count() == before
-    assert len(seen) > 2 * 32 and set(seen) == {threading.get_ident()}
+    # the 32 contraction blocks, and more
+    assert len(calls["apply"]) > 32 and len(calls["reconstruct_batch"]) > 32
+    assert all(seen for seen in calls.values())
+    assert {t for seen in calls.values() for t in seen} == \
+        {threading.get_ident()}
 
 
 def test_verification_suite_that_raises_leaves_no_thread(monkeypatch):
@@ -709,9 +723,10 @@ def test_verification_suite_that_raises_leaves_no_thread(monkeypatch):
 
 def test_verification_suite_peak_memory():
     # the 4-d diagonal Tikhonov config of the benchmark's verify_suite
-    # workload: the blocked suite holds the contraction draw's x (65.5 MB),
-    # its per-block m-averages (2 000 x 4) and one block, and its peak is
-    # 84.1 MB, where the full-size draws peaked at 288 MB
+    # workload: the suite keeps per-row squared norms (2 x 100 000), the
+    # per-block m-averages (2 000 x 4) and the blocks in flight, at most
+    # AHEAD drawn ahead and the one in hand, 4.2 MB each; its peak is
+    # 28 MB, and the bound leaves 22 MB for allocator and timing slack
     n = 4
     problem = {
         "forward": {"n_x": n, "n_y": n, "basis": "identity",
@@ -730,4 +745,4 @@ def test_verification_suite_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 110e6, peak
+    assert peak < 50e6, peak

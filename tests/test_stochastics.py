@@ -1,5 +1,8 @@
 """Tests for sampling, Orlicz-norm estimation, and concentration checks."""
 
+import contextlib
+import math
+import signal
 import sys
 import threading
 import time
@@ -15,7 +18,8 @@ from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       tail_check)
 from invlearn.errors import ConfigurationError
 from invlearn.hypotheses import STACK_ROWS
-from invlearn.stochastics import _binom_cdf, _logsumexp, _within_quantile
+from invlearn.stochastics import (AHEAD, ORLICZ_REL_TOL, _binom_cdf,
+                                  _logsumexp, _within_quantile)
 
 
 def scalar_problem(noise_var=1.0):
@@ -83,7 +87,7 @@ def test_csv_dump_header(tmp_path):
     assert first == "j,x_0,y_0"
 
 
-# -- the block stream of ProblemDistribution.draw --------------------------
+# -- ProblemDistribution.sample and the blocks of draw ----------------------
 
 def full_draw(dist, rng, size):
     """The reference draw: all x, then all eps, then y = A x + eps, each a
@@ -120,25 +124,43 @@ BLOCK_LAWS = {
         noise=GaussianSpec.iso(4, 0.3),
         forward=ForwardOperator.from_matrix(
             np.random.default_rng(3).standard_normal((4, 3)))),
+    # no basis anywhere, noise that is never drawn, and rank 2 < n_y = 3
+    "gaussian_zero_noise": ProblemDistribution(
+        prior=GaussianSpec(mean=[0.5, -1.0, 0.0],
+                           covariance_eigenvalues=[1.0, 0.3, 0.7]),
+        noise=GaussianSpec.iso(3, 0.0),
+        forward=ForwardOperator(n_x=3, n_y=3, singular_values=[1.0, 0.5])),
 }
+BLOCK_SIZES = [1, STACK_ROWS - 1, STACK_ROWS, STACK_ROWS + 1,
+               2 * STACK_ROWS + 3]
+
+
+def keyed_blocks(dist, key, size):
+    """The blocks ``draw(key, size)`` must give: block b is ``sample`` of
+    its rows from ``substream(*key, b)``."""
+    return [dist.sample(substream(*key, b), min(STACK_ROWS, size - i))
+            for b, i in enumerate(range(0, size, STACK_ROWS))]
+
+
+def assert_blocks_equal(blocks, expected):
+    assert len(blocks) == len(expected)
+    for (x, y), (x_ref, y_ref) in zip(blocks, expected):
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
 @pytest.mark.parametrize("law", sorted(BLOCK_LAWS))
-@pytest.mark.parametrize("size", [1, STACK_ROWS - 1, STACK_ROWS,
-                                  STACK_ROWS + 1, 2 * STACK_ROWS + 3])
+@pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_draw_blocks_join_to_the_full_draw(law, size):
-    # the blocks continue one stream: joined, they equal the full-size draw
-    # bit for bit, and so does sample, which is built on them
+    # block b of draw((7, 0), size) is sample of its rows from stream
+    # (7, 0, b), bit for bit, whichever thread drew it; sample reads one
+    # stream, all x first, and equals the full-size draw bit for bit, so
+    # the blocks join to the full draws of their own streams
     dist = BLOCK_LAWS[law]
+    assert_blocks_equal(list(dist.draw((7, 0), size)),
+                        keyed_blocks(dist, (7, 0), size))
     x_ref, y_ref = full_draw(dist, substream(7, 0), size)
-    x, blocks = dist.draw(substream(7, 0), size)
-    blocks = list(blocks)
-    assert [b[0] for b in blocks] == [slice(i, i + STACK_ROWS)
-                                      for i in range(0, size, STACK_ROWS)]
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(np.concatenate([y_b for _, y_b in blocks]), y_ref)
-    x_s, y_s = dist.sample(substream(7, 0), size)
-    assert np.array_equal(x_s, x_ref) and np.array_equal(y_s, y_ref)
+    x, y = dist.sample(substream(7, 0), size)
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
 @pytest.mark.parametrize("prior", [GaussianSpec.iso(2, 1.0),
@@ -153,11 +175,6 @@ def test_zero_noise_is_not_drawn(prior):
     x_ref, y_ref = full_draw(dist, substream(7, 0), size)
     after_x = substream(7, 0)
     prior.sample(after_x, size)
-    rng = substream(7, 0)
-    x, blocks = dist.draw(rng, size)
-    y = np.concatenate([y_b for _, y_b in blocks])
-    assert rng.bit_generator.state == after_x.bit_generator.state
-    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
     rng = substream(7, 0)
     x, y = dist.sample(rng, size)
     assert rng.bit_generator.state == after_x.bit_generator.state
@@ -174,34 +191,51 @@ def wait_for_threads(count, timeout=5.0):
     return True
 
 
-def fill_threads(monkeypatch):
-    """The threads of the ``GaussianSpec.fill`` calls made from now on."""
-    fill, threads = GaussianSpec.fill, []
+def record_law_samples(monkeypatch, fail_rows=None):
+    """The threads of the ``GaussianSpec.sample`` and ``BoundedSpec.sample``
+    calls made from now on; a Gaussian draw of ``fail_rows`` rows raises."""
+    threads = []
+    for cls in (GaussianSpec, BoundedSpec):
+        def recording_sample(self, rng, size, sample=cls.sample):
+            threads.append(threading.get_ident())
+            if size == fail_rows and isinstance(self, GaussianSpec):
+                raise FloatingPointError("noise draw failed")
+            return sample(self, rng, size)
 
-    def recording_fill(self, rng, out):
-        threads.append(threading.get_ident())
-        return fill(self, rng, out)
-
-    monkeypatch.setattr(GaussianSpec, "fill", recording_fill)
+        monkeypatch.setattr(cls, "sample", recording_sample)
     return threads
+
+
+def prior_basis_law():
+    """``gaussian_zero_noise`` with a covariance basis of its prior."""
+    law = BLOCK_LAWS["gaussian_zero_noise"]
+    prior = GaussianSpec(law.prior.mean, law.prior.covariance_eigenvalues,
+                         _rotation(3, 4))
+    return ProblemDistribution(prior=prior, noise=law.noise,
+                               forward=law.forward)
 
 
 @pytest.mark.parametrize("law, size, ahead", [
     ("uniform_ball", STACK_ROWS, False),
     ("uniform_ball", STACK_ROWS + 1, True),
-    # a basis of the noise law or of A: its product calls BLAS
+    # a basis of the noise law, of A or of the prior: its product calls BLAS
     ("gaussian_cov_basis", 2 * STACK_ROWS, False),
     ("from_matrix", 2 * STACK_ROWS, False),
+    ("prior_basis", 2 * STACK_ROWS, False),
+    ("gaussian_zero_noise", 2 * STACK_ROWS, True),
 ])
 def test_noise_is_drawn_ahead_only_beside_blas_free_blocks(monkeypatch, law,
                                                            size, ahead):
-    # a thread draws the noise only of a draw of more than one block whose
-    # A x and noise take no BLAS call; sample is draw, so it does the same
-    threads = fill_threads(monkeypatch)
-    x, y = BLOCK_LAWS[law].sample(substream(7, 0), size)
-    assert (set(threads) != {threading.get_ident()}) == ahead
-    assert np.array_equal(y, full_draw(BLOCK_LAWS[law], substream(7, 0),
-                                       size)[1])
+    # worker threads draw the blocks' x and noise ahead only in a draw of
+    # more than one block whose laws and A take no BLAS call; the caller
+    # gets the same blocks either way
+    dist = prior_basis_law() if law == "prior_basis" else BLOCK_LAWS[law]
+    expected = keyed_blocks(dist, (7, 0), size)
+    threads = record_law_samples(monkeypatch)
+    blocks = list(dist.draw((7, 0), size))
+    assert threading.get_ident() not in threads if ahead \
+        else set(threads) == {threading.get_ident()}
+    assert_blocks_equal(blocks, expected)
 
 
 def test_draw_stopped_after_one_block_leaves_no_thread():
@@ -209,79 +243,68 @@ def test_draw_stopped_after_one_block_leaves_no_thread():
     before = threading.active_count()
 
     def first_block():
-        _, blocks = dist.draw(substream(7, 0), 4 * STACK_ROWS)
-        for rows, y_b in blocks:
-            return rows
+        for x, _ in dist.draw((7, 0), 6 * STACK_ROWS):
+            return len(x)
 
-    assert first_block() == slice(0, STACK_ROWS)
+    assert first_block() == STACK_ROWS
     assert wait_for_threads(before)
-    _, blocks = dist.draw(substream(7, 0), 4 * STACK_ROWS)
+    blocks = dist.draw((7, 0), 6 * STACK_ROWS)
     next(blocks)
     blocks.close()
     assert threading.active_count() == before
 
 
 def test_draw_reraises_what_the_noise_thread_raised(monkeypatch):
-    # the second block's noise fails on the draw thread; the consumer gets
-    # the first block, then the same exception, and no thread is left (the
-    # prior is not Gaussian, so every fill is a noise fill)
+    # the noise of the short last block fails on a worker (the prior is not
+    # Gaussian, so every Gaussian draw is a noise draw); the caller gets the
+    # two full blocks, then the same exception, and no thread is left
     dist = BLOCK_LAWS["uniform_ball"]
-    error = FloatingPointError("noise fill failed")
-    fill, calls = GaussianSpec.fill, []
-
-    def failing_fill(self, rng, out):
-        calls.append(threading.get_ident())
-        if len(calls) == 2:
-            raise error
-        return fill(self, rng, out)
-
-    monkeypatch.setattr(GaussianSpec, "fill", failing_fill)
+    threads = record_law_samples(monkeypatch, fail_rows=3)
     before = threading.active_count()
-    _, blocks = dist.draw(substream(7, 0), 3 * STACK_ROWS)
-    next(blocks)
-    with pytest.raises(FloatingPointError) as raised:
+    blocks = dist.draw((7, 0), 2 * STACK_ROWS + 3)
+    assert [len(next(blocks)[0]) for _ in range(2)] == [STACK_ROWS] * 2
+    with pytest.raises(FloatingPointError, match="noise draw failed"):
         next(blocks)
-    assert raised.value is error
-    assert threading.get_ident() not in calls
-    assert wait_for_threads(before)
+    assert threading.get_ident() not in threads
+    assert threading.active_count() == before
 
 
-def test_noise_ahead_reuses_two_buffers_at_most_two_blocks_ahead(
-        monkeypatch):
-    # every block's noise is filled into one of two buffers, so none is
-    # allocated per block, and however slow the consumer, the fills started
-    # are never more than two ahead of the blocks it has received
-    fill, buffers, started = GaussianSpec.fill, set(), [0]
+def test_draw_holds_at_most_AHEAD_blocks_in_flight(monkeypatch):
+    # however slow the caller, the workers never start a block more than
+    # AHEAD blocks after the last one it received, and they do reach that
+    n_blocks = 8
+    started, lock = [], threading.Lock()
+    sample = BoundedSpec.sample
 
-    def recording_fill(self, rng, out):
-        buffers.add(out.__array_interface__["data"][0])
-        started[0] += 1
-        return fill(self, rng, out)
+    def recording_sample(self, rng, size):
+        with lock:
+            started.append(size)
+        return sample(self, rng, size)
 
-    monkeypatch.setattr(GaussianSpec, "fill", recording_fill)
+    monkeypatch.setattr(BoundedSpec, "sample", recording_sample)
     dist = BLOCK_LAWS["uniform_ball"]
-    size = 5 * STACK_ROWS + 3
-    _, blocks = dist.draw(substream(7, 0), size)
     ahead = []
-    for received, _ in enumerate(blocks, start=1):
-        time.sleep(0.02)  # time for a worker that may run ahead to do so
-        ahead.append(started[0] - received)
-    assert len(ahead) == 6 and started[0] == 6
-    assert len(buffers) == 2
-    assert max(ahead) <= 2
+    for received, _ in enumerate(dist.draw((7, 0), n_blocks * STACK_ROWS),
+                                 start=1):
+        deadline = time.monotonic() + 5.0
+        while (len(started) < min(n_blocks, received + AHEAD)
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        time.sleep(0.01)  # time for a worker that would overshoot to do so
+        ahead.append(len(started) - received)
+    assert len(started) == n_blocks
+    assert max(ahead) == AHEAD
 
 
 def test_concurrent_draws_keep_their_values():
-    # three consumers and their three draw threads on two cores, switching
-    # threads every microsecond: a noise buffer refilled while its block
-    # was still being added would change a value
+    # three callers and their six workers on two cores, switching threads
+    # every microsecond: no value may depend on the timing
     dist = BLOCK_LAWS["uniform_ball"]
     size = 3 * STACK_ROWS + 5
     drawn = {}
 
     def consume(k):
-        x, blocks = dist.draw(substream(7, k), size)
-        drawn[k] = x, np.concatenate([y_b for _, y_b in blocks])
+        drawn[k] = list(dist.draw((7, k), size))
 
     workers = [threading.Thread(target=consume, args=(k,)) for k in range(3)]
     interval = sys.getswitchinterval()
@@ -295,9 +318,7 @@ def test_concurrent_draws_keep_their_values():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     for k in range(3):
-        x_ref, y_ref = full_draw(dist, substream(7, k), size)
-        assert np.array_equal(drawn[k][0], x_ref)
-        assert np.array_equal(drawn[k][1], y_ref)
+        assert_blocks_equal(drawn[k], keyed_blocks(dist, (7, k), size))
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 1.0), (2, 0.7), (5, 3.3)])
@@ -356,6 +377,42 @@ def test_orlicz_homogeneity():
         for scale in (2.5, 1e-12, 1e12):
             scaled = orlicz_norm(scale * w, q)
             assert abs(scaled - scale * base) <= 1e-3 * scale * base
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("w, q, norm", [
+    # exp(1e308 / t) + e^(1 / t) <= 4 at t = 1e308 / log 3, where the
+    # product of the unscaled bracket's ends exceeds the float maximum
+    ([1e308, 1.0], 1, 1e308 / math.log(3)),
+    # |w|^2 exceeds the float maximum
+    ([1.4e154, 1.0], 2, 1.4e154 / math.sqrt(math.log(3))),
+    # one sample: its norm 1.2e308 / log 2 is just below the float maximum
+    ([1.2e308], 1, 1.2e308 / math.log(2)),
+])
+def test_orlicz_norm_near_the_float_maximum(w, q, norm):
+    with time_limit(5), np.errstate(all="raise"):
+        est = orlicz_norm(w, q)
+    assert est == pytest.approx(norm, rel=2 * ORLICZ_REL_TOL)
+
+
+def test_orlicz_norm_above_the_float_maximum_is_inf():
+    # 1.7e308 / log 2 exceeds the largest float: no finite norm is right
+    with time_limit(5), np.errstate(all="raise"):
+        assert orlicz_norm([1.7e308], 1) == math.inf
 
 
 def test_orlicz_monotone_under_domination():
