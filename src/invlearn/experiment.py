@@ -514,7 +514,8 @@ def run_verification_suite(cfg: ExperimentConfig,
     as degenerate, with no tail to check), (b) the family admits a
     stability/sublinearity certificate on probes, (c) loss averages
     contract at the expected 1/sqrt(m) envelope, and, for Elastic-Net,
-    (d) the learned-penalty hypotheses.
+    (d) the learned-penalty hypotheses.  ``n_samples`` (>= 1) rows go
+    into the Orlicz estimates.
 
     Its two large draws, keyed (seed, 501) and (seed, 505), stream through
     ``ProblemDistribution.draw`` in independent row blocks, each closed
@@ -525,6 +526,8 @@ def run_verification_suite(cfg: ExperimentConfig,
     together per block: at ``pclass.center`` all stop at step 0 in
     iteration 2, as unblocked; elsewhere within 2 tol.
     """
+    if n_samples < 1:
+        raise ConfigurationError("verification sample size must be >= 1")
     report = {"checks": {}, "passed": True}
 
     def record(name, ok, **info):

@@ -395,7 +395,7 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
     k = len(b)
     live = np.arange(k)  # thetas still iterating
     P, prev = np.zeros((k,) + base.shape[-2:]), None
-    stopped = []  # (thetas, their fixed points), as they stop
+    out = np.empty((k,) + base.shape)  # each theta's fixed points as it stops
     for _ in range(max_iter):
         P_next = np.tanh(P @ np.swapaxes(W_eff, -1, -2) + b) + base
         steps = np.linalg.norm(P_next - P, axis=-1)
@@ -413,7 +413,7 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
                         f"observed contraction ratio {ratio:.6f} exceeds "
                         f"certified budget {L_z}")
         if np.any(done := np.max(steps, axis=-1, initial=0.0) <= stop):
-            stopped.append((live[done], P_next[done]))
+            out[live[done]] = P_next[done]
             live, P_next, steps, W_eff, b = (
                 a[~done] for a in (live, P_next, steps, W_eff, b))
             if not live.size:
@@ -423,12 +423,6 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
         raise ConvergenceError("fixed-point iteration did not converge",
                                residual=float(np.max(prev)),
                                iterations=max_iter)
-    if len(stopped) == 1:  # every theta at once, in order
-        out = stopped[0][1]
-    else:
-        out = np.empty((k,) + base.shape)
-        for thetas, fixed in stopped:
-            out[thetas] = fixed
     return out.reshape(params.b.shape[:-1] + y.shape[:-1] + (n,))
 
 

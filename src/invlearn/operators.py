@@ -175,18 +175,16 @@ class GaussianSpec:
         """Whether every eigenvalue is 0: a point mass at the mean."""
         return not np.any(self.covariance_eigenvalues)
 
-    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Draw ``len(out)`` samples into the C-contiguous (rows, dim) array
-        ``out`` and return it; the values of ``sample`` of that size."""
-        rng.standard_normal(out=out)
-        out *= np.sqrt(self.covariance_eigenvalues)
-        if self.covariance_basis is not None:
-            out[...] = out @ self.covariance_basis.T
-        out += self.mean
-        return out
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.fill(rng, np.empty((size, self.dim)))
+        """``size`` draws as rows: one standard normal (size, dim) draw
+        from ``rng``, scaled by the root eigenvalues, turned by the basis if
+        there is one, then shifted by the mean."""
+        z = rng.standard_normal((size, self.dim))
+        z *= np.sqrt(self.covariance_eigenvalues)
+        if self.covariance_basis is not None:
+            z = z @ self.covariance_basis.T
+        z += self.mean
+        return z
 
 
 @dataclass(frozen=True)

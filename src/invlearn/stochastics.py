@@ -173,32 +173,16 @@ def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingS
 # Orlicz-norm estimation
 # ---------------------------------------------------------------------------
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite 1-d array, shifted by its maximum.
-
-    The k maximal entries are taken out of the sum and added back as
-    log(k), so the result is log1p(s / k) + log(k) + max(a), with s the
-    sum of the other entries' exp(a - max(a)) (Blanchard, Higham & Higham
-    2021).  The arithmetic is that of ``scipy.special.logsumexp``: the
-    results are equal bit for bit.
-    """
-    a_max = a.max()
-    top = a == a_max
-    k = np.count_nonzero(top)
-    shifted = a - a_max
-    shifted[top] = -np.inf
-    return np.log1p(np.exp(shifted).sum() / k) + np.log(k) + a_max
-
-
 def orlicz_norm(samples, q: int) -> float:
     """Variational psi_q norm estimate: inf{t>0 : mean exp(|W|^q/t^q) <= 2}.
 
     The norm is homogeneous, so the bisection runs on W / max|W|, whose
     norm lies in [1 / log(2n)^(1/q), 1 / log(2)^(1/q)]: below it the
-    largest term alone exceeds 2n, above it no term exceeds 2.  It tests
-    the sample exponential moment (in log space) to the relative
-    tolerance ``ORLICZ_REL_TOL``, and the result is scaled back by
-    max|W|: inf only where the norm exceeds the largest float.
+    largest term alone exceeds 2n, above it no term exceeds 2.  So every
+    exponent it tests is at most log 2n, and it sums the sample
+    exponential moment directly, to the relative tolerance
+    ``ORLICZ_REL_TOL``.  The result is scaled back by max|W|: inf only
+    where the norm exceeds the largest float.
     """
     w = np.asarray(samples, dtype=float).ravel()
     if q not in (1, 2):
@@ -217,7 +201,7 @@ def orlicz_norm(samples, q: int) -> float:
         wq = np.abs(w / top) ** q
         while hi / lo > 1 + ORLICZ_REL_TOL:
             mid = np.sqrt(lo * hi)
-            if _logsumexp(wq / mid**q) <= log2n:
+            if np.exp(wq / mid**q).sum() <= 2 * w.size:
                 hi = mid
             else:
                 lo = mid

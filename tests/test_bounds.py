@@ -270,6 +270,25 @@ def test_entropy_integral_closed_form_beta_above_one():
     assert val == pytest.approx(6.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha, s, q", [
+    (1.0, 1.0, 1), (0.5, 2.0, 1), (1.0, 0.5, 2), (0.8, 0.625, 2)])
+def test_entropy_integral_at_alpha_s_q_one_vs_quadrature(alpha, s, q):
+    # alpha s q = 1: the integrand is c^(1/q) / t, whose integral from a
+    # positive lower limit is a logarithm
+    from scipy.integrate import quad
+    for c in (1.0, 2.5):
+        cov = CoveringModel(kind="entropy_decay", s=s, c=c)
+
+        def integrand(t):
+            return cov.log_n(t ** (1.0 / alpha)) ** (1.0 / q)
+
+        for lower, upper in ((1e-3, 1.0), (0.25, 4.0)):
+            exact = quad(integrand, lower, upper, epsrel=1e-13, epsabs=0.0,
+                         limit=400)[0]
+            assert entropy_integral(cov, alpha, q, lower, upper) == \
+                pytest.approx(exact, rel=1e-12)
+
+
 def test_chaining_euclidean_integrand_vs_antiderivative():
     # q=1, alpha=1 euclidean ball: integrand d log(2 D sqrt(d) / c) has the
     # closed-form antiderivative d c (log(2 D sqrt(d)/c) + 1)

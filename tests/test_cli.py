@@ -10,8 +10,11 @@ import sys
 
 import pytest
 
-from invlearn import ExperimentConfig, run_rate_experiment
+from invlearn import ExperimentConfig, experiment, run_rate_experiment
+from invlearn.bounds import curve_table
 from invlearn.cli import main
+from invlearn.errors import ConvergenceError
+from invlearn.experiment import bound_inputs
 
 
 def write_config(tmp_path, **overrides):
@@ -143,6 +146,23 @@ def test_verify_scalar_gaussian_passes(tmp_path, capsys):
     assert report["passed"]
 
 
+def test_verify_exits_one_on_a_failing_entry(tmp_path, capsys,
+                                              monkeypatch):
+    # an error inside a check goes into the report, which fails
+    def fails(*args, **kwargs):
+        raise ConvergenceError("certificate did not converge")
+
+    monkeypatch.setattr(experiment, "certify_stability", fails)
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "verify"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["checks"]["stability_certificate"] == {
+        "passed": False, "error": "certificate did not converge"}
+    assert all(check["passed"] for name, check in report["checks"].items()
+               if name != "stability_certificate")
+
+
 def test_bounds_requires_m_grid(tmp_path, capsys):
     cfg = write_config(tmp_path)
     raw = json.loads(cfg.read_text())
@@ -163,6 +183,17 @@ def test_bounds_emits_curves(tmp_path, capsys):
     # bound value decreases with m
     vals = [entry["min_value"] for entry in out]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_bounds_out_writes_the_curve_table(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "bounds"]) == 0
+    path = out / "bounds.json"
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    table = curve_table(*bound_inputs(ExperimentConfig.from_dict(
+        json.loads(cfg.read_text()))))
+    assert path.read_text() == json.dumps(table, indent=2) + "\n"
 
 
 def test_bounds_prints_the_curves_of_the_rate_run(tmp_path, capsys):

@@ -234,6 +234,28 @@ def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
             vals.std(ddof=1) / np.sqrt(vals.size), rel=1e-12)
 
 
+def test_rate_experiment_failure_cap(monkeypatch):
+    # 40 trials, cap 5 %: the first trial at each m in ``short`` stops short
+    # of ERM_TOL; 2 such trials are counted per m, 3 fail the run
+    short = {16, 32}
+
+    def first_trials_short(pclass, family, sets, seeds, opts):
+        fits = erm_solve_trials(pclass, family, sets, seeds, opts)
+        if sets[0].m in short:
+            fits[0] = dataclasses.replace(fits[0], converged=False)
+        return fits
+
+    monkeypatch.setattr(experiment, "erm_solve_trials", first_trials_short)
+    cfg = ExperimentConfig.from_dict(scalar_config())
+    fit = run_rate_experiment(cfg)
+    assert [p["failed"] for p in fit.per_m] == [1, 1, 0, 0]
+    assert [p["n"] for p in fit.per_m] == [9, 9, 10, 10]
+    short.add(64)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "experiment invalid: 3/40 trials failed (cap 5%)")):
+        run_rate_experiment(cfg)
+
+
 class FailsOnOneTrial(TikhonovFamily):
     """Scalar Tikhonov that raises ``ConvergenceError`` whenever its affine
     map, which the moment-form ERM evaluates in place of reconstructions,
@@ -479,6 +501,14 @@ def test_verification_suite_gaussian_route():
     assert report["checks"]["orlicz_x_sq_norm"]["passed"]
     assert report["checks"]["stability_certificate"]["passed"]
     assert report["checks"]["loss_average_contraction"]["passed"]
+
+
+def test_verification_suite_rejects_an_empty_sample():
+    cfg = ExperimentConfig.from_dict(scalar_config())
+    for n in (0, -3):
+        with pytest.raises(ConfigurationError,
+                           match="verification sample size must be >= 1"):
+            run_verification_suite(cfg, n_samples=n)
 
 
 def test_verification_suite_bounded_route():
