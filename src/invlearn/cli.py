@@ -16,8 +16,8 @@ from numpy.linalg import LinAlgError
 
 from .bounds import curve_table
 from .errors import ConfigurationError, InvlearnError
-from .experiment import (ExperimentConfig, bound_inputs, run_rate_experiment,
-                         run_verification_suite)
+from .experiment import (ExperimentConfig, bound_inputs, override,
+                         run_rate_experiment, run_verification_suite)
 from .risk import ErmOptions, erm_solve, expected_loss_mc
 from .stochastics import draw_training_set
 
@@ -40,7 +40,7 @@ def _load_config(path):
 def _experiment_config(args) -> ExperimentConfig:
     raw = _load_config(args.config)
     if args.seed is not None:
-        raw = {**raw, "master_seed": args.seed}
+        raw = override(raw, {"master_seed": args.seed})
     return ExperimentConfig.from_dict(raw)
 
 
@@ -87,8 +87,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = _experiment_config(args)
-    fit = run_rate_experiment(cfg, out_dir=_out_dir(args))
+    fit = run_rate_experiment(_experiment_config(args))
+    fit.write(_out_dir(args))
     print(json.dumps(fit.summary(), indent=2, sort_keys=True))
     return 0
 

@@ -8,12 +8,13 @@ the mean excess, to be compared with the predicted exponent.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,24 @@ def fnv1a64(text: str) -> int:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def override(raw: dict, changes: dict) -> dict:
+    """A deep copy of the config ``raw`` with each dotted path of
+    ``changes`` set to its value, in order.  Every object on a path must
+    exist; the last key may be new.  The schema is not checked here:
+    ``ExperimentConfig.from_dict`` checks the result when it reads it."""
+    out = copy.deepcopy(raw)
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        obj = out
+        for key in parents:
+            obj = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"cannot set config {path}: it runs "
+                                     "through a missing key or a non-object")
+        obj[leaf] = copy.deepcopy(value)
+    return out
 
 
 # value types of the checked config leaves (JSON admits NaN and Infinity)
@@ -192,7 +211,7 @@ class ExperimentConfig:
     proxy_m: int
     n_mc: int
     master_seed: int
-    raw: dict  # the config as read; its digest identifies a run
+    raw: dict  # a copy of the config as read; its digest identifies a run
 
     def __post_init__(self):
         mg = self.m_grid  # a tuple of positive integers (schema-checked)
@@ -243,7 +262,8 @@ class ExperimentConfig:
         return cls(problem=problem, family=family, param_class=param_class,
                    m_grid=tuple(d["m_grid"]),
                    trials_per_m=d["trials_per_m"], proxy_m=d["proxy_m"],
-                   n_mc=d["n_mc"], master_seed=d["master_seed"], raw=d)
+                   n_mc=d["n_mc"], master_seed=d["master_seed"],
+                   raw=copy.deepcopy(d))
 
 
 def q_route(problem: ProblemDistribution) -> int:
@@ -297,7 +317,7 @@ class TrialRecord:
     exp_loss_star: float
     erm_residual: float
     seed: int
-    failed: bool = False
+    failed: bool
 
 
 @dataclass(frozen=True)
@@ -308,9 +328,9 @@ class RateFit:
     predicted_exponent: float
     verdict: str
     theta_star: np.ndarray
-    trials: list = field(default_factory=list)
-    config_digest: int = 0
-    bound_inputs: tuple = ()  # bound_inputs(cfg) of the run's config
+    trials: list
+    config_digest: int
+    bound_inputs: tuple  # bound_inputs(cfg) of the run's config
 
     def curves(self) -> list:
         """The run's bound curves per m, ``bounds.curve_table`` of its
@@ -346,7 +366,7 @@ class RateFit:
             json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
-def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
+def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
     """The central experiment: mean excess loss versus m, with a rate fit.
 
     Fully deterministic given the config: each trial draws from seeds keyed
@@ -354,10 +374,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     (``risk.trial_groups``: one stack of an affine family's trials, one
     trial at a time otherwise); a stack that raises ``ConvergenceError`` is
     refitted one trial at a time, and a trial that raises alone is marked
-    failed.  Each fit's loss L(theta_hat) and sample error
-    L(theta_hat) - L(theta_star) are ERM's own risk and risk change
-    (``risk._risk_and_grad_factory``) with the shared evaluation sample as
-    the data set.  Progress goes to this module's logger at INFO.
+    failed.  The losses L(theta_star) and L(theta_hat) and each fit's
+    sample error L(theta_hat) - L(theta_star) are ERM's own risk and risk
+    change (``risk._risk_and_grad_factory``) with the shared evaluation
+    sample as the data set.  Progress goes to this module's logger at INFO.
     """
     if cfg.trials_per_m < 10:
         raise ConfigurationError("config trials_per_m must be >= 10 for a rate fit")
@@ -368,14 +388,15 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
     x_eval, y_eval = cfg.problem.sample(substream(cfg.master_seed, 9999),
                                         cfg.n_mc)
     start = time.perf_counter()
-    theta_star, loss_star = optimal_target_proxy(
+    theta_star = optimal_target_proxy(
         pclass, family, cfg.problem, cfg.proxy_m,
         derived_seed(cfg.master_seed, 11), x_eval, y_eval,
         ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
     eval_set = TrainingSet(x=x_eval, y=y_eval, seed=cfg.master_seed)
     risk, _, change = _risk_and_grad_factory(family, pclass, [eval_set])
     row = np.arange(1)  # every evaluation is a one-theta stack
-    state_star = risk(theta_star[None], row)[1]
+    f_star, state_star = risk(theta_star[None], row)
+    loss_star = float(f_star[0])
     log.info("proxy fit seconds=%.3f", time.perf_counter() - start)
 
     records = []
@@ -455,13 +476,10 @@ def run_rate_experiment(cfg: ExperimentConfig, out_dir=None) -> RateFit:
         else:
             verdict = "slower-than-predicted"
 
-    fit = RateFit(per_m=per_m, slope=slope, slope_ci=ci,
-                  predicted_exponent=predicted, verdict=verdict,
-                  theta_star=theta_star, trials=records,
-                  config_digest=cfg.digest, bound_inputs=(inputs, cov))
-    if out_dir is not None:
-        fit.write(out_dir)
-    return fit
+    return RateFit(per_m=per_m, slope=slope, slope_ci=ci,
+                   predicted_exponent=predicted, verdict=verdict,
+                   theta_star=theta_star, trials=records,
+                   config_digest=cfg.digest, bound_inputs=(inputs, cov))
 
 
 def _fit_alone(pclass, family, ts, seed):

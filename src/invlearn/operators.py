@@ -156,9 +156,9 @@ class GaussianSpec:
             object.__setattr__(self, "covariance_basis", basis)
 
     @classmethod
-    def iso(cls, n: int, variance: float, mean=None) -> "GaussianSpec":
-        mean = np.zeros(n) if mean is None else np.asarray(mean, float)
-        return cls(mean=mean, covariance_eigenvalues=np.full(n, float(variance)))
+    def iso(cls, n: int, variance: float) -> "GaussianSpec":
+        return cls(mean=np.zeros(n),
+                   covariance_eigenvalues=np.full(n, float(variance)))
 
     @property
     def dim(self) -> int:

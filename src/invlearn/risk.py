@@ -330,7 +330,7 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
     The fit is repeated from a second seed, and the two candidates' mean
     losses on the evaluation sample (x_eval, y_eval) must agree within the
     first one's 95% half-width; otherwise the proxy is declared unstable.
-    Returns the first fit and its mean loss on that sample.
+    Returns the first fit.
     """
     thetas = [erm_solve(pclass, family, draw_training_set(dist, proxy_m, s),
                         opts).theta for s in (seed, seed + 1)]
@@ -340,4 +340,4 @@ def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
         raise ConvergenceError(
             "optimal-target proxy unstable across seeds: "
             f"|{la:.6g} - {lb:.6g}| > {halfwidth:.3g}")
-    return thetas[0], la
+    return thetas[0]

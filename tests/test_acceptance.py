@@ -22,6 +22,8 @@ from invlearn import (CoveringModel, ElasticNetParams, ErmOptions,
 from invlearn.bounds import entropy_integral
 from invlearn.experiment import SLOPE_BAND, bound_domination_check
 
+from configs import CRITERION_2
+
 
 def report(criterion, ok, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -40,23 +42,7 @@ def scalar_gaussian_problem():
 @pytest.fixture(scope="module")
 def rate_fit():
     """The shared rate experiment used by criteria 2 and 10."""
-    cfg = ExperimentConfig.from_dict({
-        "problem": {
-            "forward": {"n_x": 1, "n_y": 1, "singular_values": [1.0],
-                        "basis": "identity"},
-            "prior": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-            "noise": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-        },
-        "family": {"kind": "tikhonov", "structure": "scale"},
-        "param_class": {"kind": "euclidean_ball", "dim": 1, "radius": 1.0},
-        "m_grid": [16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-        "trials_per_m": 50,
-        "proxy_m": 409_600,
-        "n_mc": 100_000,
-        "master_seed": 1,
-    })
+    cfg = ExperimentConfig.from_dict(CRITERION_2)
     start = time.monotonic()
     fit = run_rate_experiment(cfg)
     return fit, time.monotonic() - start

@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
-import copy
 import json
+import operator
 import os
 import pathlib
 import re
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -14,30 +15,14 @@ from invlearn import ExperimentConfig, experiment, run_rate_experiment
 from invlearn.bounds import curve_table
 from invlearn.cli import main
 from invlearn.errors import ConvergenceError
-from invlearn.experiment import bound_inputs
+from invlearn.experiment import bound_inputs, canonical_json, override
+
+from configs import CRITERION_2, SMALL
 
 
-def write_config(tmp_path, **overrides):
-    cfg = {
-        "problem": {
-            "forward": {"n_x": 1, "n_y": 1, "singular_values": [1.0],
-                        "basis": "identity"},
-            "prior": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-            "noise": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-        },
-        "family": {"kind": "tikhonov", "structure": "scale"},
-        "param_class": {"kind": "euclidean_ball", "dim": 1, "radius": 1.0},
-        "m_grid": [16, 32, 64, 128],
-        "trials_per_m": 10,
-        "proxy_m": 12_800,
-        "n_mc": 2_000,
-        "master_seed": 1,
-    }
-    cfg.update(overrides)
+def write_config(tmp_path, raw=SMALL):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(raw))
     return path
 
 
@@ -56,14 +41,10 @@ def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
     # 1 singular value for n_x = 2: at theta = 0, in every class, B = 0
     # leaves ker A unregularised, so erm, rates and verify would fail on a
     # singular normal matrix; every subcommand rejects the config instead
-    problem = {
-        "forward": {"n_x": 2, "n_y": 1, "singular_values": [1.0]},
-        "prior": {"type": "gaussian", "mean": [0.0, 0.0],
-                  "cov_eigenvalues": [1.0, 1.0]},
-        "noise": {"type": "gaussian", "mean": [0.0],
-                  "cov_eigenvalues": [1.0]},
-    }
-    cfg = write_config(tmp_path, problem=problem)
+    cfg = write_config(tmp_path, override(SMALL, {
+        "problem.forward": {"n_x": 2, "n_y": 1, "singular_values": [1.0]},
+        "problem.prior.mean": [0.0, 0.0],
+        "problem.prior.cov_eigenvalues": [1.0, 1.0]}))
     for command in (["erm", "--m", "16"], ["rates"], ["verify"], ["bounds"]):
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
                   + command)
@@ -127,10 +108,8 @@ def test_rates_replay_byte_identical(tmp_path, capsys):
 
 
 def test_rates_singular_noise_is_a_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    raw = json.loads(cfg.read_text())
-    raw["problem"]["noise"]["cov_eigenvalues"] = [0.0]
-    cfg.write_text(json.dumps(raw))
+    cfg = write_config(tmp_path, override(
+        SMALL, {"problem.noise.cov_eigenvalues": [0.0]}))
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "rates"])
     assert rc != 0
     err = capsys.readouterr().err
@@ -164,10 +143,8 @@ def test_verify_exits_one_on_a_failing_entry(tmp_path, capsys,
 
 
 def test_bounds_requires_m_grid(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    raw = json.loads(cfg.read_text())
-    del raw["m_grid"]
-    cfg.write_text(json.dumps(raw))
+    cfg = write_config(tmp_path, {k: v for k, v in SMALL.items()
+                                  if k != "m_grid"})
     rc = main(["--config", str(cfg), "bounds"])
     assert rc == 2
     assert "missing required config key: m_grid" in capsys.readouterr().err
@@ -191,8 +168,7 @@ def test_bounds_out_writes_the_curve_table(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out), "bounds"]) == 0
     path = out / "bounds.json"
     assert capsys.readouterr().out == f"wrote {path}\n"
-    table = curve_table(*bound_inputs(ExperimentConfig.from_dict(
-        json.loads(cfg.read_text()))))
+    table = curve_table(*bound_inputs(ExperimentConfig.from_dict(SMALL)))
     assert path.read_text() == json.dumps(table, indent=2) + "\n"
 
 
@@ -200,8 +176,7 @@ def test_bounds_prints_the_curves_of_the_rate_run(tmp_path, capsys):
     # the command and the rate run read one curve table
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "bounds"]) == 0
-    fit = run_rate_experiment(ExperimentConfig.from_dict(
-        json.loads(cfg.read_text())))
+    fit = run_rate_experiment(ExperimentConfig.from_dict(SMALL))
     assert json.loads(capsys.readouterr().out) == fit.curves()
 
 
@@ -220,11 +195,11 @@ def test_bounds_entries_carry_the_curve_minimum_not_the_value_at_d(
 def test_bounds_names_the_derived_inputs_and_model(tmp_path, capsys):
     # a Hölder family on a Sobolev class: alpha s q <= 1, so the chaining
     # integral diverges at r = 0
-    cfg = write_config(
-        tmp_path, family={"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
-                          "structure": "scale"},
-        param_class={"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
-                     "smoothness": 1.0})
+    cfg = write_config(tmp_path, override(SMALL, {
+        "family": {"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
+                   "structure": "scale"},
+        "param_class": {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+                        "smoothness": 1.0}}))
     assert main(["--config", str(cfg), "bounds"]) == 0
     for entry in json.loads(capsys.readouterr().out):
         assert (entry["inputs"]["q"], entry["inputs"]["alpha"]) == (1, 0.5)
@@ -243,18 +218,23 @@ def test_malformed_config_reports_location(tmp_path, capsys):
 
 
 def test_missing_config_key_reports_path(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    raw = json.loads(cfg.read_text())
-    del raw["family"]
-    cfg.write_text(json.dumps(raw))
+    cfg = write_config(tmp_path, {k: v for k, v in SMALL.items()
+                                  if k != "family"})
     rc = main(["--config", str(cfg), "rates"])
     assert rc == 2
     assert "family" in capsys.readouterr().err
 
 
+def test_seed_on_a_config_that_is_not_an_object_names_its_path(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, [1, 2])
+    assert main(["--config", str(cfg), "--seed", "2", "verify"]) == 2
+    assert "config master_seed" in capsys.readouterr().err
+
+
 def test_misspelt_family_key_reports_path(tmp_path, capsys):
-    cfg = write_config(tmp_path, family={"kind": "tikhonov",
-                                         "structur": "diagonal"})
+    cfg = write_config(tmp_path, override(
+        SMALL, {"family": {"kind": "tikhonov", "structur": "diagonal"}}))
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                "rates"])
     assert rc == 2
@@ -273,114 +253,86 @@ def test_config_required(capsys):
     assert "--config is required" in capsys.readouterr().err
 
 
-def _edit(path, *value):
-    """Config mutation: set the dotted ``path`` to ``value``, or delete it."""
-    def mutate(cfg):
-        *parents, leaf = path.split(".")
-        for key in parents:
-            cfg = cfg[key]
-        if value:
-            cfg[leaf] = value[0]
-        else:
-            del cfg[leaf]
-    return mutate
-
-
-def _all(*mutations):
-    """Config mutation: each of ``mutations`` in turn."""
-    def mutate(cfg):
-        for mutation in mutations:
-            mutation(cfg)
-    return mutate
-
-
+# each case: the config changes, or None where the case deletes the key at
+# its path, and the dotted path its error names
 SCHEMA_CASES = {
-    "missing forward": (_edit("problem.forward"), "problem.forward"),
-    "missing prior eigenvalues": (_edit("problem.prior.cov_eigenvalues"),
-                                  "problem.prior.cov_eigenvalues"),
-    "missing class kind": (_edit("param_class.kind"), "param_class.kind"),
-    "family not an object": (_edit("family", "tikhonov"), "family"),
-    "param_class not an object": (_edit("param_class", 3), "param_class"),
-    "unknown basis": (_edit("problem.forward.basis", "weird"),
+    "missing forward": (None, "problem.forward"),
+    "missing prior eigenvalues": (None, "problem.prior.cov_eigenvalues"),
+    "missing class kind": (None, "param_class.kind"),
+    "family not an object": ({"family": "tikhonov"}, "family"),
+    "param_class not an object": ({"param_class": 3}, "param_class"),
+    "unknown basis": ({"problem.forward.basis": "weird"},
                       "problem.forward.basis"),
-    "m_grid a string": (_edit("m_grid", "16"), "m_grid"),
-    "prior key typo": (_edit("problem.prior.cov_eigenvalue", [1.0]),
+    "m_grid a string": ({"m_grid": "16"}, "m_grid"),
+    "prior key typo": ({"problem.prior.cov_eigenvalue": [1.0]},
                        "problem.prior.cov_eigenvalue"),
-    "noise key typo": (_edit("problem.noise.typ", "gaussian"),
+    "noise key typo": ({"problem.noise.typ": "gaussian"},
                        "problem.noise.typ"),
-    "non-Gaussian noise": (_edit("problem.noise.type", "uniform_ball"),
+    "non-Gaussian noise": ({"problem.noise.type": "uniform_ball"},
                            "problem.noise.type"),
     # wrong-typed values
-    "n_x a string": (_edit("problem.forward.n_x", "one"),
-                     "problem.forward.n_x"),
-    "trials a string": (_edit("trials_per_m", "ten"), "trials_per_m"),
-    "singular values a string": (_edit("problem.forward.singular_values",
-                                       "abc"),
+    "n_x a string": ({"problem.forward.n_x": "one"}, "problem.forward.n_x"),
+    "trials a string": ({"trials_per_m": "ten"}, "trials_per_m"),
+    "singular values a string": ({"problem.forward.singular_values": "abc"},
                                  "problem.forward.singular_values"),
-    "left basis a string": (_edit("problem.forward.basis", {"left": "weird"}),
+    "left basis a string": ({"problem.forward.basis": {"left": "weird"}},
                             "problem.forward.basis.left"),
     # removed settings
-    "tolerances section": (_edit("tolerances", {"erm_tol": 1e-6}),
-                           "tolerances"),
-    "erm section": (_edit("erm", {"n_starts": 2}), "erm"),
+    "tolerances section": ({"tolerances": {"erm_tol": 1e-6}}, "tolerances"),
+    "erm section": ({"erm": {"n_starts": 2}}, "erm"),
     # the bound inputs are derived from the rest of the config
-    "bounds section": (_edit("bounds", {}), "bounds"),
-    "bounds key typo": (_edit("bounds", {"Kk": 2.0}), "bounds"),
-    "bounds q 3": (_edit("bounds", {"q": 3}), "bounds"),
-    "bounds D below 1": (_edit("bounds", {"D": 0.5}), "bounds"),
-    "bounds alpha 2": (_edit("bounds", {"alpha": 2}), "bounds"),
-    "unknown model kind": (_edit("bounds", {"model": {"kind": "cube"}}),
-                           "bounds"),
+    "bounds section": ({"bounds": {}}, "bounds"),
+    "bounds key typo": ({"bounds": {"Kk": 2.0}}, "bounds"),
+    "bounds q 3": ({"bounds": {"q": 3}}, "bounds"),
+    "bounds D below 1": ({"bounds": {"D": 0.5}}, "bounds"),
+    "bounds alpha 2": ({"bounds": {"alpha": 2}}, "bounds"),
+    "unknown model kind": ({"bounds": {"model": {"kind": "cube"}}}, "bounds"),
     "unknown model key": (
-        _edit("bounds", {"model": {"kind": "euclidean_ball", "d": 1,
-                                   "radius": 1.0}}), "bounds"),
+        {"bounds": {"model": {"kind": "euclidean_ball", "d": 1,
+                              "radius": 1.0}}}, "bounds"),
     # values JSON admits but no computation can use
-    "radius NaN": (_edit("param_class.radius", float("nan")),
+    "radius NaN": ({"param_class.radius": float("nan")},
                    "param_class.radius"),
-    "radius Infinity": (_edit("param_class.radius", float("inf")),
+    "radius Infinity": ({"param_class.radius": float("inf")},
                         "param_class.radius"),
-    "singular value NaN": (_edit("problem.forward.singular_values",
-                                 [float("nan")]),
-                           "problem.forward.singular_values"),
-    "prior mean NaN": (_edit("problem.prior.mean", [float("nan")]),
+    "singular value NaN": (
+        {"problem.forward.singular_values": [float("nan")]},
+        "problem.forward.singular_values"),
+    "prior mean NaN": ({"problem.prior.mean": [float("nan")]},
                        "problem.prior.mean"),
-    "unknown structure": (_edit("family.structure", "weird"),
-                          "family.structure"),
-    "unknown family kind": (_edit("family.kind", "weird"), "family.kind"),
-    "noise longer than n_y": (_edit("problem.noise.mean", [0.0, 0.0]),
+    "unknown structure": ({"family.structure": "weird"}, "family.structure"),
+    "unknown family kind": ({"family.kind": "weird"}, "family.kind"),
+    "noise longer than n_y": ({"problem.noise.mean": [0.0, 0.0]},
                               "problem.noise.mean"),
-    "prior dim other than n_x": (_edit("problem.prior",
-                                       {"type": "uniform_ball", "dim": 2,
-                                        "radius": 1.0}),
-                                 "problem.prior.dim"),
+    "prior dim other than n_x": (
+        {"problem.prior": {"type": "uniform_ball", "dim": 2, "radius": 1.0}},
+        "problem.prior.dim"),
     # values of the right type that a constructor's range check rejects:
     # the error names the config object
     "negative prior eigenvalue": (
-        _edit("problem.prior.cov_eigenvalues", [-1.0]), "problem.prior"),
+        {"problem.prior.cov_eigenvalues": [-1.0]}, "problem.prior"),
     "negative singular value": (
-        _edit("problem.forward.singular_values", [-1.0]), "problem.forward"),
+        {"problem.forward.singular_values": [-1.0]}, "problem.forward"),
     "non-orthonormal left basis": (
-        _edit("problem.forward.basis", {"left": [[2.0]]}), "problem.forward"),
+        {"problem.forward.basis": {"left": [[2.0]]}}, "problem.forward"),
     "non-orthonormal prior basis": (
-        _edit("problem.prior.cov_basis", [[2.0]]), "problem.prior"),
-    "non-zero noise mean": (_edit("problem.noise.mean", [1.0]),
+        {"problem.prior.cov_basis": [[2.0]]}, "problem.prior"),
+    "non-zero noise mean": ({"problem.noise.mean": [1.0]},
                             "problem.noise.mean"),
     # `delta` is not a config key, whatever its value
-    "delta below root trace": (_edit("problem.delta", 0.5),
+    "delta below root trace": ({"problem.delta": 0.5},
                                "unknown config key: problem.delta"),
-    "negative radius": (_edit("param_class.radius", -1), "param_class"),
-    "unknown class kind": (_edit("param_class.kind", "cube"), "param_class"),
+    "negative radius": ({"param_class.radius": -1}, "param_class"),
+    "unknown class kind": ({"param_class.kind": "cube"}, "param_class"),
     "sobolev without smoothness": (
-        _edit("param_class", {"kind": "sobolev_ball", "dim": 1}),
-        "param_class"),
+        {"param_class": {"kind": "sobolev_ball", "dim": 1}}, "param_class"),
     "alpha above 1": (
-        _edit("family", {"kind": "elastic_net", "alpha": 1.5,
-                         "structure": "scale"}), "family"),
+        {"family": {"kind": "elastic_net", "alpha": 1.5,
+                    "structure": "scale"}}, "family"),
     "budget above 1": (
-        _all(_edit("family", {"kind": "fixed_point",
-                              "contraction_budget": 1.5}),
-             _edit("param_class.dim", 2)), "family"),
-    "Tikhonov zero noise": (_edit("problem.noise.cov_eigenvalues", [0.0]),
+        {"family": {"kind": "fixed_point", "contraction_budget": 1.5},
+         "param_class.dim": 2}, "family"),
+    "Tikhonov zero noise": ({"problem.noise.cov_eigenvalues": [0.0]},
                             "problem.noise.cov_eigenvalues"),
 }
 
@@ -389,11 +341,12 @@ SCHEMA_CASES = {
     (cmd, case) for cmd in ("erm", "rates", "verify", "generate", "bounds")
     for case in SCHEMA_CASES])
 def test_schema_error_names_its_path(tmp_path, capsys, command, case):
-    mutate, path = SCHEMA_CASES[case]
-    cfg = write_config(tmp_path)
-    raw = json.loads(cfg.read_text())
-    mutate(raw)
-    cfg.write_text(json.dumps(raw))
+    changes, path = SCHEMA_CASES[case]
+    raw = override(SMALL, changes or {})
+    if changes is None:
+        *parents, leaf = path.split(".")
+        del reduce(operator.getitem, parents, raw)[leaf]
+    cfg = write_config(tmp_path, raw)
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                command])
     assert rc == 2
@@ -405,8 +358,7 @@ def test_schema_error_names_its_path(tmp_path, capsys, command, case):
 
 def test_param_class_dim_must_match_theta_length(tmp_path, capsys):
     # the scalar `scale` family has a theta of length 1
-    cfg = write_config(tmp_path, param_class={"kind": "euclidean_ball",
-                                              "dim": 3, "radius": 1.0})
+    cfg = write_config(tmp_path, override(SMALL, {"param_class.dim": 3}))
     rc = main(["--config", str(cfg), "erm"])
     assert rc == 2
     err = capsys.readouterr().err
@@ -445,23 +397,25 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def test_readme_example_is_the_criterion_2_config():
+    # README's example is the config every test config derives from
+    readme = (ROOT / "README.md").read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+    assert canonical_json(example) == canonical_json(CRITERION_2)
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # the README example (m_grid cut to 16..128), its rate-run copy and its
     # alpha = 1 Elastic-Net and fixed-point copies, as CI builds them, run
     # every subcommand with scipy unimportable
-    readme = (ROOT / "README.md").read_text()
-    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S)[1])
-    cfg["m_grid"] = cfg["m_grid"][:4]
-    configs = {"example": cfg,
-               "rates": {**cfg, "trials_per_m": 10, "proxy_m": 12_800,
-                         "n_mc": 2_000}}
+    example = override(CRITERION_2, {"m_grid": SMALL["m_grid"]})
+    configs = {"example": example, "rates": SMALL}
     for name, family in (("elastic_net", {"kind": "elastic_net",
                                           "alpha": 1.0}),
                          ("fixed_point", {"kind": "fixed_point",
                                           "contraction_budget": 0.5})):
-        configs[name] = copy.deepcopy(cfg)
-        configs[name]["family"] = family
-        configs[name]["param_class"]["dim"] = 2
+        configs[name] = override(example, {"family": family,
+                                           "param_class.dim": 2})
     paths = {}
     for name, c in configs.items():
         paths[name] = tmp_path / f"{name}.json"

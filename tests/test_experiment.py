@@ -23,45 +23,25 @@ from invlearn.errors import ConfigurationError, ConvergenceError
 from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
                                  bound_domination_check, bound_inputs,
                                  canonical_json, derived_seed, fnv1a64,
-                                 q_route)
+                                 override, q_route)
 from invlearn.hypotheses import STACK_ROWS
 from invlearn.risk import erm_solve_trials, trial_groups
 from invlearn.stochastics import substream
 
-
-def scalar_config(**overrides):
-    cfg = {
-        "problem": {
-            "forward": {"n_x": 1, "n_y": 1, "singular_values": [1.0],
-                        "basis": "identity"},
-            "prior": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-            "noise": {"type": "gaussian", "mean": [0.0],
-                      "cov_eigenvalues": [1.0]},
-        },
-        "family": {"kind": "tikhonov", "structure": "scale"},
-        "param_class": {"kind": "euclidean_ball", "dim": 1, "radius": 1.0},
-        "m_grid": [16, 32, 64, 128],
-        "trials_per_m": 10,
-        "proxy_m": 12_800,
-        "n_mc": 2_000,
-        "master_seed": 1,
-    }
-    cfg.update(overrides)
-    return cfg
+from configs import SMALL
 
 
 # -- config ----------------------------------------------------------------
 
 def test_config_round_trip_and_validation():
-    cfg = ExperimentConfig.from_dict(scalar_config())
+    cfg = ExperimentConfig.from_dict(SMALL)
     assert cfg.m_grid == (16, 32, 64, 128)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict(scalar_config(m_grid=[16, 16, 32]))
+        ExperimentConfig.from_dict(override(SMALL, {"m_grid": [16, 16, 32]}))
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict(scalar_config(proxy_m=100))
+        ExperimentConfig.from_dict(override(SMALL, {"proxy_m": 100}))
     with pytest.raises(ConfigurationError, match="m_grid"):
-        ExperimentConfig.from_dict({k: v for k, v in scalar_config().items()
+        ExperimentConfig.from_dict({k: v for k, v in SMALL.items()
                                     if k != "m_grid"})
 
 
@@ -70,10 +50,10 @@ def test_config_unknown_key_names_its_path():
     # the ERM and reconstruction tolerances and the bound inputs are not
     # settings
     for raw, path in (
-            (scalar_config(tolerance={"erm_tol": 1e-6}), "tolerance"),
-            (scalar_config(tolerances={"erm_tol": 1e-6}), "tolerances"),
-            (scalar_config(erm={"n_starts": 2}), "erm"),
-            (scalar_config(bounds={"K": 2.0}), "bounds")):
+            (override(SMALL, {"tolerance": {"erm_tol": 1e-6}}), "tolerance"),
+            (override(SMALL, {"tolerances": {"erm_tol": 1e-6}}), "tolerances"),
+            (override(SMALL, {"erm": {"n_starts": 2}}), "erm"),
+            (override(SMALL, {"bounds": {"K": 2.0}}), "bounds")):
         with pytest.raises(ConfigurationError,
                            match=rf"unknown config key: {path}$"):
             ExperimentConfig.from_dict(raw)
@@ -97,24 +77,25 @@ def test_config_unknown_family_key_names_its_path(family, path):
     # the family's own keys are checked against its kind
     with pytest.raises(ConfigurationError,
                        match=rf"unknown config key: {path}$"):
-        ExperimentConfig.from_dict(scalar_config(family=family))
+        ExperimentConfig.from_dict(override(SMALL, {"family": family}))
 
 
 def test_config_unknown_param_class_key_names_its_path():
     pc = {"kind": "euclidean_ball", "dim": 1, "raduis": 0.5}
     with pytest.raises(ConfigurationError,
                        match=r"unknown config key: param_class.raduis$"):
-        ExperimentConfig.from_dict(scalar_config(param_class=pc))
+        ExperimentConfig.from_dict(override(SMALL, {"param_class": pc}))
     sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
                "smoothness": 1.0}
-    cfg = ExperimentConfig.from_dict(scalar_config(param_class=sobolev))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {"param_class": sobolev}))
     assert cfg.param_class.smoothness == 1.0
 
 
 def test_config_rejects_small_n_mc():
     with pytest.raises(ConfigurationError, match="n_mc"):
-        ExperimentConfig.from_dict(scalar_config(n_mc=1))
-    assert ExperimentConfig.from_dict(scalar_config(n_mc=100)).n_mc == 100
+        ExperimentConfig.from_dict(override(SMALL, {"n_mc": 1}))
+    assert ExperimentConfig.from_dict(
+        override(SMALL, {"n_mc": 100})).n_mc == 100
 
 
 @pytest.mark.parametrize("overrides, path", [
@@ -123,12 +104,11 @@ def test_config_rejects_small_n_mc():
 def test_config_range_errors_name_their_path(overrides, path):
     # like every other load error, a range error starts with its config path
     with pytest.raises(ConfigurationError, match=rf"^config {path} "):
-        ExperimentConfig.from_dict(scalar_config(**overrides))
+        ExperimentConfig.from_dict(override(SMALL, overrides))
 
 
 def test_config_nonzero_noise_mean_names_its_path():
-    cfg = scalar_config()
-    cfg["problem"]["noise"]["mean"] = [0.5]
+    cfg = override(SMALL, {"problem.noise.mean": [0.5]})
     with pytest.raises(ConfigurationError,
                        match=r"^config problem\.noise\.mean must be zero"):
         ExperimentConfig.from_dict(cfg)
@@ -144,22 +124,63 @@ def test_config_schema_accepts_every_documented_key():
                   "cov_eigenvalues": [0.1, 0.1],
                   "cov_basis": [[1.0, 0.0], [0.0, 1.0]]},
     }
-    cfg = ExperimentConfig.from_dict(scalar_config(
-        problem=problem,
-        family={"kind": "tikhonov", "structure": "diagonal"},
-        param_class={"kind": "euclidean_ball", "dim": 4}))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "problem": problem,
+        "family": {"kind": "tikhonov", "structure": "diagonal"},
+        "param_class": {"kind": "euclidean_ball", "dim": 4}}))
     assert cfg.problem.forward.left_basis is not None
 
 
 def test_config_digest_is_fnv1a_of_canonical_text():
-    raw = scalar_config()
-    cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.digest == fnv1a64(canonical_json(raw))
+    cfg = ExperimentConfig.from_dict(SMALL)
+    assert cfg.digest == fnv1a64(canonical_json(SMALL))
     # digest is insensitive to key order, sensitive to values
-    shuffled = dict(reversed(list(raw.items())))
+    shuffled = dict(reversed(list(SMALL.items())))
     assert ExperimentConfig.from_dict(shuffled).digest == cfg.digest
-    assert ExperimentConfig.from_dict(scalar_config(master_seed=2)).digest \
-        != cfg.digest
+    assert ExperimentConfig.from_dict(
+        override(SMALL, {"master_seed": 2})).digest != cfg.digest
+
+
+def test_config_keeps_a_copy_of_the_dict_it_read():
+    # editing the dict after it is read changes neither the config's raw
+    # dict nor its digest, which names the config that built the problem
+    raw = override(SMALL, {})
+    cfg = ExperimentConfig.from_dict(raw)
+    raw["master_seed"] = 7
+    raw["problem"]["noise"]["cov_eigenvalues"][0] = 2.0
+    assert cfg.raw == SMALL and cfg.digest == fnv1a64(canonical_json(SMALL))
+
+
+def test_override_sets_nested_and_new_leaf_keys():
+    raw = override(SMALL, {"problem.noise.cov_eigenvalues": [0.5],
+                           "problem.prior.cov_basis": [[1.0]],
+                           "family": {"kind": "fixed_point"},
+                           "family.contraction_budget": 0.5})
+    assert raw["problem"]["noise"]["cov_eigenvalues"] == [0.5]
+    assert raw["problem"]["prior"]["cov_basis"] == [[1.0]]
+    assert raw["family"] == {"kind": "fixed_point", "contraction_budget": 0.5}
+    # every other entry is SMALL's
+    del raw["problem"]["prior"]["cov_basis"]
+    assert override(raw, {"problem.noise.cov_eigenvalues": [1.0],
+                          "family": SMALL["family"]}) == SMALL
+
+
+def test_override_leaves_its_inputs_unchanged():
+    # the result shares no list or object with them
+    before, grid = canonical_json(SMALL), [16, 32]
+    raw = override(SMALL, {"m_grid": grid})
+    raw["m_grid"].append(64)
+    raw["problem"]["prior"]["mean"].append(1.0)
+    assert grid == [16, 32] and canonical_json(SMALL) == before
+
+
+@pytest.mark.parametrize("path", [
+    "problem.forwards.n_x", "problem.forward.n_x.value", "m_grid.0",
+    "family.kind.name"])
+def test_override_through_a_missing_key_or_non_object_names_the_path(path):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^cannot set config {re.escape(path)}: "):
+        override(SMALL, {path: 1})
 
 
 def test_fnv1a64_known_values():
@@ -178,7 +199,7 @@ def test_derived_seed_deterministic_and_distinct():
 
 @pytest.fixture(scope="module")
 def small_fit():
-    return run_rate_experiment(ExperimentConfig.from_dict(scalar_config()))
+    return run_rate_experiment(ExperimentConfig.from_dict(SMALL))
 
 
 def test_rate_experiment_artifacts(small_fit, tmp_path):
@@ -195,7 +216,7 @@ def test_rate_experiment_artifacts(small_fit, tmp_path):
 
 
 def test_rate_experiment_replay_byte_identical(small_fit):
-    again = run_rate_experiment(ExperimentConfig.from_dict(scalar_config()))
+    again = run_rate_experiment(ExperimentConfig.from_dict(SMALL))
     assert again.csv_text() == small_fit.csv_text()
 
 
@@ -221,7 +242,7 @@ def test_rate_experiment_per_m_mean_is_plain_mean(monkeypatch):
 
     monkeypatch.setattr(experiment, "erm_solve_trials", first_trials_short)
     fit = run_rate_experiment(ExperimentConfig.from_dict(
-        scalar_config(trials_per_m=50)))
+        override(SMALL, {"trials_per_m": 50})))
     assert [p["n"] for p in fit.per_m] == [49, 49, 50, 50]
     assert [p["failed"] for p in fit.per_m] == [1, 1, 0, 0]
     for p in fit.per_m:
@@ -246,7 +267,7 @@ def test_rate_experiment_failure_cap(monkeypatch):
         return fits
 
     monkeypatch.setattr(experiment, "erm_solve_trials", first_trials_short)
-    cfg = ExperimentConfig.from_dict(scalar_config())
+    cfg = ExperimentConfig.from_dict(SMALL)
     fit = run_rate_experiment(cfg)
     assert [p["failed"] for p in fit.per_m] == [1, 1, 0, 0]
     assert [p["n"] for p in fit.per_m] == [9, 9, 10, 10]
@@ -276,7 +297,7 @@ def test_rate_experiment_isolates_a_trial_that_raises(monkeypatch):
     # trial 3 of m = 32 raises inside its stack of 10 trials: it alone is
     # recorded failed, and every other trial keeps the record of the
     # per-trial run, in which erm_solve fits each trial alone
-    cfg = ExperimentConfig.from_dict(scalar_config())
+    cfg = ExperimentConfig.from_dict(SMALL)
     # the first random start of trial 3 of m = 32 (erm_solve_trials' draw)
     marked = cfg.param_class.sample(
         substream(derived_seed(cfg.master_seed, 1, 32, 3), 101))
@@ -303,9 +324,9 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
     # the fixed point's trials are one-trial ERM stacks, and the one whose
     # stack raises is recorded failed without being fitted a second time;
     # the proxy and the fits are stand-ins
-    cfg = ExperimentConfig.from_dict(scalar_config(
-        family={"kind": "fixed_point", "contraction_budget": 0.5},
-        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0}))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
+        "param_class.dim": 2}))
     marked = derived_seed(cfg.master_seed, 1, 32, 3)
     stacks = []
 
@@ -320,7 +341,7 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
         raise AssertionError("a one-trial stack is not refitted")
 
     monkeypatch.setattr(experiment, "optimal_target_proxy",
-                        lambda *args: (np.zeros(2), 1.0))
+                        lambda *args: np.zeros(2))
     monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
     monkeypatch.setattr(experiment, "erm_solve", refit)
     fit = run_rate_experiment(cfg)
@@ -329,14 +350,15 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
 
 
 def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):
-    # a per-sample family's trial reads L(theta_hat) as the mean loss on
-    # the evaluation sample and L(theta_hat) - L(theta_star) as ERM's risk
+    # a per-sample family's trial reads L(theta_hat) and L(theta_star) as
+    # mean losses on the evaluation sample, both from ERM's risk, and
+    # L(theta_hat) - L(theta_star) as ERM's risk
     # change in difference form, 1/2 mean((R - R*).(R + R* - 2X)), not as a
     # mean of per-sample loss differences; the proxy and the fits are
     # stand-ins
-    cfg = ExperimentConfig.from_dict(scalar_config(
-        family={"kind": "fixed_point", "contraction_budget": 0.5},
-        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0}))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
+        "param_class.dim": 2}))
     theta_star = np.array([0.3, -0.2])
     thetas = []
 
@@ -346,7 +368,7 @@ def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):
                                residual=0.0, converged=True)]
 
     monkeypatch.setattr(experiment, "optimal_target_proxy",
-                        lambda *args: (theta_star, 0.25))
+                        lambda *args: theta_star)
     monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
     fit = run_rate_experiment(cfg)
     x, y = cfg.problem.sample(substream(cfg.master_seed, 9999), cfg.n_mc)
@@ -356,7 +378,7 @@ def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):
         assert r.exp_loss_hat == risk._losses(R, x).mean()
         assert r.sample_error == \
             0.5 * np.sum((R - R_star) * (R + R_star - 2.0 * x), axis=-1).mean()
-        assert r.exp_loss_star == 0.25
+        assert r.exp_loss_star == risk._losses(R_star, x).mean()
 
 
 def test_rate_experiment_scalar_trials_reach_the_tolerance():
@@ -367,14 +389,14 @@ def test_rate_experiment_scalar_trials_reach_the_tolerance():
     failed = []
     for seed in range(100, 130):
         fit = run_rate_experiment(ExperimentConfig.from_dict(
-            scalar_config(n_mc=20_000, master_seed=seed)))
+            override(SMALL, {"n_mc": 20_000, "master_seed": seed})))
         failed += [(seed, r.m, r.trial) for r in fit.trials if r.failed]
     assert failed == []
 
 
 def test_rate_experiment_logs_one_progress_line_per_m(caplog):
     caplog.set_level(logging.INFO, logger="invlearn.experiment")
-    run_rate_experiment(ExperimentConfig.from_dict(scalar_config()))
+    run_rate_experiment(ExperimentConfig.from_dict(SMALL))
     lines = [r.getMessage() for r in caplog.records
              if r.name == "invlearn.experiment"]
     assert [line.split()[0] for line in lines] == \
@@ -383,8 +405,8 @@ def test_rate_experiment_logs_one_progress_line_per_m(caplog):
 
 
 def test_rate_experiment_singleton_degenerate():
-    cfg = ExperimentConfig.from_dict(scalar_config(
-        param_class={"kind": "euclidean_ball", "dim": 1, "radius": 0.0}))
+    cfg = ExperimentConfig.from_dict(
+        override(SMALL, {"param_class.radius": 0.0}))
     fit = run_rate_experiment(cfg)
     assert fit.verdict == "degenerate"
     assert fit.slope is None and fit.slope_ci is None
@@ -392,7 +414,7 @@ def test_rate_experiment_singleton_degenerate():
 
 
 def test_rate_experiment_requires_enough_trials():
-    cfg = ExperimentConfig.from_dict(scalar_config(trials_per_m=5))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {"trials_per_m": 5}))
     with pytest.raises(ConfigurationError, match=r"^config trials_per_m "):
         run_rate_experiment(cfg)
 
@@ -436,7 +458,7 @@ def test_rate_experiment_on_an_entropy_decay_class():
     sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
                "smoothness": 0.4}
     fit = run_rate_experiment(ExperimentConfig.from_dict(
-        scalar_config(param_class=sobolev)))
+        override(SMALL, {"param_class": sobolev})))
     assert fit.predicted_exponent == -0.2
     # alpha s q = 0.4 <= 1: the chaining integral diverges at r = 0, so
     # there is no bound to calibrate, and the error carries the curve's note
@@ -445,8 +467,8 @@ def test_rate_experiment_on_an_entropy_decay_class():
     with pytest.raises(ConfigurationError, match=f"^{re.escape(note)}$"):
         bound_domination_check(fit)
     # at smoothness 2 the chaining exponent saturates at -1/2
-    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
-        param_class={**sobolev, "smoothness": 2.0})))
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(override(
+        SMALL, {"param_class": {**sobolev, "smoothness": 2.0}})))
     assert cov == CoveringModel("entropy_decay", s=2.0)
     assert predicted_exponent(cov, inputs[0].alpha, inputs[0].q).exponent \
         == -0.5
@@ -461,18 +483,17 @@ def test_bound_domination_after_calibration(small_fit):
 def test_bound_inputs_follow_the_config():
     # the criterion-2 config: criterion 10 reads the chaining curve of these
     grid = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
-        m_grid=grid, proxy_m=409_600)))
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(
+        override(SMALL, {"m_grid": grid, "proxy_m": 409_600})))
     assert inputs == [BoundInputs(K=1.0, M_ell=1.0, q=1, alpha=1.0, m=m,
                                   D=2.0) for m in grid]
     assert cov == CoveringModel("euclidean_ball", d=1, D=1.0)
     # bounded data with zero noise: the q of the verification suite
-    raw = scalar_config(
-        family={"kind": "fixed_point", "contraction_budget": 0.5},
-        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 0.25})
-    raw["problem"]["prior"] = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
-    raw["problem"]["noise"]["cov_eigenvalues"] = [0.0]
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
+        "param_class.dim": 2, "param_class.radius": 0.25,
+        "problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 1.0},
+        "problem.noise.cov_eigenvalues": [0.0]}))
     inputs, cov = bound_inputs(cfg)
     assert {b.q for b in inputs} == {2} == {
         run_verification_suite(cfg, n_samples=20_000)["q_route"]}
@@ -480,11 +501,11 @@ def test_bound_inputs_follow_the_config():
     assert cov == CoveringModel("euclidean_ball", d=2, D=0.5)
     assert {b.D for b in inputs} == {1.0}
     # a Hölder family on a Sobolev class
-    inputs, cov = bound_inputs(ExperimentConfig.from_dict(scalar_config(
-        family={"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
-                "structure": "scale"},
-        param_class={"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
-                     "smoothness": 1.5})))
+    inputs, cov = bound_inputs(ExperimentConfig.from_dict(override(SMALL, {
+        "family": {"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
+                   "structure": "scale"},
+        "param_class": {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+                        "smoothness": 1.5}})))
     assert {(b.q, b.alpha) for b in inputs} == {(1, 0.5)}
     assert cov == CoveringModel("entropy_decay", s=1.5)
 
@@ -492,7 +513,7 @@ def test_bound_inputs_follow_the_config():
 # -- verification suite ----------------------------------------------------
 
 def test_verification_suite_gaussian_route():
-    report = run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
+    report = run_verification_suite(ExperimentConfig.from_dict(SMALL),
                                     n_samples=50_000)
     assert report["q_route"] == 1
     assert report["passed"], report
@@ -504,7 +525,7 @@ def test_verification_suite_gaussian_route():
 
 
 def test_verification_suite_rejects_an_empty_sample():
-    cfg = ExperimentConfig.from_dict(scalar_config())
+    cfg = ExperimentConfig.from_dict(SMALL)
     for n in (0, -3):
         with pytest.raises(ConfigurationError,
                            match="verification sample size must be >= 1"):
@@ -514,11 +535,11 @@ def test_verification_suite_rejects_an_empty_sample():
 def test_verification_suite_bounded_route():
     # bounded data with zero noise: the squared norms are sub-Gaussian;
     # the fixed-point family is used because it has no noise model to invert
-    cfg = scalar_config(
-        family={"kind": "fixed_point", "contraction_budget": 0.5},
-        param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0})
-    cfg["problem"]["prior"] = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
-    cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    cfg = override(SMALL, {
+        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
+        "param_class.dim": 2,
+        "problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 1.0},
+        "problem.noise.cov_eigenvalues": [0.0]})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=50_000)
     assert report["q_route"] == 2
@@ -528,9 +549,8 @@ def test_verification_suite_bounded_route():
 def test_verification_suite_passes_a_one_point_class():
     # radius 0: every probe theta is the centre, so there is no pair to
     # certify; the entry passes as degenerate, as the rate run's verdict is
-    report = run_verification_suite(ExperimentConfig.from_dict(scalar_config(
-        param_class={"kind": "euclidean_ball", "dim": 1, "radius": 0.0})),
-        n_samples=20_000)
+    report = run_verification_suite(ExperimentConfig.from_dict(
+        override(SMALL, {"param_class.radius": 0.0})), n_samples=20_000)
     assert report["checks"]["stability_certificate"] == {
         "passed": True, "degenerate": True}
     assert report["passed"], report
@@ -546,12 +566,11 @@ def test_verification_suite_passes_a_point_mass_prior_at_zero(family, dim):
     # x = 0 identically, and y = 0 too under the fixed point's zero noise:
     # such a squared norm has psi_q norm 0 and no tail, and its entry
     # passes as degenerate, as the radius-0 certificate does
-    cfg = scalar_config(family=family, param_class={
-        "kind": "euclidean_ball", "dim": dim, "radius": 1.0})
-    cfg["problem"]["prior"]["cov_eigenvalues"] = [0.0]
     zero_noise = family["kind"] == "fixed_point"
-    if zero_noise:
-        cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    cfg = override(SMALL, {
+        "family": family, "param_class.dim": dim,
+        "problem.prior.cov_eigenvalues": [0.0],
+        "problem.noise.cov_eigenvalues": [0.0 if zero_noise else 1.0]})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=20_000)
     zero = {"passed": True, "degenerate": True, "norm": 0.0}
@@ -563,8 +582,7 @@ def test_verification_suite_passes_a_point_mass_prior_at_zero(family, dim):
 def test_verification_suite_tikhonov_zero_noise_fails_family_check():
     # the family is built when the config is read, so a Tikhonov family
     # without invertible noise never reaches the verification suite
-    cfg = scalar_config()
-    cfg["problem"]["noise"]["cov_eigenvalues"] = [0.0]
+    cfg = override(SMALL, {"problem.noise.cov_eigenvalues": [0.0]})
     with pytest.raises(ConfigurationError,
                        match=r"^config family: .*problem\.noise\.cov_eigenvalues"):
         ExperimentConfig.from_dict(cfg)
@@ -573,12 +591,10 @@ def test_verification_suite_tikhonov_zero_noise_fails_family_check():
 def test_q_route_needs_bounded_prior_and_zero_noise():
     # the fixed-point family has no noise model to invert
     def problem(prior, noise_var):
-        cfg = scalar_config(
-            family={"kind": "fixed_point", "contraction_budget": 0.5},
-            param_class={"kind": "euclidean_ball", "dim": 2, "radius": 1.0})
-        cfg["problem"]["prior"] = prior
-        cfg["problem"]["noise"]["cov_eigenvalues"] = [noise_var]
-        return ExperimentConfig.from_dict(cfg).problem
+        return ExperimentConfig.from_dict(override(SMALL, {
+            "family": {"kind": "fixed_point", "contraction_budget": 0.5},
+            "param_class.dim": 2, "problem.prior": prior,
+            "problem.noise.cov_eigenvalues": [noise_var]})).problem
 
     ball = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
     gauss = {"type": "gaussian", "mean": [0.0], "cov_eigenvalues": [1.0]}
@@ -588,8 +604,8 @@ def test_q_route_needs_bounded_prior_and_zero_noise():
 
 
 def test_verification_suite_elastic_net_penalty_checks():
-    cfg = scalar_config(family={"kind": "elastic_net", "alpha": 1.0,
-                                "eta": 0.5, "structure": "scale"})
+    cfg = override(SMALL, {"family": {"kind": "elastic_net", "alpha": 1.0,
+                                      "eta": 0.5, "structure": "scale"}})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=20_000)
     assert "penalty_hypotheses" in report["checks"]
@@ -604,10 +620,11 @@ def test_verification_suite_elastic_net_with_n_x_other_than_n_y():
         "forward": {"n_x": 3, "n_y": 2, "singular_values": [1.0, 0.5]},
         "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
         "noise": {"mean": [0.0] * 2, "cov_eigenvalues": [0.1] * 2}}
-    cfg = scalar_config(problem=problem,
-                        family={"kind": "elastic_net", "alpha": 1.0,
-                                "eta": 0.5, "structure": "diagonal"},
-                        param_class={"kind": "euclidean_ball", "dim": 6})
+    cfg = override(SMALL, {
+        "problem": problem,
+        "family": {"kind": "elastic_net", "alpha": 1.0, "eta": 0.5,
+                   "structure": "diagonal"},
+        "param_class": {"kind": "euclidean_ball", "dim": 6}})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=20_000)
     assert report["checks"]["penalty_hypotheses"]["passed"], report
@@ -616,9 +633,9 @@ def test_verification_suite_elastic_net_with_n_x_other_than_n_y():
 def test_verification_suite_invalid_contraction_budget():
     # theta = (W, b) has length 2 on the scalar problem; the budget is
     # checked when the config is read
-    cfg = scalar_config(family={"kind": "fixed_point",
-                                "contraction_budget": 1.2},
-                        param_class={"kind": "euclidean_ball", "dim": 2})
+    cfg = override(SMALL, {
+        "family": {"kind": "fixed_point", "contraction_budget": 1.2},
+        "param_class": {"kind": "euclidean_ball", "dim": 2}})
     with pytest.raises(ConfigurationError,
                        match=r"^config family: contraction budget"):
         ExperimentConfig.from_dict(cfg)
@@ -626,8 +643,8 @@ def test_verification_suite_invalid_contraction_budget():
 
 def test_verification_suite_invalid_elastic_net_penalty():
     # an alpha outside (0, 1] is a config error naming the family
-    cfg = scalar_config(family={"kind": "elastic_net", "alpha": 1.5,
-                                "eta": 0.5, "structure": "scale"})
+    cfg = override(SMALL, {"family": {"kind": "elastic_net", "alpha": 1.5,
+                                      "eta": 0.5, "structure": "scale"}})
     with pytest.raises(ConfigurationError, match=r"^config family: alpha"):
         ExperimentConfig.from_dict(cfg)
 
@@ -724,7 +741,7 @@ def test_verification_suite_calls_the_program_on_its_own_thread(
         _record_threads(monkeypatch, owner, name,
                         calls.setdefault(name, []))
     before = threading.active_count()
-    run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
+    run_verification_suite(ExperimentConfig.from_dict(SMALL),
                            n_samples=3 * STACK_ROWS)
     assert threading.active_count() == before
     # the 32 contraction blocks, and more
@@ -743,7 +760,7 @@ def test_verification_suite_that_raises_leaves_no_thread(monkeypatch):
     before = threading.active_count()
     error = None
     try:
-        run_verification_suite(ExperimentConfig.from_dict(scalar_config()),
+        run_verification_suite(ExperimentConfig.from_dict(SMALL),
                                n_samples=1000)
     except FloatingPointError as exc:
         error = exc
@@ -758,17 +775,15 @@ def test_verification_suite_peak_memory():
     # AHEAD drawn ahead and the one in hand, 4.2 MB each; its peak is
     # 28 MB, and the bound leaves 22 MB for allocator and timing slack
     n = 4
-    problem = {
-        "forward": {"n_x": n, "n_y": n, "basis": "identity",
-                    "singular_values": [1.0 / k for k in range(1, n + 1)]},
-        "prior": {"type": "gaussian", "mean": [0.0] * n,
-                  "cov_eigenvalues": [1.0] * n},
-        "noise": {"type": "gaussian", "mean": [0.0] * n,
-                  "cov_eigenvalues": [0.1] * n}}
-    cfg = ExperimentConfig.from_dict(scalar_config(
-        problem=problem, family={"kind": "tikhonov", "structure": "diagonal"},
-        param_class={"kind": "euclidean_ball", "dim": 2 * n, "radius": 1.0},
-        proxy_m=12_800, n_mc=20_000))
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "problem.forward.n_x": n, "problem.forward.n_y": n,
+        "problem.forward.singular_values": [1.0 / k for k in range(1, n + 1)],
+        "problem.prior.mean": [0.0] * n,
+        "problem.prior.cov_eigenvalues": [1.0] * n,
+        "problem.noise.mean": [0.0] * n,
+        "problem.noise.cov_eigenvalues": [0.1] * n,
+        "family.structure": "diagonal", "param_class.dim": 2 * n,
+        "n_mc": 20_000}))
     tracemalloc.start()
     try:
         run_verification_suite(cfg, n_samples=100_000)

@@ -6,6 +6,9 @@ import pytest
 from invlearn import (ExperimentConfig, ForwardOperator, GaussianSpec,
                       mmse_affine)
 from invlearn.errors import ConfigurationError, DimensionMismatchError
+from invlearn.experiment import override
+
+from configs import CRITERION_2
 
 
 def random_orthonormal(n, k, seed):
@@ -167,15 +170,14 @@ def test_from_dict_dense_basis():
                "singular_values": A.singular_values.tolist(),
                "basis": {"left": A.left_basis.tolist(),
                          "right": A.right_basis.tolist()}}
-    B = ExperimentConfig.from_dict({
+    B = ExperimentConfig.from_dict(override(CRITERION_2, {
         "problem": {
             "forward": forward,
             "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
             "noise": {"mean": [0.0] * 5, "cov_eigenvalues": [1.0] * 5}},
-        "family": {"kind": "tikhonov", "structure": "scale"},
         "param_class": {"kind": "euclidean_ball", "dim": 1},
-        "m_grid": [16], "trials_per_m": 1, "proxy_m": 1600, "n_mc": 100,
-        "master_seed": 1}).problem.forward
+        "m_grid": [16], "trials_per_m": 1, "proxy_m": 1600,
+        "n_mc": 100})).problem.forward
     x = rng.standard_normal(3)
     assert np.allclose(A.apply(x), B.apply(x), atol=1e-12)
 
