@@ -420,9 +420,9 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
                 break
         P, prev = P_next, steps
     else:
-        raise ConvergenceError("fixed-point iteration did not converge",
-                               residual=float(np.max(prev)),
-                               iterations=max_iter)
+        raise ConvergenceError(
+            "fixed-point iteration did not converge", iterations=max_iter,
+            residual=None if prev is None else float(np.max(prev)))
     return out.reshape(params.b.shape[:-1] + y.shape[:-1] + (n,))
 
 
@@ -431,20 +431,14 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """Shared by every family: R_theta(y) for one y is a one-row batch.
-
-    ``reconstruct_batch(theta, Y)`` maps the (m, n_y) batch Y to (m, n_x)
-    rows; a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for
-    bit the 1-d call.  ``affine``: the reconstruction is the map G y + c
+    """Shared by every family: ``reconstruct_batch(theta, Y)`` maps the
+    (m, n_y) batch Y to (m, n_x) rows, and one output y (1-d) to R_theta(y);
+    a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for bit
+    the 1-d call.  ``affine``: the reconstruction is the map G y + c
     (``_HBFamily.affine_map``), so ERM reads the data's moments.
     """
 
     affine = False
-
-    def reconstruct(self, theta, y):
-        """R_theta(y)."""
-        Y = np.asarray(y, dtype=float).reshape(1, -1)
-        return self.reconstruct_batch(theta, Y)[0]
 
     def _solve_stack(self, solver, theta, Y):
         """solver(params, op, Y) at the solver's own tolerance, for one

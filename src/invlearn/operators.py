@@ -146,8 +146,9 @@ class GaussianSpec:
             raise ConfigurationError("mean and eigenvalue lengths differ")
         if np.any(lam < 0):
             raise ConfigurationError("covariance eigenvalues must be >= 0")
-        if not np.isfinite(lam.sum()):
-            raise ConfigurationError("covariance trace must be finite")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf
+            if not np.isfinite(lam.sum()):
+                raise ConfigurationError("covariance trace must be finite")
         if self.covariance_basis is not None:
             basis = np.asarray(self.covariance_basis, dtype=float)
             if basis.shape != (mean.size, mean.size):

@@ -76,24 +76,22 @@ class ProblemDistribution:
 
     def draw(self, key: tuple, size: int):
         """A generator of (x, y) of ``size`` pairs in independent blocks of
-        ``STACK_ROWS`` rows, the last one shorter.  Block b equals, bit for
-        bit, ``sample(substream(*key, b), rows)``: its x, then its noise,
-        from a stream of its own, so no value depends on which thread draws
-        it or when.  When there is more than one block and no basis of A,
-        of the noise law or of a Gaussian prior makes a side call BLAS, two
-        worker threads draw the blocks' x and noise, at most ``AHEAD``
-        blocks ahead of the one the caller holds, and the caller forms y =
-        A x + eps; otherwise every block is drawn on the caller's thread.
-        The workers call only ``GaussianSpec.sample`` and
+        ``STACK_ROWS`` rows, the last one shorter.  Block b is drawn by
+        ``_x_eps(substream(*key, b), rows)``, so it equals ``sample`` of its
+        rows from that stream bit for bit, and no value depends on which
+        thread draws it or when.  When there is more than one block and no
+        basis of A, of the noise law or of a Gaussian prior makes a side
+        call BLAS, two worker threads draw the blocks' x and noise, at most
+        ``AHEAD`` blocks ahead of the one the caller holds, and the caller
+        forms y = A x + eps; otherwise every block is drawn on the caller's
+        thread.  The workers call only ``GaussianSpec.sample`` and
         ``BoundedSpec.sample``.  Closing the generator, or an exception,
         joins the workers before it returns or propagates."""
         starts = range(0, size, STACK_ROWS)
 
         def block(b):
-            rng = substream(*key, b)
-            x = self.prior.sample(rng, min(STACK_ROWS, size - starts[b]))
-            return x, None if self.noise.degenerate else \
-                self.noise.sample(rng, len(x))
+            return self._x_eps(substream(*key, b),
+                               min(STACK_ROWS, size - starts[b]))
 
         # a BLAS call on either side would spin its worker threads on the
         # cores the other side needs
@@ -115,18 +113,17 @@ class ProblemDistribution:
                 yield x, self._outputs(x, eps)
 
     def sample(self, rng: np.random.Generator, size: int):
-        """(x, y) with y = A x + eps from one stream: every x first, then
-        the noise of each block of ``STACK_ROWS`` rows in order, so no value
-        depends on the block size.  A degenerate noise law adds its mean
-        and draws nothing from ``rng``."""
+        """(x, y) with y = A x + eps from one stream: every x, then every
+        noise row (``_x_eps``)."""
+        x, eps = self._x_eps(rng, size)
+        return x, self._outputs(x, eps)
+
+    def _x_eps(self, rng: np.random.Generator, size: int):
+        """``size`` rows of x, then ``size`` rows of noise, from ``rng``;
+        the noise is None for a degenerate noise law, which draws nothing."""
         x = self.prior.sample(rng, size)
-        y = np.empty((size, self.forward.n_y))
-        for i in range(0, size, STACK_ROWS):
-            x_b = x[i:i + STACK_ROWS]
-            y[i:i + STACK_ROWS] = self._outputs(
-                x_b, None if self.noise.degenerate
-                else self.noise.sample(rng, len(x_b)))
-        return x, y
+        return x, None if self.noise.degenerate else \
+            self.noise.sample(rng, size)
 
     def _outputs(self, x, eps):
         """A x + eps, or A x plus the noise mean where eps is None."""

@@ -313,6 +313,12 @@ SCHEMA_CASES = {
         {"problem.prior.cov_eigenvalues": [-1.0]}, "problem.prior"),
     "negative singular value": (
         {"problem.forward.singular_values": [-1.0]}, "problem.forward"),
+    "n_x 0": ({"problem.forward.n_x": 0}, "problem.forward"),
+    "more singular values than min(n_x, n_y)": (
+        {"problem.forward.singular_values": [1.0, 0.5]}, "problem.forward"),
+    "prior ball of radius 0": (
+        {"problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 0.0}},
+        "problem.prior"),
     "non-orthonormal left basis": (
         {"problem.forward.basis": {"left": [[2.0]]}}, "problem.forward"),
     "non-orthonormal prior basis": (

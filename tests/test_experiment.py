@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_config_range_errors_name_their_path(overrides, path):
     # like every other load error, a range error starts with its config path
     with pytest.raises(ConfigurationError, match=rf"^config {path} "):
         ExperimentConfig.from_dict(override(SMALL, overrides))
+
+
+def test_config_overflowing_prior_trace_is_a_config_error():
+    # the trace 1e308 + 1e308 overflows: the load raises the config error,
+    # with no numpy overflow warning before it
+    raw = override(SMALL, {
+        "problem.forward": {"n_x": 2, "n_y": 2,
+                            "singular_values": [1.0, 1.0]},
+        "problem.prior.mean": [0.0, 0.0],
+        "problem.prior.cov_eigenvalues": [1e308, 1e308],
+        "problem.noise.mean": [0.0, 0.0],
+        "problem.noise.cov_eigenvalues": [1.0, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=(
+                r"^config problem\.prior: covariance trace must be finite")):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_config_nonzero_noise_mean_names_its_path():
@@ -419,6 +437,22 @@ def test_rate_experiment_requires_enough_trials():
         run_rate_experiment(cfg)
 
 
+def test_rate_experiment_slower_than_predicted(monkeypatch):
+    # stand-in fits that ignore the data: each trial's theta is a draw from
+    # the class, so the sample error does not shrink with m, and the slope
+    # lies above the predicted -1/2 by more than the band and its CI
+    def random_fits(pclass, family, sets, seeds, opts):
+        return [risk.ErmResult(theta=pclass.sample(substream(s)),
+                               objective=0.0, residual=0.0, converged=True)
+                for s in seeds]
+
+    monkeypatch.setattr(experiment, "erm_solve_trials", random_fits)
+    fit = run_rate_experiment(ExperimentConfig.from_dict(SMALL))
+    assert fit.verdict == "slower-than-predicted"
+    assert fit.slope > fit.predicted_exponent + experiment.SLOPE_BAND
+    assert fit.slope_ci[0] > fit.predicted_exponent
+
+
 def _normal_equations_fit(ms, means, ses, weight_power=2):
     # reference: weighted least squares of log(mean) on log(m) by the
     # explicit normal equations, weights 1/sigma^weight_power
@@ -478,6 +512,15 @@ def test_bound_domination_after_calibration(small_fit):
     ok, ratios = bound_domination_check(small_fit)
     assert ok, ratios
     assert all(r <= 1.0 + 1e-9 for _, r in ratios)
+
+
+def test_bound_domination_needs_two_usable_grid_points(small_fit):
+    # a grid point is usable where its mean sample error is positive
+    per_m = [small_fit.per_m[0]] + [{**p, "mean": 0.0}
+                                    for p in small_fit.per_m[1:]]
+    with pytest.raises(ConfigurationError,
+                       match="need at least two usable grid points"):
+        bound_domination_check(dataclasses.replace(small_fit, per_m=per_m))
 
 
 def test_bound_inputs_follow_the_config():
