@@ -26,7 +26,6 @@ from .errors import (ConfigurationError, ContractivityError, ConvergenceError,
 from .operators import ForwardOperator, GaussianSpec
 
 HOLDER_SMOOTHING = 1e-8  # mu in (||Bx-h||^2 + mu^2)^alpha for alpha < 1
-STACK_ROWS = 1 << 16  # (theta, row) pairs one iterative solve holds at most
 
 
 def _stacked_dot(a, b):
@@ -65,6 +64,8 @@ class ParamClass:
         if self.kind == "sobolev_ball" and (self.smoothness is None
                                             or self.smoothness <= 0):
             raise ConfigurationError("sobolev_ball requires smoothness > 0")
+        if self.kind == "euclidean_ball" and self.smoothness is not None:
+            raise ConfigurationError("euclidean_ball takes no smoothness")
 
     @property
     def diameter(self) -> float:
@@ -433,32 +434,13 @@ def reconstruct_fixed_point(params: FixedPointParams, A: ForwardOperator,
 class _Family:
     """Shared by every family: ``reconstruct_batch(theta, Y)`` maps the
     (m, n_y) batch Y to (m, n_x) rows, and one output y (1-d) to R_theta(y);
-    a (k, dim) stack of thetas gives (k, m, n_x), each slice bit for bit
-    the 1-d call.  ``affine``: the reconstruction is the map G y + c
-    (``_HBFamily.affine_map``), so ERM reads the data's moments.
+    a (k, dim) stack of thetas gives (k, m, n_x) in one call, whatever
+    its size, each slice bit for bit the 1-d call.  ``affine``: the
+    reconstruction is the map G y + c (``_HBFamily.affine_map``), so ERM
+    reads the data's moments.
     """
 
     affine = False
-
-    def _solve_stack(self, solver, theta, Y):
-        """solver(params, op, Y) at the solver's own tolerance, for one
-        theta or a (k, dim) stack, the stack in groups of at most
-        ``STACK_ROWS`` (theta, row) pairs."""
-        theta = np.asarray(theta, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if theta.ndim == 1:
-            return solver(self.unpack(theta), self.op, Y)
-        parts = [solver(self.unpack(theta[g]), self.op, Y)
-                 for g in theta_groups(len(theta), len(np.atleast_2d(Y)))]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def theta_groups(k: int, m: int, pairs: int | None = None) -> list:
-    """Slices of a stack of k thetas on m data rows, each at most ``pairs``
-    (default ``STACK_ROWS``) (theta, row) pairs, or one theta when its rows
-    alone exceed that."""
-    size = max(1, (pairs or STACK_ROWS) // max(m, 1))
-    return [slice(i, i + size) for i in range(0, k, size)]
 
 
 class _HBFamily(_Family):
@@ -639,7 +621,7 @@ class ElasticNetFamily(_HBFamily):
         if self.affine:
             # smooth quadratic case: the optimality condition is linear
             return self._affine_batch(theta, Y)
-        return self._solve_stack(reconstruct_elastic_net, theta, Y)
+        return reconstruct_elastic_net(self.unpack(theta), self.op, Y)
 
 
 class FixedPointFamily(_Family):
@@ -669,7 +651,7 @@ class FixedPointFamily(_Family):
                                     - np.asarray(theta2, float)))
 
     def reconstruct_batch(self, theta, Y):
-        return self._solve_stack(reconstruct_fixed_point, theta, Y)
+        return reconstruct_fixed_point(self.unpack(theta), self.op, Y)
 
     def lipschitz_theta_bound(self, probe_ys) -> float:
         """Analytic Lipschitz-in-theta constant over the probe data.

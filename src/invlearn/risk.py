@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .hypotheses import STACK_ROWS, _stacked_dot, theta_groups
-from .stochastics import (ProblemDistribution, TrainingSet,
+from .hypotheses import _stacked_dot
+from .stochastics import (STACK_ROWS, ProblemDistribution, TrainingSet,
                           draw_training_set, substream)
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
@@ -51,6 +51,14 @@ def _losses(R, X) -> np.ndarray:
 
 def _batch_losses(family, theta, X, Y) -> np.ndarray:
     return _losses(family.reconstruct_batch(theta, Y), X)
+
+
+def theta_groups(k: int, m: int, pairs: int | None = None) -> list:
+    """Slices of a stack of k thetas on m data rows, each at most ``pairs``
+    (default ``STACK_ROWS``) (theta, row) pairs, or one theta when its rows
+    alone exceed that."""
+    size = max(1, (pairs or STACK_ROWS) // max(m, 1))
+    return [slice(i, i + size) for i in range(0, k, size)]
 
 
 def _flat_dot(A, B):
@@ -180,7 +188,11 @@ def _risk_and_grad_factory(family, pclass, training_sets, n_starts=1):
     X, Y = training_sets[0].x, training_sets[0].y
 
     def risk(thetas, rows=None):
-        R = family.reconstruct_batch(thetas, Y)
+        # one solve holds at most STACK_ROWS (theta, row) pairs
+        groups = theta_groups(len(thetas), len(X))
+        R = family.reconstruct_batch(thetas, Y) if len(groups) == 1 else \
+            np.concatenate([family.reconstruct_batch(thetas[g], Y)
+                            for g in groups])
         return _losses(R, X).mean(axis=-1), R
 
     def change(R_c, R, rows):

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .hypotheses import STACK_ROWS
 from .operators import ForwardOperator, GaussianSpec
 
 ORLICZ_REL_TOL = 1e-4   # relative bracket width at which the bisection stops
 TAIL_GRID = 12          # thresholds checked by tail_check
 TAIL_CONFIDENCE = 0.99  # binomial quantile allowed at each threshold
 AHEAD = 3               # blocks ProblemDistribution.draw's workers draw ahead
+STACK_ROWS = 1 << 16    # rows of a draw block; (theta, row) pairs of a risk solve
 
 
 def substream(seed: int, *indices: int) -> np.random.Generator:

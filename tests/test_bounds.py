@@ -121,6 +121,7 @@ def test_greedy_cover_matches_reference_on_random_clouds():
     ([[0.0], [1.0]], 0.0, "radius r"),
     ([[0.0], [1.0]], np.nan, "radius r"),
     ([[0.0], [1.0]], np.inf, "radius r"),
+    (np.zeros((0, 1)), 0.5, "non-empty"),
 ])
 def test_greedy_cover_rejects_bad_input(points, r, name):
     # a NaN coordinate is covered by no ball, so the greedy would not end;
@@ -210,6 +211,30 @@ def test_ball_log_n_is_finite_in_high_dimension():
 
 
 # -- covering_bound --------------------------------------------------------
+
+@pytest.mark.parametrize("changes, match", [
+    ({"q": 3}, "q must be 1 or 2"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"K": -1.0}, "K, M_ell >= 0"),
+    ({"M_ell": -1.0}, "K, M_ell >= 0"),
+    ({"m": 0}, "m >= 1"),
+    ({"D": 0.5}, "D >= 1"),
+])
+def test_bound_inputs_validation(changes, match):
+    with pytest.raises(ConfigurationError, match=match):
+        BoundInputs(**{"m": 16, **changes})
+
+
+@pytest.mark.parametrize("bound, r", [(covering_bound, 0.0),
+                                      (covering_bound, -0.5),
+                                      (chaining_bound, -0.5)])
+def test_bound_rejects_a_radius_out_of_range(bound, r):
+    # r = 0 is the chaining bound's improper integral, not an error
+    cov = CoveringModel(kind="euclidean_ball", d=1, D=1.0)
+    with pytest.raises(ConfigurationError, match="r must be"):
+        bound(BoundInputs(m=16), cov, r=r)
+
 
 def test_covering_bound_no_stability_term():
     cov = CoveringModel(kind="euclidean_ball", d=2, D=1.0)

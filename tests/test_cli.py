@@ -38,20 +38,32 @@ def test_generate_writes_csv(tmp_path, capsys):
 
 def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
         tmp_path, capsys):
-    # 1 singular value for n_x = 2: at theta = 0, in every class, B = 0
-    # leaves ker A unregularised, so erm, rates and verify would fail on a
+    # 1 singular value for n_x = 2, or a second one of 1e-7 (normal matrix
+    # of cond 1e14): at theta = 0, in every class, B = 0 leaves ker A
+    # (numerically) unregularised, so erm, rates and verify would fail on a
     # singular normal matrix; every subcommand rejects the config instead
-    cfg = write_config(tmp_path, override(SMALL, {
+    rank_one = override(SMALL, {
         "problem.forward": {"n_x": 2, "n_y": 1, "singular_values": [1.0]},
         "problem.prior.mean": [0.0, 0.0],
-        "problem.prior.cov_eigenvalues": [1.0, 1.0]}))
-    for command in (["erm", "--m", "16"], ["rates"], ["verify"], ["bounds"]):
-        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
-                  + command)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "problem.forward.singular_values" in err
-        assert "Traceback" not in err
+        "problem.prior.cov_eigenvalues": [1.0, 1.0]})
+    near_singular = override(SMALL, {
+        "problem.forward": {"n_x": 2, "n_y": 2,
+                            "singular_values": [1.0, 1e-7]},
+        "problem.prior.mean": [0.0, 0.0],
+        "problem.prior.cov_eigenvalues": [1.0, 1.0],
+        "problem.noise.mean": [0.0, 0.0],
+        "problem.noise.cov_eigenvalues": [1.0, 1.0],
+        "family.structure": "diagonal", "param_class.dim": 4})
+    for raw in (rank_one, near_singular):
+        cfg = write_config(tmp_path, raw)
+        for command in (["erm", "--m", "16"], ["rates"], ["verify"],
+                        ["bounds"]):
+            rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
+                      + command)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "problem.forward.singular_values" in err
+            assert "Traceback" not in err
 
 
 def test_generate_m_zero_is_not_the_default(tmp_path, capsys):
@@ -217,6 +229,14 @@ def test_malformed_config_reports_location(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, name):
+    # a missing file, or a directory
+    rc = main(["--config", str(tmp_path / name), "erm"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config:")
+
+
 def test_missing_config_key_reports_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {k: v for k, v in SMALL.items()
                                   if k != "family"})
@@ -277,6 +297,9 @@ SCHEMA_CASES = {
                                  "problem.forward.singular_values"),
     "left basis a string": ({"problem.forward.basis": {"left": "weird"}},
                             "problem.forward.basis.left"),
+    "ragged left basis": (
+        {"problem.forward.basis": {"left": [[1.0], [1.0, 0.0]]}},
+        "problem.forward.basis.left"),
     # removed settings
     "tolerances section": ({"tolerances": {"erm_tol": 1e-6}}, "tolerances"),
     "erm section": ({"erm": {"n_starts": 2}}, "erm"),
@@ -332,6 +355,8 @@ SCHEMA_CASES = {
     "unknown class kind": ({"param_class.kind": "cube"}, "param_class"),
     "sobolev without smoothness": (
         {"param_class": {"kind": "sobolev_ball", "dim": 1}}, "param_class"),
+    "smoothness on a euclidean ball": ({"param_class.smoothness": 1.0},
+                                       "param_class"),
     "alpha above 1": (
         {"family": {"kind": "elastic_net", "alpha": 1.5,
                     "structure": "scale"}}, "family"),

@@ -25,9 +25,8 @@ from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
                                  bound_domination_check, bound_inputs,
                                  canonical_json, derived_seed, fnv1a64,
                                  override, q_route)
-from invlearn.hypotheses import STACK_ROWS
 from invlearn.risk import erm_solve_trials, trial_groups
-from invlearn.stochastics import substream
+from invlearn.stochastics import STACK_ROWS, substream
 
 from configs import SMALL
 

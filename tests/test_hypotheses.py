@@ -17,7 +17,7 @@ from invlearn.errors import (ConfigurationError, ContractivityError,
 from invlearn import hypotheses
 from invlearn.hypotheses import _stacked_dot
 from invlearn.risk import _batch_losses, _Moments, _risk_and_grad_factory
-from invlearn.stochastics import TrainingSet
+from invlearn.stochastics import STACK_ROWS, TrainingSet
 
 
 def moment_gradient(fam, theta, X, Y):
@@ -38,6 +38,8 @@ def test_param_class_projection_idempotent():
         p = pc.project(theta)
         assert pc.contains(p)
         assert np.allclose(pc.project(p), p)
+    # a point of another dimension is not in the class
+    assert not pc.contains(np.zeros(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -679,13 +681,16 @@ def test_stacked_solve_stops_each_theta_on_its_own_rule(monkeypatch):
 
 @pytest.mark.parametrize("m", [100_000, 30_000])
 def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
-    # 8 thetas on m rows: each solve holds at most STACK_ROWS (theta, row)
-    # pairs, or one theta, and the joined groups are the one-theta solves
+    # 8 thetas on m rows: the per-sample ERM risk hands each solve at most
+    # STACK_ROWS (theta, row) pairs, or one theta, and the joined groups
+    # are the one-theta solves
     A = ForwardOperator.power_decay(2, 1.0)
     fam = FixedPointFamily(A, 0.5)
+    pc = ParamClass(kind="euclidean_ball", dim=fam.dim, radius=1.0)
     rng = np.random.default_rng(9)
     thetas = rng.standard_normal((8, fam.dim)) * 0.5
     Y = rng.standard_normal((m, 2))
+    risk = _risk_and_grad_factory(fam, pc, [TrainingSet(Y, Y, seed=0)])[0]
     calls = []
     solve = hypotheses.reconstruct_fixed_point
 
@@ -694,8 +699,8 @@ def test_stacked_fixed_point_splits_at_the_row_limit(monkeypatch, m):
         return solve(params, *args, **kwargs)
 
     monkeypatch.setattr(hypotheses, "reconstruct_fixed_point", counting_solve)
-    stack = fam.reconstruct_batch(thetas, Y)
-    size = max(1, hypotheses.STACK_ROWS // m)
+    stack = risk(thetas)[1]
+    size = max(1, STACK_ROWS // m)
     assert calls == [(min(size, 8 - i),) for i in range(0, 8, size)]
     calls.clear()
     for theta, R in zip(thetas, stack):
@@ -761,14 +766,6 @@ def test_solvers_share_one_output_batch_check(solver):
         with pytest.raises(DimensionMismatchError,
                            match="one row or an .m, n_y. batch of outputs"):
             reconstruct(y)
-
-
-def test_theta_groups_at_bench_and_proxy_sizes():
-    # the finite-difference stack of 2 starts x 6 coordinates x 2 signs on
-    # 8 rows is one group; at proxy_m 409 600 every theta is alone
-    assert len(hypotheses.theta_groups(24, 8)) == 1
-    assert hypotheses.theta_groups(3, 409_600) == [slice(0, 1), slice(1, 2),
-                                                    slice(2, 3)]
 
 
 def test_tikhonov_family_rejects_singular_normal_matrix():
@@ -949,6 +946,31 @@ def test_elastic_net_family_rejects_singular_normal_matrix():
                            structure="diagonal")
     with pytest.raises(ConfigurationError, match="singular normal matrix"):
         fam.reconstruct_batch(np.array([0.0, 0.0, 1e8, 0.0]), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(
+        lambda: TikhonovFamily(ForwardOperator.identity(2),
+                               GaussianSpec.iso(3, 1.0)),
+        DimensionMismatchError, "noise dimension",
+        id="tikhonov noise dimension"),
+    pytest.param(
+        lambda: reconstruct_elastic_net(
+            ElasticNetParams(h=np.zeros(1), B=np.eye(1), alpha=0.5, eta=0.5),
+            ForwardOperator.identity(1), np.ones(1), tol=0.0),
+        ConfigurationError, "tol must be positive", id="elastic-net tol"),
+    pytest.param(
+        lambda: FixedPointFamily(ForwardOperator.identity(2),
+                                 0.5).unpack(np.zeros(7)),
+        DimensionMismatchError, "theta length",
+        id="fixed-point theta length"),
+    pytest.param(
+        lambda: check_g_hypotheses(np.eye(2), np.zeros(2), 0.5, []),
+        ConfigurationError, "non-empty", id="g hypotheses probes"),
+])
+def test_family_input_checks(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_elastic_net_param_validation():

@@ -121,6 +121,32 @@ def test_mmse_singular_innovation_rejected():
         mmse_affine(A, prior, noise)
 
 
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(
+        lambda: ForwardOperator(n_x=2, n_y=2, singular_values=[1.0],
+                                left_basis=np.eye(2)),
+        ConfigurationError, r"left basis must have shape \(2, 1\)",
+        id="basis shape"),
+    pytest.param(
+        lambda: GaussianSpec(mean=[0.0, 0.0], covariance_eigenvalues=[1.0]),
+        ConfigurationError, "lengths differ", id="spec lengths"),
+    pytest.param(
+        lambda: GaussianSpec(mean=[0.0, 0.0],
+                             covariance_eigenvalues=[1.0, 1.0],
+                             covariance_basis=np.eye(3)),
+        ConfigurationError, "basis shape mismatch", id="spec basis shape"),
+    pytest.param(
+        lambda: mmse_affine(ForwardOperator.identity(2),
+                            GaussianSpec.iso(3, 1.0),
+                            GaussianSpec.iso(2, 1.0)),
+        DimensionMismatchError, "dimensions do not match",
+        id="mmse dimensions"),
+])
+def test_constructor_checks(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 # -- invariants ------------------------------------------------------------
 
 def test_apply_linearity():

@@ -105,6 +105,9 @@ def test_empirical_risk_empty_rejected():
     ts = TrainingSet(np.empty((0, 1)), np.empty((0, 1)), 0)
     with pytest.raises(ConfigurationError):
         empirical_risk(ts, np.array([1.0]), fam)
+    pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
+    with pytest.raises(ConfigurationError, match="empty training set"):
+        erm_solve_trials(pc, fam, [ts], [0])
 
 
 # -- expected_loss_mc ------------------------------------------------------
@@ -482,10 +485,18 @@ def test_fd_gradient_is_one_reconstruct_batch_call_per_group(monkeypatch,
     np.testing.assert_array_equal(grad(thetas, None, rows), g)
     assert calls == [2 * k * fam.dim]
     calls.clear()
-    monkeypatch.setattr(hypotheses, "STACK_ROWS", 4 * m)
+    monkeypatch.setattr(risk, "STACK_ROWS", 4 * m)
     np.testing.assert_array_equal(grad(thetas, None, rows), g)
     n = 2 * k * fam.dim
     assert calls == [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+
+
+def test_theta_groups_at_bench_and_proxy_sizes():
+    # the finite-difference stack of 2 starts x 6 coordinates x 2 signs on
+    # 8 rows is one group; at proxy_m 409 600 every theta is alone
+    assert len(risk.theta_groups(24, 8)) == 1
+    assert risk.theta_groups(3, 409_600) == [slice(0, 1), slice(1, 2),
+                                             slice(2, 3)]
 
 
 # -- trial-stacked ERM: each trial is its own erm_solve -------------------

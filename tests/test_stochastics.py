@@ -9,17 +9,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invlearn import (BoundedSpec, ForwardOperator, GaussianSpec,
                       ProblemDistribution, draw_training_set,
                       empirical_average_contraction, orlicz_norm, substream,
                       tail_check)
-from invlearn.errors import ConfigurationError
-from invlearn.hypotheses import STACK_ROWS
-from invlearn.stochastics import (AHEAD, ORLICZ_REL_TOL, _binom_cdf,
-                                  _within_quantile)
+from invlearn.errors import ConfigurationError, DimensionMismatchError
+from invlearn.stochastics import (AHEAD, ORLICZ_REL_TOL, STACK_ROWS,
+                                  _binom_cdf, _within_quantile)
 
 
 def scalar_problem(noise_var=1.0):
@@ -359,6 +358,37 @@ def test_orlicz_squared_gaussian_subexponential():
     assert tail_check(w, est, q=1)
 
 
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(
+        lambda: ProblemDistribution(prior=GaussianSpec.iso(2, 1.0),
+                                    noise=GaussianSpec.iso(1, 1.0),
+                                    forward=ForwardOperator.identity(1)),
+        DimensionMismatchError, "prior dimension", id="prior dim"),
+    pytest.param(
+        lambda: ProblemDistribution(prior=GaussianSpec.iso(1, 1.0),
+                                    noise=GaussianSpec.iso(2, 1.0),
+                                    forward=ForwardOperator.identity(1)),
+        DimensionMismatchError, "noise dimension", id="noise dim"),
+    pytest.param(
+        lambda: ProblemDistribution(
+            prior=GaussianSpec.iso(1, 1.0),
+            noise=GaussianSpec(mean=[1.0], covariance_eigenvalues=[1.0]),
+            forward=ForwardOperator.identity(1)),
+        ConfigurationError, "zero-mean", id="noise mean"),
+    pytest.param(lambda: orlicz_norm([1.0], q=3), ConfigurationError,
+                 "q must be 1 or 2", id="orlicz q"),
+    pytest.param(lambda: tail_check([1.0], K=1.0, q=3), ConfigurationError,
+                 "q must be 1 or 2", id="tail q"),
+    pytest.param(
+        lambda: empirical_average_contraction(np.ones((4, 4)), q=2,
+                                              m_grid=[]),
+        ConfigurationError, "m_grid must be non-empty", id="empty m-grid"),
+])
+def test_input_checks(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_orlicz_zero_and_invalid_samples():
     assert orlicz_norm(np.zeros(20_000), q=2) == 0.0
     with pytest.raises(ConfigurationError):
@@ -586,6 +616,39 @@ def test_tail_check_input_validation():
     for K in (0.0, np.nan, np.inf):
         with pytest.raises(ConfigurationError):
             tail_check([1.0], K=K, q=2)
+
+
+def heavy_tailed(law, n, rng):
+    """n draws of a law with no finite psi_1 norm, or n - 1 ones and one
+    spike."""
+    if law == "cauchy":
+        return rng.standard_cauchy(n)
+    if law == "student_t":
+        return rng.standard_t(rng.uniform(0.5, 2.5), n)
+    if law == "pareto":
+        return rng.pareto(rng.uniform(0.5, 3.0), n)
+    w = np.ones(n)
+    w[rng.integers(n)] = 10.0 ** rng.uniform(0.0, 12.0)
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       law=st.sampled_from(["cauchy", "student_t", "pareto", "spike"]),
+       n=st.integers(1, 100_000), q=st.sampled_from([1, 2]))
+@example(seed=0, law="spike", n=1, q=2)
+@example(seed=1, law="cauchy", n=100_000, q=1)
+def test_tail_check_passes_at_the_samples_own_orlicz_norm(seed, law, n, q):
+    # the mean of exp(|w|^q / K^q) is at most 2 at the fitted norm K, so by
+    # Markov's inequality at most n 2 exp(-(t / K)^q) = n p entries exceed
+    # t, below the median of Bin(n, p): every finite sample passes against
+    # its own fitted norm, which is why the verification suite runs no tail
+    # test
+    w = heavy_tailed(law, n, np.random.default_rng(seed))
+    assume(np.all(np.isfinite(w)))
+    norm = orlicz_norm(w, q)
+    assume(0 < norm < math.inf)
+    assert tail_check(w, 1.05 * norm, q)
 
 
 @pytest.mark.parametrize("samples", [
