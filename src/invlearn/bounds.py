@@ -299,7 +299,6 @@ def curve_table(inputs_per_m, cov: CoveringModel) -> list:
 
 @dataclass(frozen=True)
 class RatePrediction:
-    method: str       # "covering" | "chaining"
     exponent: float   # power of m in the predicted sample-error decay
     regime: str
     note: str = ""
@@ -322,9 +321,9 @@ def predicted_exponent(cov: CoveringModel, alpha: float, q: int,
         raise ConfigurationError("need q in {1,2} and alpha in (0,1]")
     if cov.kind == "euclidean_ball":
         if method == "covering":
-            return RatePrediction(method, -0.5, "finite-dimensional",
+            return RatePrediction(-0.5, "finite-dimensional",
                                   f"times log(m)^{{1/{q}}} d^{{1/{q}}}")
-        return RatePrediction(method, -0.5, "finite-dimensional",
+        return RatePrediction(-0.5, "finite-dimensional",
                               f"constant factor (d log d)^{{1/{q}}}")
     s = cov.s
     if method == "covering":
@@ -332,9 +331,8 @@ def predicted_exponent(cov: CoveringModel, alpha: float, q: int,
         note = ""
         if s < (1.0 - alpha) / (alpha**2 * q):
             note = "covering route faster than chaining in this regime"
-        return RatePrediction(method, expo, "entropy-decay", note)
+        return RatePrediction(expo, "entropy-decay", note)
     if s > 1.0 / (alpha * q):
-        return RatePrediction(method, -0.5, "saturated",
+        return RatePrediction(-0.5, "saturated",
                               "embedding compact enough for the optimal rate")
-    return RatePrediction(method, -0.5 * alpha**2 * s * q,
-                          "sub-saturation", "")
+    return RatePrediction(-0.5 * alpha**2 * s * q, "sub-saturation")

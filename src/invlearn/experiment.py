@@ -20,8 +20,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import ConfigurationError, ConvergenceError
-from .hypotheses import (ElasticNetFamily, FixedPointFamily, ParamClass,
-                         TikhonovFamily, certify_stability, check_g_hypotheses)
+from .hypotheses import (_COND_MAX, ElasticNetFamily, FixedPointFamily,
+                         ParamClass, TikhonovFamily, certify_stability,
+                         check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
 from .risk import (ErmOptions, _batch_losses, _risk_and_grad_factory,
                    erm_solve, erm_solve_trials, optimal_target_proxy,
@@ -99,10 +100,13 @@ _FORWARD_KEYS = {"n_x": _INT, "n_y": _INT, "singular_values": _VEC,
                  "basis": None}
 _GAUSSIAN_KEYS = {"type": None, "mean": _VEC, "cov_eigenvalues": _VEC,
                   "cov_basis": _MAT}
-# per law type: (allowed keys, required keys)
-_LAW_KEYS = {"gaussian": (_GAUSSIAN_KEYS, ("mean", "cov_eigenvalues")),
-             "uniform_ball": ({"type": None, "dim": _INT, "radius": _NUM},
-                              ("dim", "radius"))}
+# per law and type: (allowed keys, required keys); the noise's mean (zero)
+# and a ball's dim (n_x) are derived, and checked when given
+_LAW_KEYS = {"prior": {"gaussian": (_GAUSSIAN_KEYS,
+                                    ("mean", "cov_eigenvalues")),
+                       "uniform_ball": ({"type": None, "dim": _INT,
+                                         "radius": _NUM}, ("radius",))},
+             "noise": {"gaussian": (_GAUSSIAN_KEYS, ("cov_eigenvalues",))}}
 
 
 def _has_type(value, kind) -> bool:
@@ -171,33 +175,32 @@ def _read_problem(problem) -> ProblemDistribution:
                 n_y=forward["n_y"], singular_values=forward["singular_values"],
                 left_basis=left, right_basis=right)
     laws = {}
-    for name, kinds in (("prior", ("gaussian", "uniform_ball")),
-                        ("noise", ("gaussian",))):
+    for name, kinds in _LAW_KEYS.items():
         law = _known_keys(problem[name], None, f"problem.{name}.")
         kind = law.get("type", "gaussian")
-        if kind not in kinds:
+        if not isinstance(kind, str) or kind not in kinds:
             raise ConfigurationError(
                 f"unsupported law at problem.{name}.type: {kind!r}")
-        allowed, required = _LAW_KEYS[kind]
+        allowed, required = kinds[kind]
         _known_keys(law, allowed, f"problem.{name}.", required)
         # each length of the law's vectors and matrices, or its ball's dim
         n_key = "n_x" if name == "prior" else "n_y"
+        n = forward[n_key]
         for key in ("dim", "mean", "cov_eigenvalues", "cov_basis"):
-            if key in law and set(np.shape(law[key]) or (law[key],)) \
-                    != {forward[n_key]}:
+            if key in law and set(np.shape(law[key]) or (law[key],)) != {n}:
                 raise ConfigurationError(
                     f"config problem.{name}.{key} does not fit "
-                    f"problem.forward.{n_key} = {forward[n_key]}")
-        if name == "noise" and any(law["mean"]):
+                    f"problem.forward.{n_key} = {n}")
+        if name == "noise" and any(law.get("mean", ())):
             raise ConfigurationError("config problem.noise.mean must be zero")
         if kind == "gaussian":
             laws[name] = _build(f"problem.{name}", GaussianSpec,
-                                mean=law["mean"],
+                                mean=law.get("mean", np.zeros(n)),
                                 covariance_eigenvalues=law["cov_eigenvalues"],
                                 covariance_basis=law.get("cov_basis"))
         else:
             laws[name] = _build(f"problem.{name}", BoundedSpec,
-                                dim=law["dim"], radius=law["radius"])
+                                dim=n, radius=law["radius"])
     return _build("problem", ProblemDistribution, forward=op, **laws)
 
 
@@ -232,12 +235,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The one reader of the config format: each object's keys and
-        value types are checked, and the object is built on the spot."""
+        value types are checked, and the object is built on the spot.  The
+        class is built after the family, whose theta length is its dim."""
         _known_keys(d, _TOP_KEYS, required=tuple(_TOP_KEYS))
         problem = _read_problem(d["problem"])
-        param_class = _build("param_class", ParamClass, **_known_keys(
-            d["param_class"], _PARAM_CLASS_KEYS, "param_class.",
-            ("kind", "dim")))
+        pclass = _known_keys(d["param_class"], _PARAM_CLASS_KEYS,
+                             "param_class.", ("kind",))
         params = dict(_known_keys(d["family"], None, "family."))
         kind = params.pop("kind", None)
         if not isinstance(kind, str) or kind not in _FAMILIES:
@@ -248,14 +251,27 @@ class ExperimentConfig:
             params["noise"] = problem.noise
         # the constructors hold the defaults of the family keys
         family = _build("family", _FAMILIES[kind], problem.forward, **params)
-        if param_class.dim != family.dim:
+        if pclass.get("dim", family.dim) != family.dim:
             raise ConfigurationError(
-                f"config param_class.dim is {param_class.dim}, but the "
+                f"config param_class.dim is {pclass['dim']}, but the "
                 f"family's theta has length {family.dim}")
+        param_class = _build("param_class", ParamClass,
+                             **{**pclass, "dim": family.dim})
         if family.affine:
-            # every class holds theta = 0, the first map every run solves for
-            _build("problem.forward.singular_values", family.affine_map,
-                   param_class.center)
+            # every class holds theta = 0, the first map every run solves
+            # for; where A has n_x singular values and (s_1 / s_n_x)^2 within
+            # the solver's limit, the noise law is at fault, not ker A
+            try:
+                family.affine_map(param_class.center)
+            except ConfigurationError as exc:
+                s = problem.forward.singular_values
+                if s.size == problem.forward.n_x and \
+                        s[0] <= s[-1] * np.sqrt(_COND_MAX):
+                    raise ConfigurationError(
+                        "config problem.noise.cov_eigenvalues: "
+                        f"{str(exc).partition(';')[0]}") from exc
+                raise ConfigurationError(
+                    f"config problem.forward.singular_values: {exc}") from exc
         return cls(problem=problem, family=family, param_class=param_class,
                    m_grid=tuple(d["m_grid"]),
                    trials_per_m=d["trials_per_m"], proxy_m=d["proxy_m"],
@@ -389,7 +405,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
         pclass, family, cfg.problem, cfg.proxy_m,
         derived_seed(cfg.master_seed, 11), x_eval, y_eval,
         ErmOptions(seed=derived_seed(cfg.master_seed, 7)))
-    eval_set = TrainingSet(x=x_eval, y=y_eval, seed=cfg.master_seed)
+    eval_set = TrainingSet(x=x_eval, y=y_eval)
     risk, _, change = _risk_and_grad_factory(family, pclass, [eval_set])
     row = np.arange(1)  # every evaluation is a one-theta stack
     f_star, state_star = risk(theta_star[None], row)
@@ -596,7 +612,7 @@ def run_verification_suite(cfg: ExperimentConfig,
         ok = np.isfinite(g_rep.M_g) and g_rep.convex_midpoint_ok is not False
         record("penalty_hypotheses", ok, alpha=family.alpha,
                M_g=g_rep.M_g, holder_constant=g_rep.holder_constant,
-               convexity_checked=g_rep.convexity_checked)
+               convexity_checked=g_rep.convex_midpoint_ok is not None)
 
     # one draw of losses at the class centre serves every m: a trial's
     # m-average reads the first m losses of its row, and each block holds

@@ -233,6 +233,9 @@ def _normal_constants(A: ForwardOperator, noise: GaussianSpec):
     return P, P @ Am
 
 
+_COND_MAX = 1e13  # the largest condition number of a normal matrix solved
+
+
 def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Rows X with X M^T = rhs for the normal matrix M of an affine family.
 
@@ -240,7 +243,7 @@ def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Rejects a numerically singular M and checks the residual of each solve.
     """
     cond = np.atleast_1d(_spd_cond(M))
-    if np.any(singular := ~(cond <= 1e13)):  # inf and nan included
+    if np.any(singular := ~(cond <= _COND_MAX)):  # inf and nan included
         raise ConfigurationError(
             f"singular normal matrix (cond={cond[singular][0]:.3g}); "
             "the penalty does not control ker A")
@@ -777,11 +780,9 @@ def certify_stability(family, pclass: ParamClass, probe_ys,
 class GHypothesesReport:
     """Empirical check of the learned-penalty conditions for g = ||B.-h||^{2a}."""
 
-    alpha: float
     M_g: float  # g at x = 0
     holder_constant: float | None
-    convex_midpoint_ok: bool | None
-    convexity_checked: bool
+    convex_midpoint_ok: bool | None  # None where not checked (alpha < 1)
 
 
 def check_g_hypotheses(B, h, alpha: float, probe_xs,
@@ -792,7 +793,7 @@ def check_g_hypotheses(B, h, alpha: float, probe_xs,
     ``probe_pairs`` defaults to 16 random perturbations of (h, B) of scale
     0.1, drawn from a fixed seed.  Convexity (midpoint inequality) is only
     asserted for alpha = 1; for alpha < 1 the penalty need not be convex and
-    the report marks the check as skipped.
+    the report's ``convex_midpoint_ok`` is None.
     """
     if not len(probe_xs):
         raise ConfigurationError("probe set must be non-empty")
@@ -830,7 +831,5 @@ def check_g_hypotheses(B, h, alpha: float, probe_xs,
         convex_ok = not any(
             g(B, h, 0.5 * (a + b)) > 0.5 * (g(B, h, a) + g(B, h, b)) + 1e-10
             for a, b in combinations(xs, 2))
-    return GHypothesesReport(alpha=alpha, M_g=g0,
-                             holder_constant=c_g,
-                             convex_midpoint_ok=convex_ok,
-                             convexity_checked=alpha == 1.0)
+    return GHypothesesReport(M_g=g0, holder_constant=c_g,
+                             convex_midpoint_ok=convex_ok)

@@ -115,7 +115,6 @@ def empirical_risk(ts: TrainingSet, theta, family) -> float:
 class McEstimate:
     estimate: float
     halfwidth: float
-    n_mc: int
 
 
 def expected_loss_mc(dist: ProblemDistribution, theta, family,
@@ -126,7 +125,7 @@ def expected_loss_mc(dist: ProblemDistribution, theta, family,
     rng = substream(seed, 1)
     x, y = dist.sample(rng, n_mc)
     estimate, halfwidth = _mean_halfwidth(_batch_losses(family, theta, x, y))
-    return McEstimate(estimate=estimate, halfwidth=halfwidth, n_mc=n_mc)
+    return McEstimate(estimate=estimate, halfwidth=halfwidth)
 
 
 # ---------------------------------------------------------------------------

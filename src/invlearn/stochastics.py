@@ -134,11 +134,10 @@ class ProblemDistribution:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """i.i.d. labeled pairs (x_j, y_j), reproducible from the seed."""
+    """i.i.d. labeled pairs (x_j, y_j)."""
 
     x: np.ndarray  # (m, n_x)
     y: np.ndarray  # (m, n_y)
-    seed: int
 
     @property
     def m(self) -> int:
@@ -163,7 +162,7 @@ def draw_training_set(dist: ProblemDistribution, m: int, seed: int) -> TrainingS
     if m < 1:
         raise ConfigurationError("training set size must be >= 1")
     x, y = dist.sample(substream(seed, 0), m)
-    return TrainingSet(x=x, y=y, seed=int(seed))
+    return TrainingSet(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ CRITERION_2 = {
         "forward": {"n_x": 1, "n_y": 1, "singular_values": [1.0],
                     "basis": "identity"},
         "prior": {"type": "gaussian", "mean": [0.0], "cov_eigenvalues": [1.0]},
-        "noise": {"type": "gaussian", "mean": [0.0], "cov_eigenvalues": [1.0]},
+        "noise": {"type": "gaussian", "cov_eigenvalues": [1.0]},
     },
     "family": {"kind": "tikhonov", "structure": "scale"},
-    "param_class": {"kind": "euclidean_ball", "dim": 1, "radius": 1.0},
+    "param_class": {"kind": "euclidean_ball", "radius": 1.0},
     "m_grid": [16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
     "trials_per_m": 50,
     "proxy_m": 409_600,
@@ -24,3 +24,11 @@ CRITERION_2 = {
 SMALL = override(CRITERION_2, {"m_grid": [16, 32, 64, 128],
                                "trials_per_m": 10, "proxy_m": 12_800,
                                "n_mc": 2_000})
+
+# its fixed-point copy, and that on bounded data (a uniform-ball prior)
+# with zero noise: the verification suite's q = 2 route
+FIXED_POINT = override(SMALL, {"family": {"kind": "fixed_point",
+                                          "contraction_budget": 0.5}})
+BOUNDED = override(FIXED_POINT, {
+    "problem.prior": {"type": "uniform_ball", "radius": 1.0},
+    "problem.noise.cov_eigenvalues": [0.0]})

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from invlearn import ExperimentConfig, experiment, run_rate_experiment
@@ -17,7 +18,7 @@ from invlearn.cli import main
 from invlearn.errors import ConvergenceError
 from invlearn.experiment import bound_inputs, canonical_json, override
 
-from configs import CRITERION_2, SMALL
+from configs import BOUNDED, CRITERION_2, FIXED_POINT, SMALL
 
 
 def write_config(tmp_path, raw=SMALL):
@@ -41,7 +42,9 @@ def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
     # 1 singular value for n_x = 2, or a second one of 1e-7 (normal matrix
     # of cond 1e14): at theta = 0, in every class, B = 0 leaves ker A
     # (numerically) unregularised, so erm, rates and verify would fail on a
-    # singular normal matrix; every subcommand rejects the config instead
+    # singular normal matrix; every subcommand rejects the config instead.
+    # With A = I and a noise eigenvalue of 1e-14 the normal matrix has the
+    # same condition, but ker A is trivial: the error names the noise law
     rank_one = override(SMALL, {
         "problem.forward": {"n_x": 2, "n_y": 1, "singular_values": [1.0]},
         "problem.prior.mean": [0.0, 0.0],
@@ -51,10 +54,14 @@ def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
                             "singular_values": [1.0, 1e-7]},
         "problem.prior.mean": [0.0, 0.0],
         "problem.prior.cov_eigenvalues": [1.0, 1.0],
-        "problem.noise.mean": [0.0, 0.0],
         "problem.noise.cov_eigenvalues": [1.0, 1.0],
-        "family.structure": "diagonal", "param_class.dim": 4})
-    for raw in (rank_one, near_singular):
+        "family.structure": "diagonal"})
+    noisy = override(near_singular, {
+        "problem.forward.singular_values": [1.0, 1.0],
+        "problem.noise.cov_eigenvalues": [1.0, 1e-14]})
+    forward = "problem.forward.singular_values"
+    for raw, path in ((rank_one, forward), (near_singular, forward),
+                      (noisy, "problem.noise.cov_eigenvalues")):
         cfg = write_config(tmp_path, raw)
         for command in (["erm", "--m", "16"], ["rates"], ["verify"],
                         ["bounds"]):
@@ -62,7 +69,8 @@ def test_tikhonov_on_a_rank_deficient_operator_is_a_config_error(
                       + command)
             assert rc == 2
             err = capsys.readouterr().err
-            assert "problem.forward.singular_values" in err
+            assert f"config {path}: singular normal matrix" in err
+            assert ("ker A" in err) == (raw is not noisy)
             assert "Traceback" not in err
 
 
@@ -210,7 +218,7 @@ def test_bounds_names_the_derived_inputs_and_model(tmp_path, capsys):
     cfg = write_config(tmp_path, override(SMALL, {
         "family": {"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
                    "structure": "scale"},
-        "param_class": {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+        "param_class": {"kind": "sobolev_ball", "radius": 1.0,
                         "smoothness": 1.0}}))
     assert main(["--config", str(cfg), "bounds"]) == 0
     for entry in json.loads(capsys.readouterr().out):
@@ -340,7 +348,7 @@ SCHEMA_CASES = {
     "more singular values than min(n_x, n_y)": (
         {"problem.forward.singular_values": [1.0, 0.5]}, "problem.forward"),
     "prior ball of radius 0": (
-        {"problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 0.0}},
+        {"problem.prior": {"type": "uniform_ball", "radius": 0.0}},
         "problem.prior"),
     "non-orthonormal left basis": (
         {"problem.forward.basis": {"left": [[2.0]]}}, "problem.forward"),
@@ -354,15 +362,15 @@ SCHEMA_CASES = {
     "negative radius": ({"param_class.radius": -1}, "param_class"),
     "unknown class kind": ({"param_class.kind": "cube"}, "param_class"),
     "sobolev without smoothness": (
-        {"param_class": {"kind": "sobolev_ball", "dim": 1}}, "param_class"),
+        {"param_class": {"kind": "sobolev_ball"}}, "param_class"),
     "smoothness on a euclidean ball": ({"param_class.smoothness": 1.0},
                                        "param_class"),
     "alpha above 1": (
         {"family": {"kind": "elastic_net", "alpha": 1.5,
                     "structure": "scale"}}, "family"),
     "budget above 1": (
-        {"family": {"kind": "fixed_point", "contraction_budget": 1.5},
-         "param_class.dim": 2}, "family"),
+        {"family": {"kind": "fixed_point", "contraction_budget": 1.5}},
+        "family"),
     "Tikhonov zero noise": ({"problem.noise.cov_eigenvalues": [0.0]},
                             "problem.noise.cov_eigenvalues"),
 }
@@ -396,10 +404,28 @@ def test_param_class_dim_must_match_theta_length(tmp_path, capsys):
     assert "param_class.dim" in err and "length 1" in err, err
 
 
+@pytest.mark.parametrize("raw, path, value", [
+    (FIXED_POINT, "param_class.dim", 2), (SMALL, "problem.noise.mean", [0.0]),
+    (BOUNDED, "problem.prior.dim", 1)])
+def test_a_derived_key_builds_what_its_one_legal_value_builds(
+        tmp_path, raw, path, value):
+    # without the key, a config builds the same law, family and class as
+    # with its one legal value, and erm runs on it
+    given, derived = (ExperimentConfig.from_dict(r)
+                      for r in (override(raw, {path: value}), raw))
+    assert derived.param_class == given.param_class
+    theta = given.param_class.sample(np.random.default_rng(0))
+    (x, y), (x2, y2) = (c.problem.sample(np.random.default_rng(1), 64)
+                        for c in (given, derived))
+    assert np.array_equal(x, x2) and np.array_equal(y, y2)
+    assert np.array_equal(derived.family.reconstruct_batch(theta, y),
+                          given.family.reconstruct_batch(theta, y))
+    assert main(["--config", str(write_config(tmp_path, raw)), "erm",
+                 "--m", "16"]) == 0
+
+
 def test_stray_linalg_error_is_reported_without_traceback(
         tmp_path, capsys, monkeypatch):
-    import numpy as np
-
     import invlearn.cli
 
     def singular(*args, **kwargs):
@@ -440,13 +466,9 @@ def test_cli_runs_without_scipy(tmp_path):
     # alpha = 1 Elastic-Net and fixed-point copies, as CI builds them, run
     # every subcommand with scipy unimportable
     example = override(CRITERION_2, {"m_grid": SMALL["m_grid"]})
-    configs = {"example": example, "rates": SMALL}
-    for name, family in (("elastic_net", {"kind": "elastic_net",
-                                          "alpha": 1.0}),
-                         ("fixed_point", {"kind": "fixed_point",
-                                          "contraction_budget": 0.5})):
-        configs[name] = override(example, {"family": family,
-                                           "param_class.dim": 2})
+    configs = {"example": example, "rates": SMALL, "elastic_net": override(
+        example, {"family": {"kind": "elastic_net", "alpha": 1.0}}),
+        "fixed_point": override(example, {"family": FIXED_POINT["family"]})}
     paths = {}
     for name, c in configs.items():
         paths[name] = tmp_path / f"{name}.json"

@@ -28,7 +28,7 @@ from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
 from invlearn.risk import erm_solve_trials, trial_groups
 from invlearn.stochastics import STACK_ROWS, substream
 
-from configs import SMALL
+from configs import BOUNDED, FIXED_POINT, SMALL
 
 
 # -- config ----------------------------------------------------------------
@@ -81,12 +81,11 @@ def test_config_unknown_family_key_names_its_path(family, path):
 
 
 def test_config_unknown_param_class_key_names_its_path():
-    pc = {"kind": "euclidean_ball", "dim": 1, "raduis": 0.5}
+    pc = {"kind": "euclidean_ball", "raduis": 0.5}
     with pytest.raises(ConfigurationError,
                        match=r"unknown config key: param_class.raduis$"):
         ExperimentConfig.from_dict(override(SMALL, {"param_class": pc}))
-    sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
-               "smoothness": 1.0}
+    sobolev = {"kind": "sobolev_ball", "radius": 1.0, "smoothness": 1.0}
     cfg = ExperimentConfig.from_dict(override(SMALL, {"param_class": sobolev}))
     assert cfg.param_class.smoothness == 1.0
 
@@ -115,7 +114,6 @@ def test_config_overflowing_prior_trace_is_a_config_error():
                             "singular_values": [1.0, 1.0]},
         "problem.prior.mean": [0.0, 0.0],
         "problem.prior.cov_eigenvalues": [1e308, 1e308],
-        "problem.noise.mean": [0.0, 0.0],
         "problem.noise.cov_eigenvalues": [1.0, 1.0]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -136,15 +134,13 @@ def test_config_schema_accepts_every_documented_key():
         "forward": {"n_x": 2, "n_y": 2, "singular_values": [1.0, 0.5],
                     "basis": {"left": [[0.0, 1.0], [1.0, 0.0]],
                               "right": "identity"}},
-        "prior": {"type": "uniform_ball", "dim": 2, "radius": 1.0},
-        "noise": {"type": "gaussian", "mean": [0.0, 0.0],
-                  "cov_eigenvalues": [0.1, 0.1],
+        "prior": {"type": "uniform_ball", "radius": 1.0},
+        "noise": {"type": "gaussian", "cov_eigenvalues": [0.1, 0.1],
                   "cov_basis": [[1.0, 0.0], [0.0, 1.0]]},
     }
     cfg = ExperimentConfig.from_dict(override(SMALL, {
         "problem": problem,
-        "family": {"kind": "tikhonov", "structure": "diagonal"},
-        "param_class": {"kind": "euclidean_ball", "dim": 4}}))
+        "family": {"kind": "tikhonov", "structure": "diagonal"}}))
     assert cfg.problem.forward.left_basis is not None
 
 
@@ -341,9 +337,7 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
     # the fixed point's trials are one-trial ERM stacks, and the one whose
     # stack raises is recorded failed without being fitted a second time;
     # the proxy and the fits are stand-ins
-    cfg = ExperimentConfig.from_dict(override(SMALL, {
-        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
-        "param_class.dim": 2}))
+    cfg = ExperimentConfig.from_dict(FIXED_POINT)
     marked = derived_seed(cfg.master_seed, 1, 32, 3)
     stacks = []
 
@@ -373,9 +367,7 @@ def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):
     # change in difference form, 1/2 mean((R - R*).(R + R* - 2X)), not as a
     # mean of per-sample loss differences; the proxy and the fits are
     # stand-ins
-    cfg = ExperimentConfig.from_dict(override(SMALL, {
-        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
-        "param_class.dim": 2}))
+    cfg = ExperimentConfig.from_dict(FIXED_POINT)
     theta_star = np.array([0.3, -0.2])
     thetas = []
 
@@ -488,8 +480,7 @@ def test_loglog_fit_matches_weighted_normal_equations():
 def test_rate_experiment_on_an_entropy_decay_class():
     # a Sobolev class of smoothness 0.4 with alpha = q = 1 lies below the
     # saturation threshold 1/(alpha q): -alpha^2 s q / 2 = -0.2
-    sobolev = {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
-               "smoothness": 0.4}
+    sobolev = {"kind": "sobolev_ball", "radius": 1.0, "smoothness": 0.4}
     fit = run_rate_experiment(ExperimentConfig.from_dict(
         override(SMALL, {"param_class": sobolev})))
     assert fit.predicted_exponent == -0.2
@@ -531,11 +522,8 @@ def test_bound_inputs_follow_the_config():
                                   D=2.0) for m in grid]
     assert cov == CoveringModel("euclidean_ball", d=1, D=1.0)
     # bounded data with zero noise: the q of the verification suite
-    cfg = ExperimentConfig.from_dict(override(SMALL, {
-        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
-        "param_class.dim": 2, "param_class.radius": 0.25,
-        "problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 1.0},
-        "problem.noise.cov_eigenvalues": [0.0]}))
+    cfg = ExperimentConfig.from_dict(override(BOUNDED, {
+        "param_class.radius": 0.25}))
     inputs, cov = bound_inputs(cfg)
     assert {b.q for b in inputs} == {2} == {
         run_verification_suite(cfg, n_samples=20_000)["q_route"]}
@@ -546,7 +534,7 @@ def test_bound_inputs_follow_the_config():
     inputs, cov = bound_inputs(ExperimentConfig.from_dict(override(SMALL, {
         "family": {"kind": "elastic_net", "alpha": 0.5, "eta": 0.5,
                    "structure": "scale"},
-        "param_class": {"kind": "sobolev_ball", "dim": 1, "radius": 1.0,
+        "param_class": {"kind": "sobolev_ball", "radius": 1.0,
                         "smoothness": 1.5}})))
     assert {(b.q, b.alpha) for b in inputs} == {(1, 0.5)}
     assert cov == CoveringModel("entropy_decay", s=1.5)
@@ -577,12 +565,7 @@ def test_verification_suite_rejects_an_empty_sample():
 def test_verification_suite_bounded_route():
     # bounded data with zero noise: the squared norms are sub-Gaussian;
     # the fixed-point family is used because it has no noise model to invert
-    cfg = override(SMALL, {
-        "family": {"kind": "fixed_point", "contraction_budget": 0.5},
-        "param_class.dim": 2,
-        "problem.prior": {"type": "uniform_ball", "dim": 1, "radius": 1.0},
-        "problem.noise.cov_eigenvalues": [0.0]})
-    report = run_verification_suite(ExperimentConfig.from_dict(cfg),
+    report = run_verification_suite(ExperimentConfig.from_dict(BOUNDED),
                                     n_samples=50_000)
     assert report["q_route"] == 2
     assert report["passed"], report
@@ -598,19 +581,18 @@ def test_verification_suite_passes_a_one_point_class():
     assert report["passed"], report
 
 
-@pytest.mark.parametrize("family, dim", [
-    ({"kind": "tikhonov", "structure": "scale"}, 1),
-    ({"kind": "elastic_net", "alpha": 1.0, "eta": 0.5,
-      "structure": "scale"}, 1),
-    ({"kind": "fixed_point", "contraction_budget": 0.5}, 2)],
+@pytest.mark.parametrize("family", [
+    {"kind": "tikhonov", "structure": "scale"},
+    {"kind": "elastic_net", "alpha": 1.0, "eta": 0.5, "structure": "scale"},
+    {"kind": "fixed_point", "contraction_budget": 0.5}],
     ids=["tikhonov", "elastic_net", "fixed_point"])
-def test_verification_suite_passes_a_point_mass_prior_at_zero(family, dim):
+def test_verification_suite_passes_a_point_mass_prior_at_zero(family):
     # x = 0 identically, and y = 0 too under the fixed point's zero noise:
     # such a squared norm has psi_q norm 0 and no tail, and its entry
     # passes as degenerate, as the radius-0 certificate does
     zero_noise = family["kind"] == "fixed_point"
     cfg = override(SMALL, {
-        "family": family, "param_class.dim": dim,
+        "family": family,
         "problem.prior.cov_eigenvalues": [0.0],
         "problem.noise.cov_eigenvalues": [0.0 if zero_noise else 1.0]})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
@@ -633,12 +615,11 @@ def test_verification_suite_tikhonov_zero_noise_fails_family_check():
 def test_q_route_needs_bounded_prior_and_zero_noise():
     # the fixed-point family has no noise model to invert
     def problem(prior, noise_var):
-        return ExperimentConfig.from_dict(override(SMALL, {
-            "family": {"kind": "fixed_point", "contraction_budget": 0.5},
-            "param_class.dim": 2, "problem.prior": prior,
+        return ExperimentConfig.from_dict(override(FIXED_POINT, {
+            "problem.prior": prior,
             "problem.noise.cov_eigenvalues": [noise_var]})).problem
 
-    ball = {"type": "uniform_ball", "dim": 1, "radius": 1.0}
+    ball = {"type": "uniform_ball", "radius": 1.0}
     gauss = {"type": "gaussian", "mean": [0.0], "cov_eigenvalues": [1.0]}
     assert q_route(problem(ball, 0.0)) == 2
     assert q_route(problem(ball, 1.0)) == 1
@@ -661,23 +642,19 @@ def test_verification_suite_elastic_net_with_n_x_other_than_n_y():
     problem = {
         "forward": {"n_x": 3, "n_y": 2, "singular_values": [1.0, 0.5]},
         "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
-        "noise": {"mean": [0.0] * 2, "cov_eigenvalues": [0.1] * 2}}
+        "noise": {"cov_eigenvalues": [0.1] * 2}}
     cfg = override(SMALL, {
         "problem": problem,
         "family": {"kind": "elastic_net", "alpha": 1.0, "eta": 0.5,
-                   "structure": "diagonal"},
-        "param_class": {"kind": "euclidean_ball", "dim": 6}})
+                   "structure": "diagonal"}})
     report = run_verification_suite(ExperimentConfig.from_dict(cfg),
                                     n_samples=20_000)
     assert report["checks"]["penalty_hypotheses"]["passed"], report
 
 
 def test_verification_suite_invalid_contraction_budget():
-    # theta = (W, b) has length 2 on the scalar problem; the budget is
-    # checked when the config is read
-    cfg = override(SMALL, {
-        "family": {"kind": "fixed_point", "contraction_budget": 1.2},
-        "param_class": {"kind": "euclidean_ball", "dim": 2}})
+    # the budget is checked when the config is read
+    cfg = override(FIXED_POINT, {"family.contraction_budget": 1.2})
     with pytest.raises(ConfigurationError,
                        match=r"^config family: contraction budget"):
         ExperimentConfig.from_dict(cfg)
@@ -822,10 +799,8 @@ def test_verification_suite_peak_memory():
         "problem.forward.singular_values": [1.0 / k for k in range(1, n + 1)],
         "problem.prior.mean": [0.0] * n,
         "problem.prior.cov_eigenvalues": [1.0] * n,
-        "problem.noise.mean": [0.0] * n,
         "problem.noise.cov_eigenvalues": [0.1] * n,
-        "family.structure": "diagonal", "param_class.dim": 2 * n,
-        "n_mc": 20_000}))
+        "family.structure": "diagonal", "n_mc": 20_000}))
     tracemalloc.start()
     try:
         run_verification_suite(cfg, n_samples=100_000)

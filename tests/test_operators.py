@@ -200,8 +200,7 @@ def test_from_dict_dense_basis():
         "problem": {
             "forward": forward,
             "prior": {"mean": [0.0] * 3, "cov_eigenvalues": [1.0] * 3},
-            "noise": {"mean": [0.0] * 5, "cov_eigenvalues": [1.0] * 5}},
-        "param_class": {"kind": "euclidean_ball", "dim": 1},
+            "noise": {"cov_eigenvalues": [1.0] * 5}},
         "m_grid": [16], "trials_per_m": 1, "proxy_m": 1600,
         "n_mc": 100})).problem.forward
     x = rng.standard_normal(3)

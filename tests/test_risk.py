@@ -38,7 +38,7 @@ def proxy(pc, fam, dist, proxy_m, seed):
 
 def one_pair_risk(x, y, theta, fam):
     """Empirical risk on the one-pair training set {(x, y)}."""
-    ts = TrainingSet(x=np.array([x], float), y=np.array([y], float), seed=0)
+    ts = TrainingSet(x=np.array([x], float), y=np.array([y], float))
     return empirical_risk(ts, np.asarray(theta, float), fam)
 
 
@@ -71,7 +71,7 @@ def test_empirical_risk_identical_pairs():
     A, noise, dist, fam = scalar_setup()
     x = np.full((5, 1), 1.0)
     y = np.full((5, 1), 2.0)
-    ts = TrainingSet(x=x, y=y, seed=0)
+    ts = TrainingSet(x=x, y=y)
     single = one_pair_risk([1.0], [2.0], [1.0], fam)
     assert empirical_risk(ts, np.array([1.0]), fam) == pytest.approx(single)
 
@@ -82,10 +82,10 @@ def test_empirical_risk_concatenation_average():
     xa, ya = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
     xb, yb = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
     theta = np.array([0.7])
-    ra = empirical_risk(TrainingSet(xa, ya, 0), theta, fam)
-    rb = empirical_risk(TrainingSet(xb, yb, 0), theta, fam)
+    ra = empirical_risk(TrainingSet(xa, ya), theta, fam)
+    rb = empirical_risk(TrainingSet(xb, yb), theta, fam)
     rc = empirical_risk(TrainingSet(np.vstack([xa, xb]),
-                                    np.vstack([ya, yb]), 0), theta, fam)
+                                    np.vstack([ya, yb])), theta, fam)
     assert rc == pytest.approx(0.5 * (ra + rb))
 
 
@@ -96,13 +96,13 @@ def test_empirical_risk_three_term_hand_check():
     pairs = [(1.0, 2.0), (0.0, 1.0), (-1.0, 0.5)]
     expected = np.mean([0.5 * (y / 2 - x) ** 2 for x, y in pairs])
     ts = TrainingSet(np.array([[x] for x, _ in pairs]),
-                     np.array([[y] for _, y in pairs]), 0)
+                     np.array([[y] for _, y in pairs]))
     assert empirical_risk(ts, np.array([b]), fam) == pytest.approx(expected)
 
 
 def test_empirical_risk_empty_rejected():
     A, noise, dist, fam = scalar_setup()
-    ts = TrainingSet(np.empty((0, 1)), np.empty((0, 1)), 0)
+    ts = TrainingSet(np.empty((0, 1)), np.empty((0, 1)))
     with pytest.raises(ConfigurationError):
         empirical_risk(ts, np.array([1.0]), fam)
     pc = ParamClass(kind="euclidean_ball", dim=1, radius=1.0)
@@ -184,7 +184,7 @@ def test_erm_permutation_invariant():
     ts = draw_training_set(dist, 300, seed=6)
     rng = np.random.default_rng(0)
     perm = rng.permutation(300)
-    ts2 = TrainingSet(ts.x[perm], ts.y[perm], ts.seed)
+    ts2 = TrainingSet(ts.x[perm], ts.y[perm])
     r1 = erm_solve(pc, fam, ts, ErmOptions(seed=0))
     r2 = erm_solve(pc, fam, ts2, ErmOptions(seed=0))
     assert np.allclose(r1.theta, r2.theta, atol=1e-10)
@@ -598,7 +598,7 @@ def test_only_the_affine_flag_selects_the_moment_path():
     # the mean per-sample loss, and its change in difference form
     x_eval, y_eval = dist.sample(substream(26, 1), 200)
     risk_eval, _, change = _risk_and_grad_factory(
-        fam, pc, [TrainingSet(x_eval, y_eval, 0)])
+        fam, pc, [TrainingSet(x_eval, y_eval)])
     f, R = risk_eval(thetas[:2], np.arange(2))
     per_star, per = (_batch_losses(fam, t, x_eval, y_eval) for t in thetas[:2])
     np.testing.assert_array_equal(f, [per_star.mean(), per.mean()])
@@ -735,10 +735,11 @@ def test_representativeness_singleton_grid():
     m = 1000
     ts = draw_training_set(dist, m, seed=19)
     theta = np.array([0.4])
-    l_mc = expected_loss_mc(dist, theta, fam, 10_000, seed=20)
+    n_mc = 10_000
+    l_mc = expected_loss_mc(dist, theta, fam, n_mc, seed=20)
     # the per-pair loss spread, read back from the 95% half-width
-    sigma = l_mc.halfwidth * np.sqrt(l_mc.n_mc) / 1.96
-    dev = uniform_deviation(ts, fam, [theta], dist, n_mc=10_000, seed=20)
+    sigma = l_mc.halfwidth * np.sqrt(n_mc) / 1.96
+    dev = uniform_deviation(ts, fam, [theta], dist, n_mc=n_mc, seed=20)
     assert dev <= 3 * 1.96 * sigma / np.sqrt(m) + 3 * l_mc.halfwidth
 
 
