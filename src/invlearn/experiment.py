@@ -25,8 +25,7 @@ from .hypotheses import (_COND_MAX, ElasticNetFamily, FixedPointFamily,
                          check_g_hypotheses)
 from .operators import ForwardOperator, GaussianSpec
 from .risk import (ErmOptions, _batch_losses, _risk_and_grad_factory,
-                   erm_solve, erm_solve_trials, optimal_target_proxy,
-                   trial_groups)
+                   erm_solve_trials, optimal_target_proxy)
 from .stochastics import (STACK_ROWS, BoundedSpec, ProblemDistribution,
                           TrainingSet, draw_training_set,
                           empirical_average_contraction, orlicz_norm,
@@ -285,8 +284,7 @@ def q_route(problem: ProblemDistribution) -> int:
     Bounded x with zero noise gives sub-Gaussian squared norms (q = 2);
     Gaussian data gives sub-exponential ones (q = 1).
     """
-    if isinstance(problem.prior, BoundedSpec) and \
-            np.all(problem.noise.covariance_eigenvalues == 0):
+    if isinstance(problem.prior, BoundedSpec) and problem.noise.degenerate:
         return 2
     return 1
 
@@ -383,10 +381,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
     """The central experiment: mean excess loss versus m, with a rate fit.
 
     Fully deterministic given the config: each trial draws from seeds keyed
-    by (m, trial).  The trials of one m are fitted in lock-step stacks
-    (``risk.trial_groups``: one stack of an affine family's trials, one
-    trial at a time otherwise); a stack that raises ``ConvergenceError`` is
-    refitted one trial at a time, and a trial that raises alone is marked
+    by (m, trial).  An affine family's trials of one m are fitted as one
+    lock-step ERM stack (``risk.erm_solve_trials``), refitted one trial at
+    a time where that stack raises ``ConvergenceError``; any other family's
+    trials are fitted one at a time as they are drawn, so that one
+    training set is alive at a time.  A trial that raises alone is marked
     failed.  The losses L(theta_star) and L(theta_hat) and each fit's
     sample error L(theta_hat) - L(theta_star) are ERM's own risk and risk
     change (``risk._risk_and_grad_factory``) with the shared evaluation
@@ -419,19 +418,17 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
         trials = range(cfg.trials_per_m)
         seeds = [derived_seed(cfg.master_seed, m, t) for t in trials]
         erm_seeds = [derived_seed(cfg.master_seed, 1, m, t) for t in trials]
-        groups = trial_groups(len(trials), family, opts)
-        fits = []
-        for g in groups:
-            sets = [draw_training_set(cfg.problem, m, s) for s in seeds[g]]
+        sets = (draw_training_set(cfg.problem, m, s) for s in seeds)
+        fits = None
+        if family.affine:  # one ERM stack of every trial
+            sets = list(sets)
             try:
-                fits += erm_solve_trials(pclass, family, sets, erm_seeds[g],
-                                         opts)
+                fits = erm_solve_trials(pclass, family, sets, erm_seeds, opts)
             except ConvergenceError:
-                # one trial's error must not fail the others: refit alone,
-                # unless the stack was one trial
-                fits += [None] if len(sets) == 1 else [
-                    _fit_alone(pclass, family, ts, seed)
-                    for ts, seed in zip(sets, erm_seeds[g])]
+                pass  # one trial's error must not fail the others
+        if fits is None:  # one trial at a time, each as it is drawn
+            fits = [_fit_alone(pclass, family, ts, seed, opts)
+                    for ts, seed in zip(sets, erm_seeds)]
         for t, seed, res in zip(trials, seeds, fits):
             if res is None:
                 records.append(TrialRecord(m, t, math.nan, math.nan, math.nan,
@@ -450,7 +447,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
                 failed=not res.converged))
         log.info("m=%d trials=%d failed=%d groups=%d seconds=%.3f", m,
                  len(trials), sum(r.failed for r in records[-len(trials):]),
-                 len(groups), time.perf_counter() - start)
+                 1 if family.affine else len(trials),
+                 time.perf_counter() - start)
 
     n_failed = sum(r.failed for r in records)
     if n_failed > MAX_FAILURE_FRACTION * len(records):
@@ -495,11 +493,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateFit:
                    config_digest=cfg.digest, bound_inputs=(inputs, cov))
 
 
-def _fit_alone(pclass, family, ts, seed):
-    """One trial's ``erm_solve``, or None where it raises
-    ``ConvergenceError``."""
+def _fit_alone(pclass, family, ts, seed, opts):
+    """One trial's ERM stack, or None where it raises ``ConvergenceError``."""
     try:
-        return erm_solve(pclass, family, ts, ErmOptions(seed=seed))
+        return erm_solve_trials(pclass, family, [ts], [seed], opts)[0]
     except ConvergenceError:
         return None
 

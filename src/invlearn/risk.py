@@ -14,10 +14,10 @@ An ``affine`` family (R_theta(y) = G y + c = (y, 1) V, V its
 ``affine_map``) reads its data only through their moments (``_Moments``):
 its ERM risk, gradient and risk change are quadratic forms in V,
 independent of m, and one ERM stack may hold the starts of several trials,
-each row reading its own trial's moments (``trial_groups``).  The other
-families evaluate per sample, the reference path, one training set per
-stack.  Either way the line search decides on the risk change computed in
-difference form, not on the difference of two rounded risk levels.
+each row reading its own trial's moments.  The other families evaluate per
+sample, the reference path, one training set per stack.  Either way the
+line search decides on the risk change computed in difference form, not
+on the difference of two rounded risk levels.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .stochastics import (STACK_ROWS, ProblemDistribution, TrainingSet,
 
 FD_STEP_REL = 1e-5  # central-difference step, relative to the class diameter
 ERM_TOL = 1e-8  # projected-gradient residual at which an ERM start has converged
-# starts of one trial-stacked ERM of an affine family at most; each row
-# holds its own map and its trial's moments
-TRIAL_STACK_ROWS = STACK_ROWS // 4
 
 
 def _losses(R, X) -> np.ndarray:
@@ -53,11 +50,11 @@ def _batch_losses(family, theta, X, Y) -> np.ndarray:
     return _losses(family.reconstruct_batch(theta, Y), X)
 
 
-def theta_groups(k: int, m: int, pairs: int | None = None) -> list:
-    """Slices of a stack of k thetas on m data rows, each at most ``pairs``
-    (default ``STACK_ROWS``) (theta, row) pairs, or one theta when its rows
-    alone exceed that."""
-    size = max(1, (pairs or STACK_ROWS) // max(m, 1))
+def theta_groups(k: int, m: int) -> list:
+    """Slices of a stack of k thetas on m data rows, each at most
+    ``STACK_ROWS`` (theta, row) pairs, or one theta when its rows alone
+    exceed that."""
+    size = max(1, STACK_ROWS // max(m, 1))
     return [slice(i, i + size) for i in range(0, k, size)]
 
 
@@ -300,9 +297,9 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
     Trial t's starts are drawn from ``seeds[t]`` in place of
     ``opts.seed``, and the ``n_starts`` starts of every trial run as one
     (T n_starts, dim) stack whose row i reads the moments of trial
-    ``i // n_starts``; only an affine family stacks several trials
-    (``trial_groups``).  Returns one ``ErmResult`` per trial, each bit for
-    bit its own ``erm_solve``.  A ``ConvergenceError`` fails the stack.
+    ``i // n_starts``; only an affine family stacks several trials.
+    Returns one ``ErmResult`` per trial, each bit for bit its own
+    ``erm_solve``.  A ``ConvergenceError`` fails the stack.
     """
     k = max(1, opts.n_starts)
     starts = []
@@ -325,17 +322,9 @@ def erm_solve_trials(pclass, family, training_sets, seeds,
     return results
 
 
-def trial_groups(n_trials: int, family, opts: ErmOptions) -> list:
-    """Slices of n_trials trials of one m, one ERM stack each: an affine
-    family's trials in stacks of at most ``TRIAL_STACK_ROWS`` starts, any
-    other family's one trial at a time."""
-    return theta_groups(n_trials, max(1, opts.n_starts),
-                        TRIAL_STACK_ROWS if family.affine else 1)
-
-
 def optimal_target_proxy(pclass, family, dist: ProblemDistribution,
                          proxy_m: int, seed: int, x_eval, y_eval,
-                         opts: ErmOptions = ErmOptions()) -> tuple:
+                         opts: ErmOptions = ErmOptions()) -> np.ndarray:
     """ERM on a proxy sample standing in for the exact expected-loss argmin.
 
     The fit is repeated from a second seed, and the two candidates' mean

@@ -14,10 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from invlearn import (ElasticNetFamily, ErmOptions, ExperimentConfig,
-                      FixedPointFamily, ForwardOperator, GaussianSpec,
-                      ParamClass, ProblemDistribution, TikhonovFamily,
-                      erm_solve, experiment, risk, run_rate_experiment,
+from invlearn import (ElasticNetFamily, ExperimentConfig, FixedPointFamily,
+                      ForwardOperator, GaussianSpec, ParamClass,
+                      ProblemDistribution, TikhonovFamily, erm_solve,
+                      experiment, risk, run_rate_experiment,
                       run_verification_suite, stochastics)
 from invlearn.bounds import BoundInputs, CoveringModel, predicted_exponent
 from invlearn.errors import ConfigurationError, ConvergenceError
@@ -25,7 +25,7 @@ from invlearn.experiment import (_FAMILY_KEYS, _weighted_loglog_fit,
                                  bound_domination_check, bound_inputs,
                                  canonical_json, derived_seed, fnv1a64,
                                  override, q_route)
-from invlearn.risk import erm_solve_trials, trial_groups
+from invlearn.risk import erm_solve_trials
 from invlearn.stochastics import STACK_ROWS, substream
 
 from configs import BOUNDED, FIXED_POINT, SMALL
@@ -315,7 +315,7 @@ def test_rate_experiment_isolates_a_trial_that_raises(monkeypatch):
     marked = cfg.param_class.sample(
         substream(derived_seed(cfg.master_seed, 1, 32, 3), 101))
     cfg = dataclasses.replace(cfg, family=FailsOnOneTrial(cfg, marked))
-    assert len(trial_groups(10, cfg.family, ErmOptions())) == 1
+    assert cfg.family.affine
     fit = run_rate_experiment(cfg)
 
     def one_trial_at_a_time(pclass, family, sets, seeds, opts):
@@ -348,16 +348,33 @@ def test_rate_experiment_fits_per_sample_trials_one_at_a_time(monkeypatch):
         return [risk.ErmResult(theta=np.zeros(2), objective=0.0,
                                residual=0.0, converged=True)]
 
-    def refit(*args, **kwargs):
-        raise AssertionError("a one-trial stack is not refitted")
-
     monkeypatch.setattr(experiment, "optimal_target_proxy",
                         lambda *args: np.zeros(2))
     monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
-    monkeypatch.setattr(experiment, "erm_solve", refit)
     fit = run_rate_experiment(cfg)
     assert stacks == [1] * 40
     assert [(r.m, r.trial) for r in fit.trials if r.failed] == [(32, 3)]
+
+
+def test_rate_experiment_stacks_every_affine_trial_of_one_m(monkeypatch):
+    # 2 049 trials of 8 starts each, 16 392 rows: the scalar Tikhonov
+    # trials of one m are one ERM stack, whatever their count; the proxy
+    # and the fits are stand-ins
+    cfg = ExperimentConfig.from_dict(override(SMALL, {
+        "m_grid": [16], "trials_per_m": 2049}))
+    stacks = []
+
+    def fit_stack(pclass, family, sets, seeds, opts):
+        stacks.append(len(sets))
+        return [risk.ErmResult(theta=np.zeros(1), objective=0.0,
+                               residual=0.0, converged=True)] * len(sets)
+
+    monkeypatch.setattr(experiment, "optimal_target_proxy",
+                        lambda *args: np.zeros(1))
+    monkeypatch.setattr(experiment, "erm_solve_trials", fit_stack)
+    fit = run_rate_experiment(cfg)
+    assert stacks == [2049]
+    assert len(fit.trials) == 2049 and not any(r.failed for r in fit.trials)
 
 
 def test_rate_experiment_sample_error_is_the_risk_change(monkeypatch):

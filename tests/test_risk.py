@@ -502,18 +502,14 @@ def test_theta_groups_at_bench_and_proxy_sizes():
 # -- trial-stacked ERM: each trial is its own erm_solve -------------------
 
 def assert_trials_fit_alone(pc, fam, dist, m, n_trials, opts, seed):
-    """Fitted in the stacks ``trial_groups`` makes -- for an affine family
-    under a budget of two trials, of which an odd count ends on a one-trial
-    stack; for any other family, one trial each -- every trial returns the
+    """Fitted in the stacks of the rate run -- an affine family's trials as
+    one stack, any other family's one trial each -- every trial returns the
     theta, objective, residual and convergence flag of its own
     ``erm_solve``, bit for bit."""
     sets = [draw_training_set(dist, m, seed + t) for t in range(n_trials)]
     seeds = [seed + 100 + t for t in range(n_trials)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(risk, "TRIAL_STACK_ROWS", 2 * max(1, opts.n_starts))
-        groups = risk.trial_groups(n_trials, fam, opts)
-    per_stack = 2 if fam.affine else 1
-    assert len(groups) == -(-n_trials // per_stack) >= 2
+    groups = [slice(None)] if fam.affine else \
+        [slice(t, t + 1) for t in range(n_trials)]
     fits = [fit for g in groups
             for fit in erm_solve_trials(pc, fam, sets[g], seeds[g], opts)]
     assert len(fits) == n_trials
@@ -605,9 +601,9 @@ def test_only_the_affine_flag_selects_the_moment_path():
     D = R[1] - R[0]
     assert change(R[1:], R[:1], np.arange(1)) == \
         0.5 * np.sum(D * (R[1] + R[0] - 2.0 * x_eval), axis=-1).mean()
-    # one trial per ERM stack
-    assert risk.trial_groups(3, fam, ErmOptions()) == [
-        slice(0, 1), slice(1, 2), slice(2, 3)]
+    # one training set per ERM stack
+    with pytest.raises(ConfigurationError, match="one training set"):
+        erm_solve_trials(pc, fam, [ts, ts], [1, 2], ErmOptions())
 
 
 # -- optimal_target_proxy --------------------------------------------------
